@@ -30,27 +30,16 @@
 // while -tracedir binds every job to <dir>/<bench>-s<seed>.elt, the layout
 // elsqtrace record -suites writes. Either way jobs are content-addressed by
 // the trace digest, and replay is bit-identical to live generation.
-//
-// Remote execution: -remote http://host:7977 submits the expanded grid to
-// an elsqserve coordinator instead of simulating locally. Trace artifacts
-// the jobs demand are pushed to the coordinator's content-addressed store
-// first, progress is streamed to stderr, and the assembled results — byte-
-// identical to a local run of the same grid, in the same canonical order —
-// feed the usual JSON/CSV artifact writers. The local cache and checkpoint
-// flags are ignored; the service's stores take their place.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/config"
-	"repro/internal/fleet"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 )
@@ -74,7 +63,6 @@ func main() {
 	useCkpt := flag.Bool("ckpt", true, "share one warm-up checkpoint across configs with equal warm-up identity (bit-identical results, one warm-up per benchmark/seed instead of one per job)")
 	ckptDir := flag.String("ckptdir", "", "persistent checkpoint-store directory (empty = in-memory only; implies -ckpt)")
 	ckptMax := flag.String("ckpt-max-bytes", "2G", "checkpoint store size budget for -ckptdir (K/M/G suffixes; 0 = unbounded)")
-	remote := flag.String("remote", "", "submit the sweep to the elsqserve coordinator at this URL instead of simulating locally")
 	quiet := flag.Bool("q", false, "suppress per-job progress lines")
 	fields := flag.Bool("fields", false, "list sweepable config fields and exit")
 	flag.Parse()
@@ -132,43 +120,35 @@ func main() {
 	fmt.Fprintf(os.Stderr, "sweep: %d jobs (%d grid points x %d benchmarks x %d seeds)\n",
 		len(jobs), len(jobs)/(len(grid.Benches)*len(grid.Seeds)), len(grid.Benches), len(grid.Seeds))
 
-	var outcomes []sweep.Outcome
-	var stats sweep.Stats
-	start := time.Now()
-	if *remote != "" {
-		outcomes, stats, err = runRemote(*remote, jobs, *quiet)
-		if err != nil {
-			fatalf("fleet sweep failed: %v", err)
+	runner := sweep.Runner{Workers: *workers}
+	if *cacheDir != "" {
+		if runner.Cache, err = sweep.NewDiskCache(*cacheDir); err != nil {
+			fatalf("%v", err)
 		}
 	} else {
-		runner := sweep.Runner{Workers: *workers}
-		if *cacheDir != "" {
-			if runner.Cache, err = sweep.NewDiskCache(*cacheDir); err != nil {
-				fatalf("%v", err)
-			}
-		} else {
-			runner.Cache = sweep.NewMemCache()
+		runner.Cache = sweep.NewMemCache()
+	}
+	switch {
+	case *ckptDir != "":
+		budget, err := config.ParseSize(*ckptMax)
+		if err != nil {
+			fatalf("bad -ckpt-max-bytes: %v", err)
 		}
-		switch {
-		case *ckptDir != "":
-			budget, err := config.ParseSize(*ckptMax)
-			if err != nil {
-				fatalf("bad -ckpt-max-bytes: %v", err)
-			}
-			if runner.Checkpoints, err = ckpt.NewDiskStore(*ckptDir, int64(budget)); err != nil {
-				fatalf("%v", err)
-			}
-		case *useCkpt:
-			runner.Checkpoints = ckpt.NewMemStore()
+		if runner.Checkpoints, err = ckpt.NewDiskStore(*ckptDir, int64(budget)); err != nil {
+			fatalf("%v", err)
 		}
-		if !*quiet {
-			runner.OnProgress = func(p sweep.Progress) {
-				fmt.Fprintln(os.Stderr, sweep.FormatProgress(p))
-			}
+	case *useCkpt:
+		runner.Checkpoints = ckpt.NewMemStore()
+	}
+	if !*quiet {
+		runner.OnProgress = func(p sweep.Progress) {
+			fmt.Fprintln(os.Stderr, sweep.FormatProgress(p))
 		}
-		if outcomes, stats, err = runner.Run(jobs); err != nil {
-			fatalf("sweep failed: %v", err)
-		}
+	}
+	start := time.Now()
+	outcomes, stats, err := runner.Run(jobs)
+	if err != nil {
+		fatalf("sweep failed: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "sweep: %s in %v\n", stats, time.Since(start).Round(time.Millisecond))
 	fmt.Fprintf(os.Stderr, "sweep: results digest %s\n", sweep.ResultsDigest(outcomes))
@@ -190,65 +170,6 @@ func main() {
 			fatalf("writing JSON: %v", err)
 		}
 	}
-}
-
-// runRemote executes the expanded grid on an elsqserve fleet: trace
-// artifacts are pushed to the coordinator's content-addressed store,
-// progress is streamed to stderr, and the results come back in the same
-// canonical order a local run emits. An interrupt cancels the remote sweep
-// before exiting.
-func runRemote(base string, jobs []sweep.Job, quiet bool) ([]sweep.Outcome, sweep.Stats, error) {
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer cancel()
-	client := fleet.NewClient(base)
-
-	// Push every distinct trace the jobs demand; the store is
-	// content-addressed, so re-pushing a trace the service already holds is
-	// an idempotent no-op.
-	pushed := make(map[string]bool)
-	for _, j := range jobs {
-		d := j.Config.TraceDigest
-		if d == "" || pushed[d] || j.Config.TracePath == "" {
-			continue
-		}
-		pushed[d] = true
-		b, err := os.ReadFile(j.Config.TracePath)
-		if err != nil {
-			return nil, sweep.Stats{}, fmt.Errorf("reading trace for upload: %w", err)
-		}
-		if err := client.BlobPut(ctx, fleet.SpaceTrace, d, b); err != nil {
-			return nil, sweep.Stats{}, fmt.Errorf("uploading trace %s: %w", d, err)
-		}
-	}
-	if len(pushed) > 0 {
-		fmt.Fprintf(os.Stderr, "sweep: pushed %d trace artifacts to %s\n", len(pushed), base)
-	}
-
-	sub, err := client.Submit(ctx, jobs)
-	if err != nil {
-		return nil, sweep.Stats{}, err
-	}
-	fmt.Fprintf(os.Stderr, "sweep: submitted %d jobs to %s as %s (%d served from the result store)\n",
-		sub.Total, base, sub.ID, sub.Done)
-
-	var onChange func(fleet.SweepStatus)
-	if !quiet {
-		onChange = func(st fleet.SweepStatus) {
-			fmt.Fprintf(os.Stderr, "sweep: fleet %d/%d done, %d failed\n", st.Done, st.Total, st.Failed)
-		}
-	}
-	st, err := client.Wait(ctx, sub.ID, onChange)
-	if err != nil {
-		if ctx.Err() != nil {
-			// Interrupted: release the fleet's workers before going away.
-			client.Cancel(context.Background(), sub.ID)
-		}
-		return nil, sweep.Stats{}, err
-	}
-	if st.Failed > 0 {
-		return nil, sweep.Stats{}, fmt.Errorf("%d jobs failed permanently: %v", st.Failed, st.Errors)
-	}
-	return client.Results(ctx, sub.ID)
 }
 
 // writeArtifact writes to path via emit ("" skips, "-" means stdout).

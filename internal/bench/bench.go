@@ -92,9 +92,6 @@ func schemes() []scheme {
 	// baseline regeneration.
 	contended := config.Default()
 	contended.NoC = config.NoCContended
-	contendedSteal := config.Default()
-	contendedSteal.NoC = config.NoCContended
-	contendedSteal.Place = config.PlaceSteal
 	// Classifier rows track the predictive HL/LL split policies
 	// (internal/predict) against the reactive default; like the fabric rows
 	// they are new matrix points absent from older baselines.
@@ -108,7 +105,6 @@ func schemes() []scheme {
 		{"central", central},
 		{"svw", svw},
 		{"elsq-noc", contended},
-		{"elsq-noc-steal", contendedSteal},
 		{"elsq-pred", pred},
 		{"elsq-delay", delay},
 	}

@@ -16,11 +16,11 @@ import (
 func TestMatrixShape(t *testing.T) {
 	smoke := Matrix(true)
 	full := Matrix(false)
-	if len(smoke) != 16 {
-		t.Fatalf("smoke matrix has %d points, want 16", len(smoke))
+	if len(smoke) != 14 {
+		t.Fatalf("smoke matrix has %d points, want 14", len(smoke))
 	}
-	if len(full) != 20 {
-		t.Fatalf("full matrix has %d points, want 20", len(full))
+	if len(full) != 18 {
+		t.Fatalf("full matrix has %d points, want 18", len(full))
 	}
 	seen := map[string]bool{}
 	for _, p := range full {

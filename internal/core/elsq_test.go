@@ -25,7 +25,7 @@ func newRig(t *testing.T, mut func(*config.Config)) *rig {
 		mut(&cfg)
 	}
 	l1 := mem.NewCache(cfg.L1)
-	fab := noc.NewAnalytic(noc.NewBus(cfg.BusOneWay), noc.NewMesh(4, 4, cfg.MeshHop))
+	fab := noc.NewAnalytic(4, 4, cfg.MeshHop, cfg.BusOneWay)
 	return &rig{e: New(&cfg, fab, l1, nil), l1: l1, cfg: cfg}
 }
 
@@ -331,7 +331,7 @@ func TestStoreAddrReadyCountsHL(t *testing.T) {
 func TestWithoutLoadQueue(t *testing.T) {
 	cfg := config.Default()
 	l1 := mem.NewCache(cfg.L1)
-	e := New(&cfg, noc.NewAnalytic(noc.NewBus(4), noc.NewMesh(4, 4, 1)), l1, nil, WithoutLoadQueue())
+	e := New(&cfg, noc.NewAnalytic(4, 4, 1, 4), l1, nil, WithoutLoadQueue())
 	st := mkStore(5, 0x100, 60, 60)
 	res := e.StoreAddrReady(st, []*lsq.MemOp{{Seq: 7, Addr: 0x100, Size: 8, Issued: 30}}, 60)
 	if res.Violation {

@@ -256,16 +256,16 @@ func newSim(cfg config.Config, gen workload.Source, ar *laneArena) (*Sim, error)
 	s.aAccess[mem.LevelL1] = s.act.Handle("l1_access")
 	s.aAccess[mem.LevelL2] = s.act.Handle("l2_access")
 	s.aAccess[mem.LevelMem] = s.act.Handle("mem_access")
-	// Interconnect fabric: analytic (bit-identical to the legacy bus+mesh
-	// model) or contended, whose link calendars are carved from the batch
-	// arena like the pipeline calendars below.
+	// Interconnect fabric: analytic (the paper's contention-free model) or
+	// contended, whose link calendars are carved from the batch arena like
+	// the pipeline calendars below.
 	w, h := meshDims(cfg.NumEpochs)
 	hor := calHorizonFor(&cfg)
 	if cfg.NoC == config.NoCContended {
 		s.fab = noc.NewContended(w, h, cfg.MeshHop, cfg.BusOneWay, cfg.NoCLinkWidth,
 			func(width int) *sched.Calendar { return ar.calendar(width, hor) })
 	} else {
-		s.fab = noc.NewAnalytic(noc.NewBus(cfg.BusOneWay), noc.NewMesh(w, h, cfg.MeshHop))
+		s.fab = noc.NewAnalytic(w, h, cfg.MeshHop, cfg.BusOneWay)
 	}
 
 	// The epoch manager must exist before the scheme: the ELSQ resolves

@@ -10,7 +10,7 @@ import (
 )
 
 func analyticFab(w, h int) *noc.Analytic {
-	return noc.NewAnalytic(noc.NewBus(4), noc.NewMesh(w, h, 1))
+	return noc.NewAnalytic(w, h, 1, 4)
 }
 
 // TestBankReuseStallsSmallBanks pins the bank time-exclusivity contract at

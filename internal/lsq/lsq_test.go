@@ -213,7 +213,7 @@ func TestStoreIndexCandidatesProperty(t *testing.T) {
 }
 
 func TestCentralScheme(t *testing.T) {
-	s := NewCentral(noc.NewAnalytic(noc.NewBus(4), noc.NewMesh(4, 4, 1)))
+	s := NewCentral(noc.NewAnalytic(4, 4, 1, 4))
 	if s.Name() != "central" {
 		t.Error("name wrong")
 	}

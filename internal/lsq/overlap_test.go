@@ -78,11 +78,11 @@ func schemesUnderTest() []schemeUnderTest {
 				mut(&cfg)
 			}
 			l1 := mem.NewCache(cfg.L1)
-			return core.New(&cfg, noc.NewAnalytic(noc.NewBus(cfg.BusOneWay), noc.NewMesh(4, 4, cfg.MeshHop)), l1, nil)
+			return core.New(&cfg, noc.NewAnalytic(4, 4, cfg.MeshHop, cfg.BusOneWay), l1, nil)
 		}
 	}
 	return []schemeUnderTest{
-		{"central", func() lsq.Scheme { return lsq.NewCentral(noc.NewAnalytic(noc.NewBus(4), noc.NewMesh(4, 4, 1))) }},
+		{"central", func() lsq.Scheme { return lsq.NewCentral(noc.NewAnalytic(4, 4, 1, 4)) }},
 		{"conventional", func() lsq.Scheme { return lsq.NewConventional(false) }},
 		{"elsq-hash", elsq(nil)},
 		{"elsq-line", elsq(func(c *config.Config) { c.ERT = config.ERTLine })},

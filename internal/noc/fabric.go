@@ -68,61 +68,6 @@ type Fabric interface {
 	Traffic() Traffic
 }
 
-// Analytic is the paper's contention-free fabric (the default): fixed bus
-// latencies and Manhattan-distance mesh hops, with traffic counted for the
-// Table 2 RoundTrips column. It wraps the original Bus and Mesh models, so
-// every latency and counter is bit-identical to the pre-Fabric simulator.
-type Analytic struct {
-	bus  *Bus
-	mesh *Mesh
-
-	migrateFlits uint64
-}
-
-// NewAnalytic builds the contention-free fabric over the given bus and mesh.
-func NewAnalytic(bus *Bus, mesh *Mesh) *Analytic {
-	return &Analytic{bus: bus, mesh: mesh}
-}
-
-// Size implements Fabric.
-func (f *Analytic) Size() int { return f.mesh.Size() }
-
-// Distance implements Fabric.
-func (f *Analytic) Distance(a, b int) int { return f.mesh.Distance(a, b) }
-
-// BusOneWay implements Fabric: a fixed one-way latency.
-func (f *Analytic) BusOneWay(t int64) int64 { return t + int64(f.bus.OneWay()) }
-
-// BusRoundTrip implements Fabric: two fixed one-way latencies.
-func (f *Analytic) BusRoundTrip(t int64) int64 { return t + int64(f.bus.RoundTrip()) }
-
-// Route implements Fabric: Manhattan distance at the fixed per-hop latency.
-func (f *Analytic) Route(a, b int, t int64) int64 { return t + int64(f.mesh.Traverse(a, b)) }
-
-// MigrateState implements Fabric: the block cuts through contention-free at
-// one flit per cycle, so the last of flits flits arrives a flits-1 cycle
-// tail after the head. Hops are counted per flit per link, matching the
-// contended model's accounting (the hop-conservation property).
-func (f *Analytic) MigrateState(a, b, flits int, t int64) int64 {
-	if a == b || flits <= 0 {
-		return t
-	}
-	d := f.mesh.Distance(a, b)
-	f.mesh.Hops += uint64(d * flits)
-	f.migrateFlits += uint64(flits)
-	return t + int64(d*f.mesh.HopCost()) + int64(flits-1)
-}
-
-// Traffic implements Fabric.
-func (f *Analytic) Traffic() Traffic {
-	return Traffic{
-		Hops:         f.mesh.Hops,
-		OneWays:      f.bus.OneWays,
-		RoundTrips:   f.bus.RoundTrips,
-		MigrateFlits: f.migrateFlits,
-	}
-}
-
 // ContendedCalendars returns how many reservation calendars a contended
 // fabric over a w x h mesh books: one per directed mesh link plus the two
 // bus directions. Batch construction uses it to size the shared slab.
@@ -179,18 +124,7 @@ func NewContended(w, h, hopCost, oneWay, linkWidth int, alloc func(width int) *s
 func (f *Contended) Size() int { return f.w * f.h }
 
 // Distance implements Fabric.
-func (f *Contended) Distance(a, b int) int {
-	ax, ay := a%f.w, a/f.w
-	bx, by := b%f.w, b/f.w
-	dx, dy := ax-bx, ay-by
-	if dx < 0 {
-		dx = -dx
-	}
-	if dy < 0 {
-		dy = -dy
-	}
-	return dx + dy
-}
+func (f *Contended) Distance(a, b int) int { return distance(f.w, a, b) }
 
 // Directed-link index layout: east links (x -> x+1), then west, then south
 // (y -> y+1), then north. Horizontal links are keyed by (y, min x), vertical

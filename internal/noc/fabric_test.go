@@ -8,7 +8,7 @@ import (
 
 // newPair builds an analytic and a contended fabric over identical geometry.
 func newPair(w, h, hopCost, oneWay, linkWidth int) (*Analytic, *Contended) {
-	a := NewAnalytic(NewBus(oneWay), NewMesh(w, h, hopCost))
+	a := NewAnalytic(w, h, hopCost, oneWay)
 	c := NewContended(w, h, hopCost, oneWay, linkWidth, nil)
 	return a, c
 }

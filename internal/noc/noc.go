@@ -1,36 +1,19 @@
 // Package noc models the FMC interconnect (Figure 6 of the paper): a bus
 // between the Cache Processor and the Memory Processor with a 4-cycle
 // one-way latency, and a mesh linking the memory engines at one hop per
-// cycle. Latency is computed analytically (the paper's single-cycle router
-// citation [14] justifies contention-free hops); traffic is counted for the
-// Table 2 "RoundTrips" column.
+// cycle. Every FMC-side latency flows through the Fabric interface, which
+// has two implementations: Analytic, the paper's contention-free model
+// (the paper's single-cycle router citation [14] justifies contention-free
+// hops), and Contended, which books every link and bus direction on a
+// reservation calendar. Both count traffic for the Table 2 "RoundTrips"
+// column.
 package noc
 
-// Mesh is a W x H grid of memory engines, indexed 0..W*H-1 in row-major
-// order.
-type Mesh struct {
-	w, h    int
-	hopCost int
-	// Hops accumulates the total hop count of all traversals.
-	Hops uint64
-}
-
-// NewMesh returns a mesh of the given width and height with the given
-// per-hop latency in cycles.
-func NewMesh(w, h, hopCost int) *Mesh {
-	if w <= 0 || h <= 0 || hopCost < 0 {
-		panic("noc: invalid mesh geometry")
-	}
-	return &Mesh{w: w, h: h, hopCost: hopCost}
-}
-
-// Size returns the number of nodes.
-func (m *Mesh) Size() int { return m.w * m.h }
-
-// Distance returns the Manhattan hop count between engines a and b.
-func (m *Mesh) Distance(a, b int) int {
-	ax, ay := a%m.w, a/m.w
-	bx, by := b%m.w, b/m.w
+// distance returns the Manhattan hop count between nodes a and b of a mesh
+// of width w whose nodes are indexed in row-major order.
+func distance(w, a, b int) int {
+	ax, ay := a%w, a/w
+	bx, by := b%w, b/w
 	dx, dy := ax-bx, ay-by
 	if dx < 0 {
 		dx = -dx
@@ -41,45 +24,67 @@ func (m *Mesh) Distance(a, b int) int {
 	return dx + dy
 }
 
-// Traverse returns the latency of a message from engine a to engine b and
-// records the hops.
-func (m *Mesh) Traverse(a, b int) int {
-	d := m.Distance(a, b)
-	m.Hops += uint64(d)
-	return d * m.hopCost
+// Analytic is the paper's contention-free fabric (the default): a CP<->MP
+// bus with a fixed one-way latency and a w x h mesh of memory engines,
+// indexed 0..w*h-1 in row-major order, at a fixed per-hop latency. Traffic
+// is counted for the Table 2 RoundTrips column.
+type Analytic struct {
+	w, h      int
+	hopCost   int
+	busOneWay int
+
+	tr Traffic
 }
 
-// HopCost returns the configured per-hop latency in cycles.
-func (m *Mesh) HopCost() int { return m.hopCost }
-
-// Bus is the CP<->MP link with a fixed one-way latency.
-type Bus struct {
-	oneWay int
-	// OneWays and RoundTrips count traversals for the energy analysis.
-	OneWays, RoundTrips uint64
-}
-
-// NewBus returns a bus with the given one-way latency in cycles.
-func NewBus(oneWay int) *Bus {
-	if oneWay < 0 {
-		panic("noc: negative bus latency")
+// NewAnalytic builds the contention-free fabric for a w x h mesh with the
+// given per-hop and bus one-way latencies in cycles, mirroring
+// NewContended's geometry arguments. It panics on an empty mesh or a
+// negative latency.
+func NewAnalytic(w, h, hopCost, busOneWay int) *Analytic {
+	if w <= 0 || h <= 0 || hopCost < 0 || busOneWay < 0 {
+		panic("noc: invalid analytic fabric geometry")
 	}
-	return &Bus{oneWay: oneWay}
+	return &Analytic{w: w, h: h, hopCost: hopCost, busOneWay: busOneWay}
 }
 
-// OneWay records a single CP->MP (or MP->CP) message and returns its
-// latency.
-func (b *Bus) OneWay() int {
-	b.OneWays++
-	return b.oneWay
+// Size implements Fabric.
+func (f *Analytic) Size() int { return f.w * f.h }
+
+// Distance implements Fabric.
+func (f *Analytic) Distance(a, b int) int { return distance(f.w, a, b) }
+
+// BusOneWay implements Fabric: a fixed one-way latency.
+func (f *Analytic) BusOneWay(t int64) int64 {
+	f.tr.OneWays++
+	return t + int64(f.busOneWay)
 }
 
-// RoundTrip records a request/response pair and returns its total latency.
-func (b *Bus) RoundTrip() int {
-	b.RoundTrips++
-	return 2 * b.oneWay
+// BusRoundTrip implements Fabric: two fixed one-way latencies.
+func (f *Analytic) BusRoundTrip(t int64) int64 {
+	f.tr.RoundTrips++
+	return t + int64(2*f.busOneWay)
 }
 
-// OneWayLatency returns the configured one-way latency without recording
-// traffic.
-func (b *Bus) OneWayLatency() int { return b.oneWay }
+// Route implements Fabric: Manhattan distance at the fixed per-hop latency.
+func (f *Analytic) Route(a, b int, t int64) int64 {
+	d := f.Distance(a, b)
+	f.tr.Hops += uint64(d)
+	return t + int64(d*f.hopCost)
+}
+
+// MigrateState implements Fabric: the block cuts through contention-free at
+// one flit per cycle, so the last of flits flits arrives a flits-1 cycle
+// tail after the head. Hops are counted per flit per link, matching the
+// contended model's accounting (the hop-conservation property).
+func (f *Analytic) MigrateState(a, b, flits int, t int64) int64 {
+	if a == b || flits <= 0 {
+		return t
+	}
+	d := f.Distance(a, b)
+	f.tr.Hops += uint64(d * flits)
+	f.tr.MigrateFlits += uint64(flits)
+	return t + int64(d*f.hopCost) + int64(flits-1)
+}
+
+// Traffic implements Fabric. The wait columns stay zero.
+func (f *Analytic) Traffic() Traffic { return f.tr }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestMeshDistance(t *testing.T) {
-	m := NewMesh(4, 4, 1)
+	f := NewAnalytic(4, 4, 1, 4)
 	tests := []struct {
 		a, b, want int
 	}{
@@ -18,24 +18,24 @@ func TestMeshDistance(t *testing.T) {
 		{5, 10, 2},
 	}
 	for _, tt := range tests {
-		if got := m.Distance(tt.a, tt.b); got != tt.want {
+		if got := f.Distance(tt.a, tt.b); got != tt.want {
 			t.Errorf("Distance(%d,%d) = %d, want %d", tt.a, tt.b, got, tt.want)
 		}
 	}
 }
 
 func TestMeshDistanceProperties(t *testing.T) {
-	m := NewMesh(4, 4, 1)
+	f := NewAnalytic(4, 4, 1, 4)
 	sym := func(a, b uint8) bool {
 		x, y := int(a)%16, int(b)%16
-		return m.Distance(x, y) == m.Distance(y, x)
+		return f.Distance(x, y) == f.Distance(y, x)
 	}
 	if err := quick.Check(sym, nil); err != nil {
 		t.Errorf("distance symmetry: %v", err)
 	}
 	tri := func(a, b, c uint8) bool {
 		x, y, z := int(a)%16, int(b)%16, int(c)%16
-		return m.Distance(x, z) <= m.Distance(x, y)+m.Distance(y, z)
+		return f.Distance(x, z) <= f.Distance(x, y)+f.Distance(y, z)
 	}
 	if err := quick.Check(tri, nil); err != nil {
 		t.Errorf("triangle inequality: %v", err)
@@ -47,9 +47,9 @@ func TestMeshDistanceProperties(t *testing.T) {
 // single node, and corner-to-corner extremes on tall/wide rectangles.
 func TestMeshEdgeGeometries(t *testing.T) {
 	t.Run("1xN row", func(t *testing.T) {
-		m := NewMesh(8, 1, 1)
-		if m.Size() != 8 {
-			t.Fatalf("Size = %d, want 8", m.Size())
+		f := NewAnalytic(8, 1, 1, 4)
+		if f.Size() != 8 {
+			t.Fatalf("Size = %d, want 8", f.Size())
 		}
 		for a := 0; a < 8; a++ {
 			for b := 0; b < 8; b++ {
@@ -57,19 +57,19 @@ func TestMeshEdgeGeometries(t *testing.T) {
 				if want < 0 {
 					want = -want
 				}
-				if got := m.Distance(a, b); got != want {
+				if got := f.Distance(a, b); got != want {
 					t.Errorf("Distance(%d,%d) = %d, want %d", a, b, got, want)
 				}
 			}
 		}
-		if got := m.Distance(0, 7); got != 7 {
+		if got := f.Distance(0, 7); got != 7 {
 			t.Errorf("end-to-end distance = %d, want 7", got)
 		}
 	})
 	t.Run("Nx1 column", func(t *testing.T) {
-		m := NewMesh(1, 8, 1)
-		if m.Size() != 8 {
-			t.Fatalf("Size = %d, want 8", m.Size())
+		f := NewAnalytic(1, 8, 1, 4)
+		if f.Size() != 8 {
+			t.Fatalf("Size = %d, want 8", f.Size())
 		}
 		// With width 1 every index is a row: distance is pure vertical hops.
 		for a := 0; a < 8; a++ {
@@ -78,19 +78,19 @@ func TestMeshEdgeGeometries(t *testing.T) {
 				if want < 0 {
 					want = -want
 				}
-				if got := m.Distance(a, b); got != want {
+				if got := f.Distance(a, b); got != want {
 					t.Errorf("Distance(%d,%d) = %d, want %d", a, b, got, want)
 				}
 			}
 		}
 	})
 	t.Run("single node", func(t *testing.T) {
-		m := NewMesh(1, 1, 5)
-		if m.Size() != 1 || m.Distance(0, 0) != 0 || m.Traverse(0, 0) != 0 {
+		f := NewAnalytic(1, 1, 5, 4)
+		if f.Size() != 1 || f.Distance(0, 0) != 0 || f.Route(0, 0, 7) != 7 {
 			t.Error("1x1 mesh is not free to traverse")
 		}
-		if m.Hops != 0 {
-			t.Errorf("self-traversal recorded %d hops", m.Hops)
+		if hops := f.Traffic().Hops; hops != 0 {
+			t.Errorf("self-traversal recorded %d hops", hops)
 		}
 	})
 	t.Run("corner to corner", func(t *testing.T) {
@@ -100,84 +100,82 @@ func TestMeshEdgeGeometries(t *testing.T) {
 			{2, 8, 8},   // tall
 			{16, 1, 15}, // degenerate row
 		} {
-			m := NewMesh(g.w, g.h, 1)
-			last := m.Size() - 1
-			if got := m.Distance(0, last); got != g.want {
+			f := NewAnalytic(g.w, g.h, 1, 4)
+			last := f.Size() - 1
+			if got := f.Distance(0, last); got != g.want {
 				t.Errorf("%dx%d corner distance = %d, want %d", g.w, g.h, got, g.want)
 			}
-			if got := m.Distance(last, 0); got != g.want {
+			if got := f.Distance(last, 0); got != g.want {
 				t.Errorf("%dx%d reverse corner distance = %d, want %d", g.w, g.h, got, g.want)
 			}
 		}
 	})
 }
 
-// TestMeshHopAccumulation checks Traverse's hop accounting across a
-// sequence of traversals, including zero-distance and zero-cost cases.
+// TestMeshHopAccumulation checks Route's latency and hop accounting across
+// a sequence of messages, including zero-distance and zero-cost cases.
 func TestMeshHopAccumulation(t *testing.T) {
-	m := NewMesh(4, 4, 3)
+	f := NewAnalytic(4, 4, 3, 4)
 	wantHops := uint64(0)
 	for _, pair := range [][2]int{{0, 15}, {15, 0}, {5, 5}, {0, 1}, {3, 12}} {
-		d := m.Distance(pair[0], pair[1])
-		if lat := m.Traverse(pair[0], pair[1]); lat != 3*d {
-			t.Errorf("Traverse(%d,%d) = %d cycles, want %d", pair[0], pair[1], lat, 3*d)
+		d := f.Distance(pair[0], pair[1])
+		if lat := f.Route(pair[0], pair[1], 100) - 100; lat != int64(3*d) {
+			t.Errorf("Route(%d,%d) = %d cycles, want %d", pair[0], pair[1], lat, 3*d)
 		}
 		wantHops += uint64(d)
-		if m.Hops != wantHops {
-			t.Errorf("after Traverse(%d,%d): Hops = %d, want %d", pair[0], pair[1], m.Hops, wantHops)
+		if hops := f.Traffic().Hops; hops != wantHops {
+			t.Errorf("after Route(%d,%d): Hops = %d, want %d", pair[0], pair[1], hops, wantHops)
 		}
 	}
 	// A free (hopCost 0) mesh still accounts hops.
-	free := NewMesh(4, 4, 0)
-	if lat := free.Traverse(0, 15); lat != 0 {
-		t.Errorf("zero-cost traverse latency = %d", lat)
+	free := NewAnalytic(4, 4, 0, 4)
+	if arr := free.Route(0, 15, 9); arr != 9 {
+		t.Errorf("zero-cost route arrives at %d, want 9", arr)
 	}
-	if free.Hops != 6 {
-		t.Errorf("zero-cost traverse recorded %d hops, want 6", free.Hops)
+	if hops := free.Traffic().Hops; hops != 6 {
+		t.Errorf("zero-cost route recorded %d hops, want 6", hops)
 	}
 }
 
 func TestMeshTraverse(t *testing.T) {
-	m := NewMesh(4, 4, 2)
-	if lat := m.Traverse(0, 15); lat != 12 {
-		t.Errorf("Traverse latency = %d, want 12", lat)
+	f := NewAnalytic(4, 4, 2, 4)
+	if arr := f.Route(0, 15, 0); arr != 12 {
+		t.Errorf("Route latency = %d, want 12", arr)
 	}
-	if m.Hops != 6 {
-		t.Errorf("Hops = %d, want 6", m.Hops)
+	if hops := f.Traffic().Hops; hops != 6 {
+		t.Errorf("Hops = %d, want 6", hops)
 	}
-	if m.Size() != 16 {
-		t.Errorf("Size = %d", m.Size())
+	if f.Size() != 16 {
+		t.Errorf("Size = %d", f.Size())
 	}
 }
 
 func TestBus(t *testing.T) {
-	b := NewBus(4)
-	if lat := b.OneWay(); lat != 4 {
-		t.Errorf("OneWay = %d", lat)
+	f := NewAnalytic(4, 4, 1, 4)
+	if arr := f.BusOneWay(10); arr != 14 {
+		t.Errorf("BusOneWay(10) = %d, want 14", arr)
 	}
-	if lat := b.RoundTrip(); lat != 8 {
-		t.Errorf("RoundTrip = %d", lat)
+	if arr := f.BusRoundTrip(10); arr != 18 {
+		t.Errorf("BusRoundTrip(10) = %d, want 18", arr)
 	}
-	if b.OneWays != 1 || b.RoundTrips != 1 {
-		t.Errorf("traffic = %d/%d", b.OneWays, b.RoundTrips)
+	tr := f.Traffic()
+	if tr.OneWays != 1 || tr.RoundTrips != 1 {
+		t.Errorf("traffic = %d/%d", tr.OneWays, tr.RoundTrips)
 	}
-	if b.OneWayLatency() != 4 {
-		t.Error("OneWayLatency wrong")
-	}
-	if b.OneWays != 1 {
-		t.Error("OneWayLatency must not count traffic")
+	if tr.Hops != 0 || tr.BusWaitCycles != 0 || tr.LinkWaitCycles != 0 {
+		t.Errorf("bus messages touched mesh or wait columns: %+v", tr)
 	}
 }
 
 func TestConstructorPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewMesh(0, 4, 1) },
-		func() { NewMesh(4, 0, 1) },
-		func() { NewMesh(4, 4, -1) },
-		func() { NewMesh(-1, 4, 1) },
-		func() { NewMesh(4, -1, 1) },
-		func() { NewMesh(0, 0, 0) },
-		func() { NewBus(-1) },
+		func() { NewAnalytic(0, 4, 1, 4) },
+		func() { NewAnalytic(4, 0, 1, 4) },
+		func() { NewAnalytic(4, 4, -1, 4) },
+		func() { NewAnalytic(-1, 4, 1, 4) },
+		func() { NewAnalytic(4, -1, 1, 4) },
+		func() { NewAnalytic(0, 0, 0, 0) },
+		func() { NewAnalytic(4, 4, 1, -1) },
 	} {
 		func() {
 			defer func() {

@@ -103,7 +103,7 @@ func runGroup(ctx context.Context, points []Point, idx []int, outs []*Outcome) e
 			// Unlike the scalar path this builds even without a store —
 			// the build replaces K functional warm-ups, not one.
 			if shared == nil {
-				shared, err = resolveGroupSnapshot(&p, &cfg, prof, out)
+				shared, out.CkptBuilt, err = warmSnapshot(p.Ckpt, &cfg, prof, p.Seed)
 				if err != nil {
 					return err
 				}
@@ -147,26 +147,6 @@ func runGroup(ctx context.Context, points []Point, idx []int, outs []*Outcome) e
 		outs[i] = groupOuts[k]
 	}
 	return nil
-}
-
-// resolveGroupSnapshot obtains the group's shared warm-up image: a store
-// hit when the point carries a store, otherwise a (single-flight) build.
-// The triggering lane's outcome records the build.
-func resolveGroupSnapshot(p *Point, cfg *config.Config, prof workload.Profile, out *Outcome) (*ckpt.Snapshot, error) {
-	if p.Ckpt != nil {
-		if snap, ok := p.Ckpt.Get(ckpt.Key(cfg, p.Bench, p.Seed)); ok {
-			return snap, nil
-		}
-	}
-	snap, err := buildShared(cfg, prof, p.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if p.Ckpt != nil {
-		p.Ckpt.Put(snap)
-	}
-	out.CkptBuilt = true
-	return snap, nil
 }
 
 // laneSource builds one lane's workload source and warm image: positioned

@@ -93,8 +93,9 @@ type Outcome struct {
 	// Resumed reports that the run started from a checkpoint (explicit or
 	// from the store) rather than a functional warm-up.
 	Resumed bool
-	// CkptBuilt reports that this point triggered building a new warm-up
-	// checkpoint (at most one point per shared build reports it).
+	// CkptBuilt reports that this point's run called ckpt.Build. Points
+	// served by the store or by a concurrent build of the same key do not
+	// report it, so the flags over a run sum to the builds it performed.
 	CkptBuilt bool
 	// Batched reports that the point executed as a lane of the batch
 	// engine rather than a scalar run.
@@ -194,18 +195,12 @@ func (p *Point) resolveSnapshot(cfg *config.Config, prof workload.Profile, out *
 	if p.Ckpt == nil || cfg.WarmupInsts == 0 {
 		return nil, nil
 	}
-	key := ckpt.Key(cfg, p.Bench, p.Seed)
-	if snap, ok := p.Ckpt.Get(key); ok {
-		out.Resumed = true
-		return snap, nil
-	}
-	snap, err := buildShared(cfg, prof, p.Seed)
+	snap, built, err := warmSnapshot(p.Ckpt, cfg, prof, p.Seed)
 	if err != nil {
 		return nil, err
 	}
-	p.Ckpt.Put(snap)
 	out.Resumed = true
-	out.CkptBuilt = true
+	out.CkptBuilt = built
 	return snap, nil
 }
 
@@ -267,8 +262,13 @@ type buildCall struct {
 	err  error
 }
 
-// buildShared is ckpt.Build behind a per-key single-flight.
-func buildShared(cfg *config.Config, prof workload.Profile, seed uint64) (*ckpt.Snapshot, error) {
+// warmSnapshot returns the warm-up image for (cfg, bench, seed): from store
+// when it holds one (store may be nil), otherwise from ckpt.Build behind a
+// per-key single-flight. built is true only for the one caller that ran the
+// build; callers that waited on it share its snapshot. The builder puts the
+// snapshot into its store before dropping the in-flight entry, so a caller
+// arriving later finds either the entry or the stored snapshot.
+func warmSnapshot(store ckpt.Store, cfg *config.Config, prof workload.Profile, seed uint64) (snap *ckpt.Snapshot, built bool, err error) {
 	key := ckpt.Key(cfg, prof.Name, seed)
 	builds.mu.Lock()
 	if builds.m == nil {
@@ -277,15 +277,29 @@ func buildShared(cfg *config.Config, prof workload.Profile, seed uint64) (*ckpt.
 	if c, ok := builds.m[key]; ok {
 		builds.mu.Unlock()
 		<-c.done
-		return c.snap, c.err
+		return c.snap, false, c.err
 	}
 	c := &buildCall{done: make(chan struct{})}
 	builds.m[key] = c
 	builds.mu.Unlock()
+	defer func() {
+		close(c.done)
+		builds.mu.Lock()
+		delete(builds.m, key)
+		builds.mu.Unlock()
+	}()
+	if store != nil {
+		if hit, ok := store.Get(key); ok {
+			c.snap = hit
+			return hit, false, nil
+		}
+	}
 	c.snap, c.err = ckpt.Build(cfg, prof, seed)
-	close(c.done)
-	builds.mu.Lock()
-	delete(builds.m, key)
-	builds.mu.Unlock()
-	return c.snap, c.err
+	if c.err != nil {
+		return nil, false, c.err
+	}
+	if store != nil {
+		store.Put(c.snap)
+	}
+	return c.snap, true, nil
 }

@@ -13,12 +13,12 @@ import (
 	"repro/internal/cpu"
 )
 
-// ResultDigest returns the stable content digest of one simulation result:
+// resultDigest returns the stable content digest of one simulation result:
 // sha256 of its canonical JSON encoding, truncated to 16 bytes of hex.
 // The encoding is deterministic (counter bags marshal as sorted maps), and
-// it is stable across a JSON round-trip, so a result that travelled over
-// the fleet wire digests identically to the in-process original.
-func ResultDigest(r *cpu.Result) string {
+// it is stable across a JSON round-trip, so a result served from a
+// DiskCache digests identically to the freshly simulated original.
+func resultDigest(r *cpu.Result) string {
 	b, err := json.Marshal(r)
 	if err != nil {
 		// Result is a flat struct of numbers, text-marshalling enums and
@@ -33,8 +33,8 @@ func ResultDigest(r *cpu.Result) string {
 // ResultsDigest folds an outcome sequence into one digest: per outcome, in
 // order, the job key and the result's content digest (failed jobs fold a
 // marker). Axis labels and cache-hit flags are excluded — the digest names
-// what was computed, not how it was scheduled or served — so a fleet sweep
-// and a local Runner run of the same grid must produce equal digests.
+// what was computed, not how it was scheduled or served — so runs of the
+// same grid at any worker count, cached or not, produce equal digests.
 func ResultsDigest(outcomes []Outcome) string {
 	h := sha256.New()
 	for _, o := range outcomes {
@@ -42,7 +42,7 @@ func ResultsDigest(outcomes []Outcome) string {
 			fmt.Fprintf(h, "%s|!\n", o.Key)
 			continue
 		}
-		fmt.Fprintf(h, "%s|%s\n", o.Key, ResultDigest(o.Result))
+		fmt.Fprintf(h, "%s|%s\n", o.Key, resultDigest(o.Result))
 	}
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
@@ -108,7 +108,7 @@ type Artifact struct {
 	Stats Stats `json:"stats"`
 	// ResultsDigest is the ResultsDigest of the outcome sequence: equal
 	// digests mean byte-identical results in identical canonical order,
-	// which is how CI compares a fleet sweep against a local run.
+	// which is how two sweeps of the same grid are compared.
 	ResultsDigest string `json:"results_digest"`
 	// Rows holds one entry per successful job in submission order.
 	Rows []Row `json:"rows"`

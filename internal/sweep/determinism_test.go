@@ -26,32 +26,81 @@ func detJobs(t *testing.T) []Job {
 	return jobs
 }
 
-// TestDeterminismAcrossWorkerCounts pins the sweep contract behind the
-// result cache and the bench baseline: the same (config, benchmark, seed)
-// must produce an identical Result and an identical cache key no matter
-// how the work is scheduled. Workers=1 serialises; Workers=8 exercises
-// concurrent simulations sharing nothing.
-func TestDeterminismAcrossWorkerCounts(t *testing.T) {
-	jobs := detJobs(t)
-	serial := &Runner{Workers: 1}
-	parallel := &Runner{Workers: 8}
+// detGrid builds a grid from CLI-syntax axes over named benchmarks at a
+// measured/warm-up budget, seeds 1..seeds, on the default configuration.
+func detGrid(t *testing.T, benches string, seeds, insts, warmup uint64, axes ...string) Grid {
+	t.Helper()
+	g := Grid{Base: config.Default().WithBudget(insts, warmup)}
+	for _, a := range axes {
+		ax, err := ParseAxis(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Axes = append(g.Axes, ax)
+	}
+	var err error
+	if g.Benches, err = NamedBenches(benches); err != nil {
+		t.Fatal(err)
+	}
+	for s := uint64(1); s <= seeds; s++ {
+		g.Seeds = append(g.Seeds, s)
+	}
+	return g
+}
 
-	outS, _, err := serial.Run(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outP, _, err := parallel.Run(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range jobs {
-		if outS[i].Key != outP[i].Key {
-			t.Errorf("job %d: key %s (serial) != %s (parallel)", i, outS[i].Key, outP[i].Key)
-		}
-		if !reflect.DeepEqual(outS[i].Result, outP[i].Result) {
-			t.Errorf("job %d (%s/%s seed %d): results differ between Workers=1 and Workers=8",
-				i, jobs[i].Config.Name(), jobs[i].Bench.Name, jobs[i].Seed)
-		}
+// TestDeterminismAcrossWorkerCounts pins the sweep contract behind the
+// result cache and the bench baseline: the same grid must produce identical
+// keys, results and results digest no matter how the work is scheduled, and
+// it must build exactly one warm-up checkpoint per (benchmark, seed). Each
+// grid runs as elsqsweep runs it by default — batched, with a fresh
+// in-memory checkpoint store — at Workers=1 (serial) and Workers=8 (lane
+// groups of one warm-up racing to build it). The scaling grid pins the
+// contended fabric's calendar booking and every placement policy; the
+// classifier grid pins the table-based prediction policies. Both sweep
+// timing-only axes, so all their points share one warm-up per benchmark.
+func TestDeterminismAcrossWorkerCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		grid Grid
+	}{
+		{"default", detGrid(t, "gzip,swim,mcf", 2, 2_000, 10_000, "ert=line,hash")},
+		{"scaling", detGrid(t, "mcf,swim", 1, 5_000, 20_000,
+			"epochs=8,32", "place.policy=modn,leastloaded,steal", "noc.model=analytic,contended")},
+		{"classifier", detGrid(t, "mcf,swim", 1, 5_000, 20_000,
+			"class.policy=reactive,cachelevel,delaytrack", "class.bits=8,10")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			jobs, err := tc.grid.Expand()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBuilt := len(tc.grid.Benches) * len(tc.grid.Seeds)
+			run := func(workers int) []Outcome {
+				r := &Runner{Workers: workers, Checkpoints: ckpt.NewMemStore()}
+				out, stats, err := r.Run(jobs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stats.CheckpointsBuilt != wantBuilt {
+					t.Errorf("Workers=%d built %d checkpoints, want %d (one per benchmark and seed)",
+						workers, stats.CheckpointsBuilt, wantBuilt)
+				}
+				return out
+			}
+			serial, parallel := run(1), run(8)
+			if ds, dp := ResultsDigest(serial), ResultsDigest(parallel); ds != dp {
+				t.Errorf("results digest %s (Workers=1) != %s (Workers=8)", ds, dp)
+			}
+			for i := range jobs {
+				if serial[i].Key != parallel[i].Key {
+					t.Errorf("job %d: key %s (serial) != %s (parallel)", i, serial[i].Key, parallel[i].Key)
+				}
+				if !reflect.DeepEqual(serial[i].Result, parallel[i].Result) {
+					t.Errorf("job %d (%s/%s seed %d): results differ between Workers=1 and Workers=8",
+						i, jobs[i].Config.Name(), jobs[i].Bench.Name, jobs[i].Seed)
+				}
+			}
+		})
 	}
 }
 

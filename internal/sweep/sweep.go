@@ -198,18 +198,6 @@ func (r *Runner) point(j Job) simrun.Point {
 // unaffected jobs still complete, and the failed jobs' outcomes carry a nil
 // Result.
 func (r *Runner) Run(jobs []Job) ([]Outcome, Stats, error) {
-	return r.RunContext(context.Background(), jobs)
-}
-
-// RunContext is Run with cooperative cancellation: when ctx is cancelled,
-// workers stop picking up pending jobs and in-flight simulations abort at
-// their next cancellation check (cpu.RunContext checks every few tens of
-// thousands of instructions), so the pool drains promptly no matter how
-// large the remaining grid is. The returned error is ctx.Err(); outcomes
-// of jobs that never ran (or were aborted) carry a nil Result. The one
-// uncancellable stretch is a warm-up checkpoint build already in progress,
-// which is bounded by a single functional warm-up.
-func (r *Runner) RunContext(ctx context.Context, jobs []Job) ([]Outcome, Stats, error) {
 	stats := Stats{Total: len(jobs)}
 	byKey := make(map[string]*slot, len(jobs))
 	var unique []*slot
@@ -277,14 +265,11 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) ([]Outcome, Stats, 
 		go func() {
 			defer wg.Done()
 			for {
-				if ctx.Err() != nil {
-					return
-				}
 				n := cursor.Add(1) - 1
 				if n >= int64(len(groups)) {
 					return
 				}
-				r.runGroup(ctx, groups[n], &built, &resumed)
+				r.runGroup(groups[n], &built, &resumed)
 				for _, s := range groups[n] {
 					if s.err == nil && r.Cache != nil {
 						r.Cache.Put(s.key, s.res)
@@ -297,9 +282,6 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) ([]Outcome, Stats, 
 	wg.Wait()
 	stats.CheckpointsBuilt = int(built.Load())
 	stats.CheckpointResumes = int(resumed.Load())
-	if err := ctx.Err(); err != nil && firstErr == nil {
-		firstErr = err
-	}
 
 	out := make([]Outcome, len(jobs))
 	for _, s := range unique {
@@ -354,10 +336,10 @@ func (r *Runner) groupSlots(pending []*slot) [][]*slot {
 
 // runGroup executes one group — scalar for a singleton, lanes of a batch
 // otherwise — and writes each slot's result, error and checkpoint stats.
-func (r *Runner) runGroup(ctx context.Context, g []*slot, built, resumed *atomic.Int64) {
+func (r *Runner) runGroup(g []*slot, built, resumed *atomic.Int64) {
 	if len(g) == 1 {
 		s := g[0]
-		out, err := r.point(s.job).Run(ctx)
+		out, err := r.point(s.job).Run(context.Background())
 		if err != nil {
 			s.err = fmt.Errorf("%s/%s: %w", s.job.Config.Name(), s.job.Bench.Name, err)
 			return
@@ -370,7 +352,7 @@ func (r *Runner) runGroup(ctx context.Context, g []*slot, built, resumed *atomic
 	for i, s := range g {
 		points[i] = r.point(s.job)
 	}
-	outs, err := simrun.RunBatch(ctx, points)
+	outs, err := simrun.RunBatch(context.Background(), points)
 	if err != nil {
 		for _, s := range g {
 			s.err = err

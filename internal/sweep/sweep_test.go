@@ -208,32 +208,6 @@ func TestRunnerCacheHitMiss(t *testing.T) {
 	}
 }
 
-func TestRunnerDeterminismAcrossWorkers(t *testing.T) {
-	g := Grid{
-		Base:    tinyConfig(),
-		Axes:    []Axis{{Field: "ert", Values: []string{"line", "hash"}}},
-		Benches: []workload.Profile{bench(t, "gzip"), bench(t, "swim"), bench(t, "mcf")},
-		Seeds:   []uint64{1, 2},
-	}
-	jobs, err := g.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(workers int) []Row {
-		r := Runner{Workers: workers}
-		outcomes, _, err := r.Run(jobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Rows(outcomes)
-	}
-	serial := run(1)
-	parallel := run(8)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Error("Workers=1 and Workers=8 produced different results")
-	}
-}
-
 func TestRunnerProgressAndErrors(t *testing.T) {
 	bad := tinyConfig()
 	bad.FetchWidth = 0 // cpu.New must reject this

@@ -130,8 +130,7 @@ func (s *Source) Warmup(n uint64, access func(addr uint64)) {
 
 // overflow returns the past-the-recording generator, building it on first
 // use: the benchmark is reconstructed live and fast-forwarded over the
-// recorded prefix, exactly as workload.Replay does when a recording runs
-// out.
+// recorded prefix.
 func (s *Source) overflow() *workload.Generator {
 	if s.over == nil {
 		prof, err := workload.ByName(s.t.meta.Bench)
@@ -150,7 +149,7 @@ func (s *Source) overflow() *workload.Generator {
 
 // Snapshot implements workload.Snapshottable. Within the recording the
 // state is the position plus the wrong-path synthesiser; past it, the
-// overflow generator's state is complete (mirroring workload.Replay).
+// overflow generator's state is complete.
 func (s *Source) Snapshot() *workload.SourceState {
 	if s.over != nil {
 		st := s.over.Snapshot()

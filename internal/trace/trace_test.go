@@ -230,6 +230,69 @@ func TestOverflow(t *testing.T) {
 	}
 }
 
+// TestSourcesIndependent: two Sources of one Trace share no mutable state.
+// Advancing one leaves the other at the start of the stream, with the
+// wrong-path state of a fresh live generator.
+func TestSourcesIndependent(t *testing.T) {
+	tr := mustOpen(t, record(t, "swim", 1, 1_000, 256))
+	r1, r2 := mustSource(t, tr), mustSource(t, tr)
+	var in isa.Inst
+	for i := 0; i < 500; i++ {
+		r1.Next(&in)
+		r1.WrongPath(&in)
+	}
+	prof, _ := workload.ByName("swim")
+	live := prof.New(1)
+	var want, got isa.Inst
+	live.Next(&want)
+	r2.Next(&got)
+	if got != want {
+		t.Fatalf("second source does not start fresh: %+v vs %+v", got, want)
+	}
+	live.WrongPath(&want)
+	r2.WrongPath(&got)
+	if got != want {
+		t.Fatalf("wrong-path state shared between sources: %+v vs %+v", got, want)
+	}
+}
+
+// TestGeneratorSnapshotRestore: a live generator's snapshot positions a
+// fresh Source, within the recording by seeking and past it through the
+// snapshot's kernel state, and both then continue in lockstep.
+func TestGeneratorSnapshotRestore(t *testing.T) {
+	const recorded = 12_000
+	tr := mustOpen(t, record(t, "swim", 5, recorded, 1024))
+	prof, _ := workload.ByName("swim")
+	for _, at := range []int{5_000, recorded + 1_000} {
+		g := prof.New(5)
+		var want, got isa.Inst
+		for i := 0; i < at; i++ {
+			g.Next(&want)
+			if i%53 == 52 {
+				g.WrongPath(&want)
+			}
+		}
+		src := mustSource(t, tr)
+		if err := src.Restore(g.Snapshot()); err != nil {
+			t.Fatalf("restore at %d: %v", at, err)
+		}
+		for i := 0; i < 4_000; i++ {
+			g.Next(&want)
+			src.Next(&got)
+			if got != want {
+				t.Fatalf("restored at %d: instruction %d diverged", at, i)
+			}
+			if i%7 == 0 {
+				g.WrongPath(&want)
+				src.WrongPath(&got)
+				if got != want {
+					t.Fatalf("restored at %d: wrong path %d diverged", at, i)
+				}
+			}
+		}
+	}
+}
+
 // TestDigestBlockSizeIndependence pins the content-digest contract: the
 // digest names the instruction stream, not its storage layout.
 func TestDigestBlockSizeIndependence(t *testing.T) {

@@ -1,7 +1,7 @@
 package workload
 
 // Source checkpointing: a SourceState captures every mutable bit of a
-// Generator or Replay — committed-path RNG, kernel interior state, the
+// Generator — committed-path RNG, kernel interior state, the
 // wrong-path synthesiser and the emission queue surplus — so a warm source
 // can be reconstructed in O(state) instead of re-consuming the warm-up
 // prefix instruction by instruction. internal/ckpt persists SourceStates
@@ -46,7 +46,7 @@ type SourceState struct {
 	RecentPos  int      `json:"recent_pos"`
 	RecentSeen bool     `json:"recent_seen"`
 	// Kernel is the kernel-interior state as a flat word list in emission-
-	// tree order (nil for Replay snapshots within the recorded prefix).
+	// tree order (nil for trace-source snapshots within the recording).
 	Kernel []uint64 `json:"kernel,omitempty"`
 	// Queue is the emitted-but-undelivered instruction surplus: warm-up can
 	// stop mid-batch, leaving instructions queued for the measured phase.
@@ -54,7 +54,7 @@ type SourceState struct {
 }
 
 // Snapshottable is implemented by Sources whose position can be captured
-// and restored (both Generator and Replay).
+// and restored (Generator and internal/trace's Source).
 type Snapshottable interface {
 	Source
 	// Snapshot captures the source's complete mutable state.
@@ -143,7 +143,7 @@ func (g *Generator) Restore(st *SourceState) error {
 		return err
 	}
 	if st.Kernel == nil {
-		return fmt.Errorf("workload: snapshot of %s has no kernel state (taken from a Replay?)", st.Bench)
+		return fmt.Errorf("workload: snapshot of %s has no kernel state (taken from a trace source?)", st.Bench)
 	}
 	g.rng.SetState(st.RNG)
 	g.seq = st.Consumed
@@ -170,63 +170,6 @@ func (g *Generator) checkState(st *SourceState) error {
 	case st.Seed != g.seed:
 		return fmt.Errorf("workload: snapshot of %s seed %d cannot restore seed %d", st.Bench, st.Seed, g.seed)
 	}
-	return nil
-}
-
-// --- Replay ---
-
-// Snapshot implements Snapshottable. Within the recorded prefix the state is
-// just the position plus the wrong-path synthesiser; past the prefix it
-// delegates to the overflow generator, whose state is complete.
-func (r *Replay) Snapshot() *SourceState {
-	if r.over != nil {
-		st := r.over.Snapshot()
-		// The replay's own wpSynth served the whole run; the overflow
-		// generator's is untouched since construction.
-		r.wpSynth.captureTo(st)
-		return st
-	}
-	st := &SourceState{
-		Version:  StateVersion,
-		Bench:    r.s.prof.Name,
-		Seed:     r.s.seed,
-		Consumed: uint64(r.pos),
-	}
-	r.wpSynth.captureTo(st)
-	return st
-}
-
-// Restore implements Snapshottable. Snapshots taken within this stream's
-// recording restore in O(1); snapshots past it (or from a live Generator
-// whose position exceeds the recording) restore onto the overflow generator
-// using the snapshot's kernel state.
-func (r *Replay) Restore(st *SourceState) error {
-	switch {
-	case st.Version != StateVersion:
-		return fmt.Errorf("workload: snapshot state version %d, this build speaks %d", st.Version, StateVersion)
-	case st.Bench != r.s.prof.Name:
-		return fmt.Errorf("workload: snapshot of %q cannot restore replay of %q", st.Bench, r.s.prof.Name)
-	case st.Seed != r.s.seed:
-		return fmt.Errorf("workload: snapshot of %s seed %d cannot restore seed %d", st.Bench, st.Seed, r.s.seed)
-	}
-	if err := r.wpSynth.restoreFrom(st); err != nil {
-		return err
-	}
-	if st.Consumed <= uint64(len(r.s.insts)) {
-		r.pos = int(st.Consumed)
-		r.over = nil
-		return nil
-	}
-	if st.Kernel == nil {
-		return fmt.Errorf("workload: snapshot of %s at %d exceeds the %d-instruction recording and has no kernel state",
-			st.Bench, st.Consumed, len(r.s.insts))
-	}
-	over := r.s.prof.New(r.s.seed)
-	if err := over.Restore(st); err != nil {
-		return err
-	}
-	r.pos = len(r.s.insts)
-	r.over = over
 	return nil
 }
 

@@ -110,50 +110,6 @@ func TestSnapshotAfterWarmup(t *testing.T) {
 	}
 }
 
-// TestReplaySnapshotRestore covers the Replay side: O(1) restore within the
-// recording, and cross-restore of a Generator snapshot onto a Replay.
-func TestReplaySnapshotRestore(t *testing.T) {
-	p, err := ByName("swim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const recorded = 30_000
-	stream := NewStream(p, 5, recorded)
-
-	r1 := stream.Source()
-	drain(r1, 10_000, 53)
-	st := r1.Snapshot()
-	if st.Kernel != nil {
-		t.Fatalf("in-prefix replay snapshot carries kernel state")
-	}
-
-	r2 := stream.Source()
-	if err := r2.Restore(st); err != nil {
-		t.Fatal(err)
-	}
-	sameStreams(t, "replay restore", r1, r2, 8_000)
-
-	// Cross-restore: a live generator's snapshot positions a fresh Replay.
-	g := p.New(5)
-	drain(g, 10_000, 53)
-	gst := g.Snapshot()
-	r3 := stream.Source()
-	if err := r3.Restore(gst); err != nil {
-		t.Fatal(err)
-	}
-	sameStreams(t, "generator snapshot onto replay", g, r3, 8_000)
-
-	// Past-recording restore falls back to the overflow generator.
-	g4 := p.New(5)
-	drain(g4, recorded+1_000, 0)
-	gst4 := g4.Snapshot()
-	r4 := stream.Source()
-	if err := r4.Restore(gst4); err != nil {
-		t.Fatal(err)
-	}
-	sameStreams(t, "past-recording restore", g4, r4, 4_000)
-}
-
 func TestRestoreRejectsMismatchedState(t *testing.T) {
 	swim, _ := ByName("swim")
 	gcc, _ := ByName("gcc")

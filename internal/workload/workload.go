@@ -74,7 +74,7 @@ type kernel interface {
 
 // Source is the instruction supply the pipeline model consumes: the
 // committed-path stream plus on-demand wrong-path synthesis. Generator
-// produces it live; Replay serves a pre-generated Stream.
+// produces it live; internal/trace's Source replays a recorded .elt file.
 type Source interface {
 	// Name returns the benchmark name.
 	Name() string
@@ -96,9 +96,8 @@ type Source interface {
 // committed path) and a ring of recently committed memory addresses;
 // wrong-path fetch runs through the program's own neighbourhood, so
 // speculative accesses touch nearby lines (mild pollution, occasional
-// prefetch) rather than foreign memory. It is embedded by value in both
-// Generator and Replay: copying the struct snapshots the whole wrong-path
-// state, which is how a Stream hands every Replay an identical start state.
+// prefetch) rather than foreign memory. It is embedded by value in
+// Generator and wrapped by WrongPathSynth for sources outside the package.
 type wpSynth struct {
 	rng         xrand.RNG
 	wpSeq       uint64

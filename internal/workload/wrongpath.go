@@ -3,8 +3,7 @@ package workload
 // WrongPathSynth exposes the wrong-path instruction synthesiser as a
 // standalone component, so Source implementations outside this package
 // (internal/trace's file-backed source) can reproduce exactly the
-// wrong-path stream an equally positioned Generator or Replay would
-// synthesise. The contract mirrors wpSynth's embedding in Generator:
+// wrong-path stream an equally positioned Generator would synthesise. The contract mirrors wpSynth's embedding in Generator:
 // construct it from the RNG state a fresh source of the same (benchmark,
 // seed) starts with, call NoteMem for every committed-path memory
 // reference delivered, and WrongPath yields bit-identical speculative
@@ -34,7 +33,7 @@ func (w *WrongPathSynth) WrongPath(out *isa.Inst) { w.s.WrongPath(out) }
 
 // NoteMem records a committed-path memory address in the recent ring the
 // synthesiser wanders near. Call it for every committed memory instruction
-// delivered, exactly as Generator.Next and Replay.Next do.
+// delivered, exactly as Generator.Next does.
 func (w *WrongPathSynth) NoteMem(addr uint64) { w.s.noteMem(addr) }
 
 // CaptureTo writes the synthesiser's state into the wrong-path fields of a
