@@ -18,10 +18,9 @@
 // generator — the mechanical round-trip proof. cat prints decoded records
 // as text.
 //
-// Recorded traces plug into the rest of the toolchain: elsqsim -trace,
-// elsqsweep -axis trace=... / -tracedir, and elsqbench -tracedir all drive
-// simulation from them, with results bit-identical to the live run each
-// trace was recorded from.
+// Recorded traces plug into the rest of the toolchain: elsqsim -trace and
+// elsqsweep -axis trace=... / -tracedir drive simulation from them, with
+// results bit-identical to the live run each trace was recorded from.
 package main
 
 import (

@@ -8,9 +8,9 @@ package repro
 // and proves the overhaul changed performance, not results.
 //
 // Regenerate (only when a change is *meant* to alter results, alongside a
-// sweep cacheVersion bump):
+// sweep cacheVersion bump); this also rewrites testdata/matrix.json:
 //
-//	go test -run TestGoldenOutputs -update-golden
+//	go test . -update-golden
 
 import (
 	"encoding/json"
@@ -26,7 +26,7 @@ import (
 	"repro/internal/workload"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.json from the current simulator")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.json and testdata/matrix.json from the current simulator")
 
 // goldenResult is the serialised form of one simulation outcome. Floats
 // survive a JSON round trip bit-exactly (encoding/json emits the shortest

@@ -8,7 +8,7 @@
 // a scalar cpu.Sim.Run would produce for the same (config, source, warm
 // state) — the lanes share host memory placement, never simulated state.
 // The contract is enforced end to end by the simrun batch identity tests
-// and the bench-smoke CI digest gate.
+// and the smoke-matrix digest gate (the root package's TestSmokeMatrix).
 //
 // Callers normally reach this package through internal/simrun, which groups
 // arbitrary points by warm-up compatibility and falls back to scalar

@@ -23,7 +23,8 @@
 // Determinism contract: a simulation resumed from a Snapshot produces
 // results bit-identical to a fresh run of the same (config, benchmark,
 // seed) — enforced by TestResumeMatchesFreshRun over every scheme/model
-// path and by the bench-smoke CI gate's digest comparison.
+// path and by the smoke-matrix digest gate (the root package's
+// TestSmokeMatrix), whose batched pass resumes every point.
 package ckpt
 
 import (

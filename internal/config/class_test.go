@@ -128,7 +128,7 @@ func TestClassValidateAndDefaults(t *testing.T) {
 	}
 }
 
-// TestClassName pins the scheme-name suffixes the bench matrix and sweep
+// TestClassName pins the scheme-name suffixes the smoke matrix and sweep
 // reports key on.
 func TestClassName(t *testing.T) {
 	clp := Default()

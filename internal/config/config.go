@@ -408,14 +408,14 @@ type Config struct {
 	// two fields are independent: setting one never alters the other, and
 	// assignment order is immaterial. Use WithBudget to set both
 	// explicitly; SmokeBudget is the standard quick-evaluation point used
-	// by the benchmark suites and the bench-smoke CI gate.
+	// by the benchmark suites and the smoke-matrix digest gate.
 	WarmupInsts uint64
 }
 
 // Standard instruction budgets. Smoke is large enough that the measured
 // region runs entirely in cache-warm steady state (the warm-up spans the
 // largest working-set period of the synthetic kernels) yet small enough for
-// per-PR CI; Deep matches Default().
+// per-PR CI.
 const (
 	// SmokeMeasureInsts and SmokeWarmupInsts define the smoke budget.
 	SmokeMeasureInsts uint64 = 30_000
@@ -508,10 +508,14 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: invalid L1 geometry %+v", c.L1)
 	case c.L2.SizeBytes <= 0 || c.L2.Ways <= 0 || c.L2.LineBytes <= 0:
 		return fmt.Errorf("config: invalid L2 geometry %+v", c.L2)
-	case c.L1.Sets()&(c.L1.Sets()-1) != 0:
-		return fmt.Errorf("config: L1 set count %d is not a power of two", c.L1.Sets())
-	case c.L2.Sets()&(c.L2.Sets()-1) != 0:
-		return fmt.Errorf("config: L2 set count %d is not a power of two", c.L2.Sets())
+	case c.L1.Sets() == 0 || c.L1.Sets()&(c.L1.Sets()-1) != 0:
+		return fmt.Errorf("config: L1 set count %d is not a positive power of two", c.L1.Sets())
+	case c.L2.Sets() == 0 || c.L2.Sets()&(c.L2.Sets()-1) != 0:
+		return fmt.Errorf("config: L2 set count %d is not a positive power of two", c.L2.Sets())
+	case c.L1.LineBytes&(c.L1.LineBytes-1) != 0:
+		return fmt.Errorf("config: L1 line size %d is not a power of two", c.L1.LineBytes)
+	case c.L2.LineBytes&(c.L2.LineBytes-1) != 0:
+		return fmt.Errorf("config: L2 line size %d is not a power of two", c.L2.LineBytes)
 	case c.LSQ == LSQELSQ && c.ERT == ERTHash && (c.ERTHashBits < 1 || c.ERTHashBits > 24):
 		return fmt.Errorf("config: ERTHashBits %d out of range [1,24]", c.ERTHashBits)
 	case c.LSQ == LSQSVW && (c.SSBFBits < 1 || c.SSBFBits > 24):

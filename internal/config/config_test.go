@@ -95,6 +95,10 @@ func TestValidateErrors(t *testing.T) {
 		{"l1", func(c *Config) { c.L1.Ways = 0 }, "L1"},
 		{"l2", func(c *Config) { c.L2.SizeBytes = 0 }, "L2"},
 		{"l1pow2", func(c *Config) { c.L1.SizeBytes = 3 * 10240 }, "power of two"},
+		{"l1nosets", func(c *Config) { c.L1.SizeBytes = 64 }, "L1 set count 0"},
+		{"l2nosets", func(c *Config) { c.L2.SizeBytes = 64 }, "L2 set count 0"},
+		{"l1line", func(c *Config) { c.L1.LineBytes, c.L1.SizeBytes = 48, 24<<10 }, "L1 line size 48"},
+		{"l2line", func(c *Config) { c.L2.LineBytes, c.L2.SizeBytes = 48, 4*48 }, "L2 line size 48"},
 		{"ertbits", func(c *Config) { c.ERTHashBits = 0 }, "ERTHashBits"},
 		{"maxinsts", func(c *Config) { c.MaxInsts = 0 }, "MaxInsts"},
 	}

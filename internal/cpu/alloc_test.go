@@ -10,8 +10,7 @@
 // this test was calibrated against). Counting any per-access event through
 // an allocating path would add hundreds of objects per 1000 instructions
 // (caches alone are accessed a few hundred times per 1000) and trip the
-// ceiling immediately. End-to-end, the CI bench gate enforces the same
-// property against the committed pre-energy baseline's allocs/inst band.
+// ceiling immediately. Every scheme of the smoke matrix has a row below.
 package cpu
 
 import (
@@ -65,6 +64,10 @@ func TestStepAllocCeilingWithEnergyAccounting(t *testing.T) {
 			c.Model = config.ModelOoO
 			c.LSQ = config.LSQConventional
 		}},
+		{"central", func(c *config.Config) { c.LSQ = config.LSQCentral }},
+		{"elsq-noc", func(c *config.Config) { c.NoC = config.NoCContended }},
+		{"elsq-pred", func(c *config.Config) { c.Class = config.ClassCacheLevel }},
+		{"elsq-delay", func(c *config.Config) { c.Class = config.ClassDelayTrack }},
 	} {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {

@@ -97,14 +97,14 @@ type Result struct {
 	// BankActiveCycles is the measured per-bank (memory-engine) busy-cycle
 	// residency under the placement policy, and BankPowerDownFrac the mean
 	// fraction of the run each bank could power down — the per-engine view
-	// behind Figure 11. FMC only; both post-date the bench baseline and
-	// are excluded from its digest (digestResults hashes a fixed list).
+	// behind Figure 11. FMC only; both are excluded from the matrix
+	// results digest (digestResults hashes a fixed list).
 	BankActiveCycles  []int64
 	BankPowerDownFrac float64
 	// Activity holds the energy-accounting action counters (internal/energy):
 	// timed cache accesses split by satisfying level, ERT inserts, SSBF
 	// read/write split, epoch lifecycle events and per-message NoC traffic.
-	// It is a separate bag from Counters because golden fixtures and bench
+	// It is a separate bag from Counters because golden fixtures and matrix
 	// digests pin the legacy counter set bit-for-bit; Activity is excluded
 	// from both, so the energy model observes without perturbing any
 	// baseline.

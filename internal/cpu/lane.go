@@ -176,7 +176,7 @@ func (l *Lane) Finish() *Result {
 	// Energy-accounting activity bag (internal/energy): the level-split
 	// cache accesses accumulated in s.act, plus per-source action counts
 	// read out here. Plain Add keeps the name set deterministic per
-	// configuration; the bag is excluded from golden and bench digests.
+	// configuration; the bag is excluded from golden and matrix digests.
 	res.Activity = s.act
 	// Classifier accuracy and table activity (internal/predict): the
 	// reactive policy keeps none, so default-config runs keep their exact

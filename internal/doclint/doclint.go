@@ -1,9 +1,9 @@
 // Package doclint enforces the repository's documentation contract: every
 // package has a package comment and every exported symbol — functions,
 // methods on exported types, types, constants and variables — carries a doc
-// comment. The contract is enforced by this package's test (which go test
-// ./... runs on every PR) and by a named doc-lint step in the CI workflow,
-// so the godoc surface cannot silently grow undocumented exports.
+// comment. The contract is enforced by this package's test, which go test
+// ./... runs on every PR, so the godoc surface cannot silently grow
+// undocumented exports.
 //
 // The rules follow the classic golint conventions: a declaration group
 // (const/var/type block) is satisfied by a doc comment on the group or on

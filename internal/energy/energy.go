@@ -6,7 +6,7 @@
 //
 // The model is Accelergy-style and strictly observational: it reads a
 // finished cpu.Result, never feeds back into timing, and therefore cannot
-// perturb any deterministic quantity (golden fixtures, bench digests, sweep
+// perturb any deterministic quantity (golden fixtures, matrix digests, sweep
 // keys). Coefficients are anchored on the paper's CACTI 4.2 numbers at 70nm
 // (1.95 pJ for a 2KB ERT bank read, 95.8 pJ for a 32KB L1 read) and scaled
 // to other capacities with a square-root rule; they are order-of-magnitude
@@ -14,7 +14,7 @@
 //
 // Activity flows in from two counter bags with distinct identity contracts:
 // Result.Counters (the legacy bag, pinned bit-for-bit by golden fixtures
-// and bench digests) and Result.Activity (energy-only counters added by
+// and matrix digests) and Result.Activity (energy-only counters added by
 // this subsystem, excluded from both digests so the model could land
 // without perturbing any baseline). The Actions registry records which bag
 // each action reads from; Compute fails loudly when an action counted

@@ -47,6 +47,11 @@ type page struct {
 	commit [pageBytes]int64
 }
 
+// unwritten is the image of every page no store has written: each byte
+// reads as initial memory. Loads share it read-only, so certifying a load
+// never makes a page resident.
+var unwritten page
+
 // Violation is one certified mismatch between the timing model's claimed
 // load value provenance and the sequential reference.
 type Violation struct {
@@ -219,7 +224,10 @@ func (c *Checker) LoadCommitted(op *lsq.MemOp) {
 		return
 	}
 	c.loads++
-	p := c.pageFor(op.Addr)
+	p := c.pages[op.Addr>>pageBits]
+	if p == nil {
+		p = &unwritten
+	}
 	off := int(op.Addr & (pageBytes - 1))
 	for i := 0; i < int(op.Size); i++ {
 		c.checkedBytes++

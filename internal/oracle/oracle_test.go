@@ -72,6 +72,28 @@ func TestForwardFromPhantomStoreFlagged(t *testing.T) {
 	wantKind(t, c, "forward-wrong-store")
 }
 
+// TestLoadFromUnwrittenPageAllocatesNothing pins that a load from a page
+// no store has written is certified against initial memory without making
+// the page resident: one resident page is 64 KiB, and a run reads many
+// more pages than it writes.
+func TestLoadFromUnwrittenPageAllocatesNothing(t *testing.T) {
+	c := New(0)
+	op := ld(0, 0, 8, 1, 0)
+	allocs := testing.AllocsPerRun(100, func() {
+		op.Seq++
+		op.Commit++
+		op.Addr += pageBytes // a fresh page every load
+		c.LoadCommitted(op)
+	})
+	wantClean(t, c)
+	if allocs != 0 {
+		t.Errorf("LoadCommitted on never-stored pages allocates %.1f objects per load, want 0", allocs)
+	}
+	if len(c.pages) != 0 {
+		t.Errorf("%d pages resident after loads alone, want 0", len(c.pages))
+	}
+}
+
 func TestStaleCacheReadFlagged(t *testing.T) {
 	c := New(0)
 	c.StoreCommitted(st(1, 0x100, 8, 100))

@@ -1,4 +1,4 @@
-// Cross-mode conservation of the energy accounting: for every bench-matrix
+// Cross-mode conservation of the energy accounting: for every smoke-matrix
 // scheme, the digest-pinned counters, the energy-only activity counters and
 // the derived energy report must be bit-identical however the same point is
 // executed — live scalar, trace replay, checkpoint resume, batched with a
@@ -20,8 +20,9 @@ import (
 	"repro/internal/workload"
 )
 
-// conservationSchemes mirrors internal/bench.Matrix's scheme rows at the
-// test budget.
+// conservationSchemes spans the smoke matrix's LSQ schemes and fabric
+// models (the root package's matrix_test.go) plus work-stealing placement,
+// at the test budget.
 func conservationSchemes() []struct {
 	name string
 	cfg  config.Config

@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/config"
+	"repro/internal/cpu"
+	"repro/internal/simrun"
 	"repro/internal/workload"
 )
 
@@ -49,7 +51,7 @@ func detGrid(t *testing.T, benches string, seeds, insts, warmup uint64, axes ...
 }
 
 // TestDeterminismAcrossWorkerCounts pins the sweep contract behind the
-// result cache and the bench baseline: the same grid must produce identical
+// result cache and the matrix fixture: the same grid must produce identical
 // keys, results and results digest no matter how the work is scheduled, and
 // it must build exactly one warm-up checkpoint per (benchmark, seed). Each
 // grid runs as elsqsweep runs it by default — batched, with a fresh
@@ -106,8 +108,8 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 
 // TestDeterminismAcrossRuns re-runs the same jobs in one process: repeated
 // execution must be bit-identical (the cross-process half of this
-// guarantee is pinned by the committed golden fixture in testdata/ and the
-// results digests in bench/baseline.json, both produced by earlier
+// guarantee is pinned by the committed fixtures testdata/golden.json and
+// testdata/matrix.json at the repository root, both produced by earlier
 // processes).
 func TestDeterminismAcrossRuns(t *testing.T) {
 	jobs := detJobs(t)
@@ -188,18 +190,19 @@ func TestCheckpointedRunMatchesFull(t *testing.T) {
 		}
 	}
 
-	full := &Runner{Workers: 4, Batch: -1}
-	wantOut, wantStats, err := full.Run(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantStats.CheckpointsBuilt != 0 || wantStats.CheckpointResumes != 0 {
-		t.Fatalf("scalar runner without a store reported checkpoint activity: %+v", wantStats)
+	// The reference: each job run alone with a full functional warm-up.
+	want := make([]*cpu.Result, len(jobs))
+	for i, j := range jobs {
+		out, err := simrun.Point{Config: j.Config, Bench: j.Bench.Name, Seed: j.Seed}.Run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = out.Result
 	}
 
-	// A store-less runner with default batching still shares each group's
-	// warm-up in-run: one build per (benchmark, seed), every job resumed,
-	// results bit-identical to the scalar sweep.
+	// A store-less runner still shares each batch group's warm-up in-run:
+	// one build per (benchmark, seed), every job resumed, results
+	// bit-identical to the full-warm-up runs.
 	batched := &Runner{Workers: 4}
 	batchOut, batchStats, err := batched.Run(jobs)
 	if err != nil {
@@ -211,9 +214,9 @@ func TestCheckpointedRunMatchesFull(t *testing.T) {
 	if batchStats.CheckpointResumes != len(jobs) {
 		t.Errorf("store-less batched run resumed %d jobs, want %d", batchStats.CheckpointResumes, len(jobs))
 	}
-	for i := range wantOut {
-		if wantOut[i].Key != batchOut[i].Key || !reflect.DeepEqual(wantOut[i].Result, batchOut[i].Result) {
-			t.Errorf("job %d: batched outcome diverged from scalar run", i)
+	for i := range want {
+		if jobs[i].Key() != batchOut[i].Key || !reflect.DeepEqual(want[i], batchOut[i].Result) {
+			t.Errorf("job %d: batched outcome diverged from full run", i)
 		}
 	}
 
@@ -228,8 +231,8 @@ func TestCheckpointedRunMatchesFull(t *testing.T) {
 	if gotStats.CheckpointResumes != len(jobs) {
 		t.Errorf("resumed %d jobs, want %d", gotStats.CheckpointResumes, len(jobs))
 	}
-	for i := range wantOut {
-		if wantOut[i].Key != gotOut[i].Key || !reflect.DeepEqual(wantOut[i].Result, gotOut[i].Result) {
+	for i := range want {
+		if jobs[i].Key() != gotOut[i].Key || !reflect.DeepEqual(want[i], gotOut[i].Result) {
 			t.Errorf("job %d: checkpointed outcome diverged from full run", i)
 		}
 	}
@@ -243,8 +246,8 @@ func TestCheckpointedRunMatchesFull(t *testing.T) {
 	if againStats.CheckpointsBuilt != 0 {
 		t.Errorf("second run rebuilt %d checkpoints, want 0", againStats.CheckpointsBuilt)
 	}
-	for i := range wantOut {
-		if !reflect.DeepEqual(wantOut[i].Result, again[i].Result) {
+	for i := range want {
+		if !reflect.DeepEqual(want[i], again[i].Result) {
 			t.Errorf("job %d: second checkpointed run diverged", i)
 		}
 	}

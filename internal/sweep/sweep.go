@@ -138,11 +138,6 @@ type Runner struct {
 	// store. Results are bit-identical to full warm-up runs; only
 	// wall-clock changes.
 	Checkpoints ckpt.Store
-	// Batch caps how many warm-up-compatible jobs run as lanes of one
-	// batch on the lane-parallel engine (simrun.RunBatch): 0 means the
-	// default cap, anything below 2 disables batching (every job runs
-	// scalar).
-	Batch int
 	// OnProgress, if non-nil, is called after each unique job resolves.
 	// Calls are serialised; the callback must not call back into the
 	// Runner.
@@ -156,20 +151,11 @@ func (r *Runner) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// defaultBatch is the lane-group cap when Runner.Batch is zero: large
-// enough that slab sharing and warm-up amortisation pay off, small enough
-// that group granularity still feeds every worker of a typical pool.
+// defaultBatch caps how many warm-up-compatible jobs run as lanes of one
+// batch on the lane-parallel engine (simrun.RunBatch): large enough that
+// slab sharing and warm-up amortisation pay off, small enough that group
+// granularity still feeds every worker of a typical pool.
 const defaultBatch = 8
-
-func (r *Runner) batchCap() int {
-	if r.Batch == 0 {
-		return defaultBatch
-	}
-	if r.Batch < 2 {
-		return 1
-	}
-	return r.Batch
-}
 
 // slot is the execution state of one unique simulation identity.
 type slot struct {
@@ -250,9 +236,8 @@ func (r *Runner) Run(jobs []Job) ([]Outcome, Stats, error) {
 
 	// Shape the pending slots into lane groups: warm-up-compatible jobs
 	// run together on the batch engine, sharing one warm-up and adjacent
-	// slab state; everything else (and every group once the cap or the
-	// batching knob says so) runs scalar. Groups of one go through the
-	// scalar path inside runGroup.
+	// slab state; everything else runs scalar. Groups of one go through
+	// the scalar path inside runGroup.
 	groups := r.groupSlots(pending)
 	var built, resumed atomic.Int64
 
@@ -297,18 +282,10 @@ func (r *Runner) Run(jobs []Job) ([]Outcome, Stats, error) {
 
 // groupSlots partitions pending slots into execution groups: slots whose
 // simrun batch key matches (same benchmark, seed and warm-up-relevant
-// config slice) are grouped up to the batch cap; a slot whose key cannot
+// config slice) are grouped up to defaultBatch; a slot whose key cannot
 // be computed gets a singleton group so its error surfaces from the scalar
-// path. With batching disabled every slot is its own group.
+// path.
 func (r *Runner) groupSlots(pending []*slot) [][]*slot {
-	cap := r.batchCap()
-	if cap <= 1 {
-		groups := make([][]*slot, len(pending))
-		for i, s := range pending {
-			groups[i] = []*slot{s}
-		}
-		return groups
-	}
 	byWarm := make(map[string][]*slot)
 	var order []string
 	var groups [][]*slot
@@ -325,9 +302,9 @@ func (r *Runner) groupSlots(pending []*slot) [][]*slot {
 	}
 	for _, bk := range order {
 		g := byWarm[bk]
-		for len(g) > cap {
-			groups = append(groups, g[:cap])
-			g = g[cap:]
+		for len(g) > defaultBatch {
+			groups = append(groups, g[:defaultBatch])
+			g = g[defaultBatch:]
 		}
 		groups = append(groups, g)
 	}

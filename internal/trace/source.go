@@ -245,7 +245,7 @@ func SourceFor(cfg *config.Config, prof workload.Profile, seed uint64) (workload
 
 // Resolve stamps cfg.TraceDigest from the file at cfg.TracePath (a no-op
 // for non-trace configs). Callers that key caches or artifacts off the
-// configuration — sweep grids, bench points — resolve first, so the
+// configuration — sweep grids, simrun points — resolve first, so the
 // identity (config.Config.Hash, WarmKey, sweep job keys) is
 // content-addressed rather than path-addressed.
 func Resolve(cfg *config.Config) error {
@@ -262,8 +262,7 @@ func Resolve(cfg *config.Config) error {
 
 // BenchPath is the naming convention binding a benchmark instantiation to
 // a trace file inside a directory: <dir>/<bench>-s<seed>.elt. cmd/elsqtrace
-// record writes it; the -tracedir modes of cmd/elsqsweep and cmd/elsqbench
-// expect it.
+// record writes it; cmd/elsqsweep -tracedir expects it.
 func BenchPath(dir, bench string, seed uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s-s%d.elt", bench, seed))
 }
