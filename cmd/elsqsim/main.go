@@ -119,10 +119,22 @@ func main() {
 	fmt.Printf("addr-calc within 30 cycles: loads %.1f%%, stores %.1f%%\n",
 		100*r.LoadDist.FracWithin(30), 100*r.StoreDist.FracWithin(30))
 	fmt.Println("\ncomponent accesses (per 100M committed insts, millions):")
-	for _, k := range []string{"hl_lq", "hl_sq", "ll_lq", "ll_sq", "ert", "ssbf", "roundtrip", "cache"} {
-		v := stats.Per100M(r.Counters.Get(k), r.Committed) / 1e6
-		if v != 0 {
-			fmt.Printf("  %-10s %9.3f\n", k, v)
+	sum := func(names ...string) (n uint64) {
+		for _, k := range names {
+			n += r.Counters.Get(k)
+		}
+		return n
+	}
+	for _, c := range []struct {
+		name string
+		n    uint64
+	}{
+		{"hl_lq", sum("hl_lq")}, {"hl_sq", sum("hl_sq")}, {"ll_lq", sum("ll_lq")},
+		{"ll_sq", sum("ll_sq")}, {"ert", sum("ert")}, {"ssbf", sum("ssbf_read", "ssbf_write")},
+		{"roundtrip", sum("roundtrip")}, {"cache", sum("l1_access", "l2_access", "mem_access")},
+	} {
+		if v := stats.Per100M(c.n, r.Committed) / 1e6; v != 0 {
+			fmt.Printf("  %-10s %9.3f\n", c.name, v)
 		}
 	}
 	fmt.Println("\nevent counters:")

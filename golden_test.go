@@ -3,21 +3,26 @@ package repro
 // The golden-output test pins the simulator's observable behaviour: every
 // field of cpu.Result (counters, histograms, activity statistics) and the
 // sweep cache identity of a spread of (scheme, benchmark, seed) points must
-// stay bit-identical across refactors of the hot path. The fixture was
-// generated before the allocation-free overhaul of the per-instruction loop
-// and proves the overhaul changed performance, not results.
+// stay bit-identical across refactors of the hot path. A mismatch names
+// each differing field, and each counter added, removed or changed, with
+// its old and new values.
 //
 // Regenerate (only when a change is *meant* to alter results, alongside a
-// sweep cacheVersion bump); this also rewrites testdata/matrix.json:
+// sweep cacheVersion bump); this also rewrites testdata/matrix.json. Run
+// the test against the old fixture first: its output is the by-name record
+// of what the regeneration moved.
 //
 //	go test . -update-golden
 
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -153,9 +158,50 @@ func TestGoldenOutputs(t *testing.T) {
 		t.Fatalf("golden fixture has %d results, current points produce %d", len(want), len(got))
 	}
 	for i := range want {
-		if !reflect.DeepEqual(want[i], got[i]) {
-			t.Errorf("point %d (%s/%s seed %d) diverged from golden fixture:\n got: %+v\nwant: %+v",
-				i, got[i].Config, got[i].Bench, got[i].Seed, got[i], want[i])
+		if diffs := diffGolden(want[i], got[i]); len(diffs) > 0 {
+			t.Errorf("point %d (%s/%s seed %d) diverged from golden fixture:\n  %s",
+				i, got[i].Config, got[i].Bench, got[i].Seed, strings.Join(diffs, "\n  "))
 		}
 	}
+}
+
+// diffGolden names every difference between a fixture entry and a fresh
+// result: each differing field by its JSON name with both values, and each
+// counter added, removed or changed, by name, with its values.
+func diffGolden(want, got goldenResult) []string {
+	var diffs []string
+	wv, gv := reflect.ValueOf(want), reflect.ValueOf(got)
+	for i := 0; i < wv.NumField(); i++ {
+		f := wv.Type().Field(i)
+		if f.Name == "Counters" {
+			continue
+		}
+		if w, g := wv.Field(i).Interface(), gv.Field(i).Interface(); !reflect.DeepEqual(w, g) {
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			diffs = append(diffs, fmt.Sprintf("%s: %v -> %v", name, w, g))
+		}
+	}
+	names := make([]string, 0, len(want.Counters)+len(got.Counters))
+	for k := range want.Counters {
+		names = append(names, k)
+	}
+	for k := range got.Counters {
+		if _, ok := want.Counters[k]; !ok {
+			names = append(names, k)
+		}
+	}
+	sort.Strings(names)
+	for _, k := range names {
+		w, inWant := want.Counters[k]
+		g, inGot := got.Counters[k]
+		switch {
+		case !inWant:
+			diffs = append(diffs, fmt.Sprintf("counter %s added: %d", k, g))
+		case !inGot:
+			diffs = append(diffs, fmt.Sprintf("counter %s removed: %d", k, w))
+		case w != g:
+			diffs = append(diffs, fmt.Sprintf("counter %s: %d -> %d", k, w, g))
+		}
+	}
+	return diffs
 }

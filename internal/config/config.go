@@ -487,23 +487,42 @@ func OoO64() Config {
 	return c
 }
 
+// maxWidth bounds every per-cycle width and port count: the reservation
+// calendars pack a cycle's booking count into 8 bits.
+const maxWidth = 255
+
+// maxWindow bounds the instruction window and every queue sized from the
+// config (ROB, issue queues, HL queues), so the rings and the calendars
+// whose horizon covers the window stay allocatable: 65536 in-flight
+// instructions is 4x the 128-engine scaling sweep's window.
+const maxWindow = 1 << 16
+
 // Validate reports the first configuration error found, or nil.
 func (c *Config) Validate() error {
 	switch {
-	case c.FetchWidth <= 0:
-		return fmt.Errorf("config: FetchWidth must be positive, got %d", c.FetchWidth)
-	case c.CommitWidth <= 0:
-		return fmt.Errorf("config: CommitWidth must be positive, got %d", c.CommitWidth)
-	case c.ROBSize <= 0:
-		return fmt.Errorf("config: ROBSize must be positive, got %d", c.ROBSize)
-	case c.CachePorts <= 0:
-		return fmt.Errorf("config: CachePorts must be positive, got %d", c.CachePorts)
-	case c.Model == ModelFMC && c.NumEpochs <= 0:
-		return fmt.Errorf("config: FMC needs NumEpochs > 0, got %d", c.NumEpochs)
-	case c.Model == ModelFMC && c.NumEpochs > 128:
-		return fmt.Errorf("config: FMC supports at most 128 epochs (the ERT epoch-mask width), got %d", c.NumEpochs)
-	case c.Model == ModelFMC && c.EpochMaxInsts <= 0:
-		return fmt.Errorf("config: FMC needs EpochMaxInsts > 0, got %d", c.EpochMaxInsts)
+	case c.FetchWidth < 1 || c.FetchWidth > maxWidth:
+		return fmt.Errorf("config: FetchWidth %d out of range [1,%d]", c.FetchWidth, maxWidth)
+	case c.CommitWidth < 1 || c.CommitWidth > maxWidth:
+		return fmt.Errorf("config: CommitWidth %d out of range [1,%d]", c.CommitWidth, maxWidth)
+	case c.CachePorts < 1 || c.CachePorts > maxWidth:
+		return fmt.Errorf("config: CachePorts %d out of range [1,%d]", c.CachePorts, maxWidth)
+	case c.Model == ModelFMC && (c.MEIssueWidth < 1 || c.MEIssueWidth > maxWidth):
+		return fmt.Errorf("config: MEIssueWidth %d out of range [1,%d]", c.MEIssueWidth, maxWidth)
+	case c.ROBSize < 1 || c.ROBSize > maxWindow:
+		return fmt.Errorf("config: ROBSize %d out of range [1,%d]", c.ROBSize, maxWindow)
+	case max(c.IntIQ, c.FpIQ, c.HLLQSize, c.HLSQSize) > maxWindow:
+		return fmt.Errorf("config: queue sizes IntIQ %d, FpIQ %d, HLLQSize %d, HLSQSize %d exceed %d entries",
+			c.IntIQ, c.FpIQ, c.HLLQSize, c.HLSQSize, maxWindow)
+	case c.BusOneWay < 0 || c.MeshHop < 0:
+		return fmt.Errorf("config: BusOneWay %d and MeshHop %d must be non-negative", c.BusOneWay, c.MeshHop)
+	case c.NumEpochs < 1 || c.NumEpochs > 128:
+		// Every model builds the fabric, one mesh node per engine; 128 is
+		// the ERT epoch-mask width.
+		return fmt.Errorf("config: NumEpochs %d out of range [1,128]", c.NumEpochs)
+	case c.Model == ModelFMC && (c.EpochMaxInsts < 1 || c.EpochMaxInsts > maxWindow):
+		return fmt.Errorf("config: FMC needs EpochMaxInsts in [1,%d], got %d", maxWindow, c.EpochMaxInsts)
+	case c.WindowSize() > maxWindow:
+		return fmt.Errorf("config: window of %d instructions (ROBSize + NumEpochs*EpochMaxInsts) exceeds %d", c.WindowSize(), maxWindow)
 	case c.L1.SizeBytes <= 0 || c.L1.Ways <= 0 || c.L1.LineBytes <= 0:
 		return fmt.Errorf("config: invalid L1 geometry %+v", c.L1)
 	case c.L2.SizeBytes <= 0 || c.L2.Ways <= 0 || c.L2.LineBytes <= 0:

@@ -101,6 +101,22 @@ func TestValidateErrors(t *testing.T) {
 		{"l2line", func(c *Config) { c.L2.LineBytes, c.L2.SizeBytes = 48, 4*48 }, "L2 line size 48"},
 		{"ertbits", func(c *Config) { c.ERTHashBits = 0 }, "ERTHashBits"},
 		{"maxinsts", func(c *Config) { c.MaxInsts = 0 }, "MaxInsts"},
+		// Values that passed Validate and then panicked building a
+		// calendar or the fabric, ran out of memory sizing a ring, or
+		// hung widening the calendar horizon.
+		{"meissue", func(c *Config) { c.MEIssueWidth = 0 }, "MEIssueWidth"},
+		{"fetchwide", func(c *Config) { c.FetchWidth = 1_000_000_000 }, "FetchWidth"},
+		{"commitwide", func(c *Config) { c.CommitWidth = 100_000_000_000 }, "CommitWidth"},
+		{"portswide", func(c *Config) { c.CachePorts = 256 }, "CachePorts"},
+		{"busoneway", func(c *Config) { c.BusOneWay = -4 }, "BusOneWay"},
+		{"meshhop", func(c *Config) { c.MeshHop = -1 }, "MeshHop"},
+		{"robhuge", func(c *Config) { c.ROBSize = 100_000_000_000 }, "ROBSize"},
+		{"iqhuge", func(c *Config) { c.IntIQ = 1 << 40 }, "IntIQ"},
+		{"hlqhuge", func(c *Config) { c.HLSQSize = 1 << 40 }, "HLSQSize"},
+		{"epochinstshuge", func(c *Config) { c.EpochMaxInsts = 108086391056891904 }, "EpochMaxInsts"},
+		{"window", func(c *Config) { c.NumEpochs, c.EpochMaxInsts = 128, 1024 }, "window"},
+		{"oooepochs", func(c *Config) { c.Model, c.LSQ, c.NumEpochs = ModelOoO, LSQConventional, 0 }, "NumEpochs"},
+		{"oooepochshuge", func(c *Config) { c.Model, c.LSQ, c.NumEpochs = ModelOoO, LSQConventional, 1<<30 }, "NumEpochs"},
 	}
 	for _, m := range mutations {
 		c := Default()

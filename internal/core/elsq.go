@@ -83,16 +83,9 @@ type ELSQ struct {
 	// Cleared when the bank is reclaimed or squashed.
 	bypassed []bool
 
-	c *stats.Counters
-	// act holds energy-accounting activity counters (cpu.Result.Activity):
-	// separate from c so the digest-pinned counter set never changes.
-	act *stats.Counters
-
-	// Interned counter handles for the per-operation paths.
-	cHLSQ, cHLLQ, cLLSQ, cLLLQ, cERT         *uint64
-	cSQMUpdate, cSQMSearch, cRoundtrip       *uint64
-	cFwdLocal, cFwdGlobal, cERTFalsePositive *uint64
-	aERTInsert                               *uint64
+	// ev is the lane's event tally the queue searches, filter probes and
+	// round trips are counted into.
+	ev *stats.Tally
 
 	// Per-LoadIssue scratch replacing a per-call map: the youngest matching
 	// store per physical bank, stamped with a generation so no clearing is
@@ -118,8 +111,8 @@ func WithoutLoadQueue() Option { return func(e *ELSQ) { e.noLQ = true } }
 
 // New builds the ELSQ for the given configuration over the FMC interconnect
 // fabric, (for the line-based ERT) the L1 cache, and the virtual-epoch bank
-// mapping (nil = mod-N over NumEpochs banks).
-func New(cfg *config.Config, fab noc.Fabric, l1 *mem.Cache, banks fmc.BankMap, opts ...Option) *ELSQ {
+// mapping (nil = mod-N over NumEpochs banks), counting its events into ev.
+func New(cfg *config.Config, fab noc.Fabric, l1 *mem.Cache, banks fmc.BankMap, ev *stats.Tally, opts ...Option) *ELSQ {
 	if banks == nil {
 		banks = fmc.HomeBanks(cfg.NumEpochs)
 	}
@@ -139,24 +132,11 @@ func New(cfg *config.Config, fab noc.Fabric, l1 *mem.Cache, banks fmc.BankMap, o
 		releaseAt:     make([]int64, cfg.NumEpochs),
 		lockedSlots:   make([][]mem.LineSlot, cfg.NumEpochs),
 		bypassed:      make([]bool, cfg.NumEpochs),
-		c:             stats.NewCounters(),
-		act:           stats.NewCounters(),
+		ev:            ev,
 		matchGen:      make([]uint64, cfg.NumEpochs),
 		matchV:        make([]int64, cfg.NumEpochs),
 		matchOp:       make([]*lsq.MemOp, cfg.NumEpochs),
 	}
-	e.cHLSQ = e.c.Handle("hl_sq")
-	e.cHLLQ = e.c.Handle("hl_lq")
-	e.cLLSQ = e.c.Handle("ll_sq")
-	e.cLLLQ = e.c.Handle("ll_lq")
-	e.cERT = e.c.Handle("ert")
-	e.cSQMUpdate = e.c.Handle("sqm_update")
-	e.cSQMSearch = e.c.Handle("sqm_search")
-	e.cRoundtrip = e.c.Handle("roundtrip")
-	e.cFwdLocal = e.c.Handle("ll_forward_local")
-	e.cFwdGlobal = e.c.Handle("ll_forward_global")
-	e.cERTFalsePositive = e.c.Handle("ert_false_positive")
-	e.aERTInsert = e.act.Handle("ert_insert")
 	for i := range e.activeVirtual {
 		e.activeVirtual[i] = -1
 	}
@@ -168,13 +148,6 @@ func New(cfg *config.Config, fab noc.Fabric, l1 *mem.Cache, banks fmc.BankMap, o
 
 // Name implements lsq.Scheme.
 func (e *ELSQ) Name() string { return e.cfg.Name() }
-
-// Counters implements lsq.Scheme.
-func (e *ELSQ) Counters() *stats.Counters { return e.c }
-
-// Activity returns the energy-accounting activity counters (ERT filter
-// inserts); the cpu driver folds them into Result.Activity.
-func (e *ELSQ) Activity() *stats.Counters { return e.act }
 
 // physical returns the bank holding virtual epoch v.
 func (e *ELSQ) physical(v int64) int { return e.banks.Bank(v) }
@@ -234,13 +207,13 @@ func (e *ELSQ) insert(op *lsq.MemOp, canStall bool) (stall int64, ok bool) {
 			slot, allocated = e.l1.Allocate(op.Addr)
 			for !allocated {
 				if !canStall {
-					e.c.Inc("ert_lock_squash")
+					e.ev[stats.ERTLockSquash]++
 					return 0, false
 				}
 				// Stall the insertion until a line unlocks; model as a
 				// fixed retry quantum and force an unlock by charging the
 				// stall (the oldest epoch commits within it in practice).
-				e.c.Inc("ert_lock_stall")
+				e.ev[stats.ERTLockStall]++
 				stall += ertLockStallCycles
 				if stall >= ertLockStallCycles*int64(e.cfg.NumEpochs) {
 					// Pathological set pressure: give up and bypass the
@@ -248,7 +221,7 @@ func (e *ELSQ) insert(op *lsq.MemOp, canStall bool) (stall int64, ok bool) {
 					// associativity, dominant at 1-way — Figure 8b/c).
 					// The bank's filter state is now incomplete, so
 					// searches must visit it unconditionally.
-					e.c.Inc("ert_lock_bypass")
+					e.ev[stats.ERTLockBypass]++
 					e.bypassed[phys] = true
 					return stall, true
 				}
@@ -268,15 +241,15 @@ func (e *ELSQ) insert(op *lsq.MemOp, canStall bool) (stall int64, ok bool) {
 	}
 	if op.Store {
 		e.ert.SetStore(idx, phys)
-		*e.aERTInsert++
+		e.ev[stats.ERTInsert]++
 		if e.cfg.SQM {
-			*e.cSQMUpdate++
+			e.ev[stats.SQMUpdate]++
 		}
 	} else if !e.noLQ && e.cfg.Disamb != config.DisambRSAC {
 		// The Load-ERT exists only when stores perform global violation
 		// searches (full disambiguation or RLAC).
 		e.ert.SetLoad(idx, phys)
-		*e.aERTInsert++
+		e.ev[stats.ERTInsert]++
 	}
 	return stall, true
 }
@@ -312,9 +285,9 @@ func (e *ELSQ) forceUnlockOne() {
 // insert at address resolution via AddrKnownInLL.
 func (e *ELSQ) Migrate(op *lsq.MemOp, t int64) int64 {
 	if op.Store {
-		*e.cLLSQ++
+		e.ev[stats.LLSQ]++
 	} else {
-		*e.cLLLQ++
+		e.ev[stats.LLLQ]++
 	}
 	if op.AddrReady <= t {
 		stall, _ := e.insert(op, true)
@@ -421,15 +394,15 @@ func (e *ELSQ) LoadIssue(ld *lsq.MemOp, ix *lsq.StoreIndex, t int64) lsq.LoadRes
 	// Level 1: local search. The local hit is final only when it is the
 	// youngest overlapping store overall.
 	if ld.Epoch == lsq.HLEpoch {
-		*e.cHLSQ++
+		e.ev[stats.HLSQ]++
 		if hlMatch != nil && hlMatch == youngest {
 			return lsq.Resolve(ld, hlMatch, t)
 		}
 	} else {
-		*e.cLLSQ++
+		e.ev[stats.LLSQ]++
 		if m := e.epochMatch(int64(ld.Epoch)); m != nil && m == youngest {
 			// Local same-epoch forwarding: no global search, no network.
-			*e.cFwdLocal++
+			e.ev[stats.LLForwardLocal]++
 			return lsq.Resolve(ld, m, t)
 		}
 	}
@@ -437,7 +410,7 @@ func (e *ELSQ) LoadIssue(ld *lsq.MemOp, ix *lsq.StoreIndex, t int64) lsq.LoadRes
 	// Level 2: global search, guarded by the Store-ERT. Epochs partition
 	// program order contiguously, so the first match in the youngest-first
 	// walk is the youngest LL match.
-	*e.cERT++
+	e.ev[stats.ERT]++
 	var mask filter.EpochMask
 	if idx, present := e.ertIndex(ld.Addr); present {
 		mask = e.ert.StoreMask(idx)
@@ -451,10 +424,10 @@ func (e *ELSQ) LoadIssue(ld *lsq.MemOp, ix *lsq.StoreIndex, t int64) lsq.LoadRes
 			if e.cfg.SQM {
 				// The SQM sits next to the ERT: one extra cycle, no trip.
 				extra = 1
-				*e.cSQMSearch++
+				e.ev[stats.SQMSearch]++
 			} else {
 				extra = e.fab.BusRoundTrip(t) - t
-				*e.cRoundtrip++
+				e.ev[stats.RoundTrip]++
 			}
 		}
 		prev := -1
@@ -462,7 +435,7 @@ func (e *ELSQ) LoadIssue(ld *lsq.MemOp, ix *lsq.StoreIndex, t int64) lsq.LoadRes
 			prev = e.physical(int64(ld.Epoch))
 		}
 		for _, v := range candidates {
-			*e.cLLSQ++
+			e.ev[stats.LLSQ]++
 			extra++ // sequential epoch search
 			if ld.Epoch != lsq.HLEpoch && prev >= 0 {
 				now := t + extra
@@ -470,11 +443,11 @@ func (e *ELSQ) LoadIssue(ld *lsq.MemOp, ix *lsq.StoreIndex, t int64) lsq.LoadRes
 			}
 			prev = e.physical(v)
 			if m := e.epochMatch(v); m != nil {
-				*e.cFwdGlobal++
+				e.ev[stats.LLForwardGlobal]++
 				best = m
 				break
 			}
-			*e.cERTFalsePositive++
+			e.ev[stats.ERTFalsePositive]++
 		}
 	}
 
@@ -490,8 +463,8 @@ func (e *ELSQ) LoadIssue(ld *lsq.MemOp, ix *lsq.StoreIndex, t int64) lsq.LoadRes
 		// (one memory-engine -> CP round trip, like the store-side HL-LQ
 		// check).
 		if ld.Epoch != lsq.HLEpoch {
-			*e.cHLSQ++
-			*e.cRoundtrip++
+			e.ev[stats.HLSQ]++
+			e.ev[stats.RoundTrip]++
 			now := t + extra
 			extra += e.fab.BusRoundTrip(now) - now
 		}
@@ -566,7 +539,7 @@ func (e *ELSQ) StoreAddrReady(st *lsq.MemOp, younger []*lsq.MemOp, t int64) lsq.
 		// search at issue — every younger issued load was high-locality at
 		// that point. This is the common case Figure 1 predicts: store
 		// addresses rarely depend on misses.
-		*e.cHLLQ++
+		e.ev[stats.HLLQ]++
 		if ld := lsq.FindViolation(st, younger, t); ld != nil {
 			return lsq.StoreResult{Violation: true, ViolatingLoad: ld}
 		}
@@ -575,7 +548,7 @@ func (e *ELSQ) StoreAddrReady(st *lsq.MemOp, younger []*lsq.MemOp, t int64) lsq.
 	// Low-locality store (full disambiguation or RLAC): local epoch search,
 	// then Load-ERT guarded searches of younger epochs, then the HL-LQ.
 	// Under RSAC stores never reach the LL-LSQ, so this path never runs.
-	*e.cLLLQ++
+	e.ev[stats.LLLQ]++
 	e.scratchLocal = e.scratchLocal[:0]
 	e.scratchRemote = e.scratchRemote[:0]
 	for _, ld := range younger {
@@ -588,7 +561,7 @@ func (e *ELSQ) StoreAddrReady(st *lsq.MemOp, younger []*lsq.MemOp, t int64) lsq.
 	if ld := lsq.FindViolation(st, e.scratchLocal, t); ld != nil {
 		return lsq.StoreResult{Violation: true, ViolatingLoad: ld}
 	}
-	*e.cERT++
+	e.ev[stats.ERT]++
 	idx, present := e.ertIndex(st.Addr)
 	if present {
 		mask := e.ert.LoadMask(idx)
@@ -599,7 +572,7 @@ func (e *ELSQ) StoreAddrReady(st *lsq.MemOp, younger []*lsq.MemOp, t int64) lsq.
 				if v < 0 || v <= int64(st.Epoch) || !e.liveAt(phys, t) {
 					continue // only live younger epochs can hold violating loads
 				}
-				*e.cLLLQ++
+				e.ev[stats.LLLQ]++
 			}
 		}
 	}
@@ -607,8 +580,8 @@ func (e *ELSQ) StoreAddrReady(st *lsq.MemOp, younger []*lsq.MemOp, t int64) lsq.
 	// network trip from the memory engine to the CP). The trip is counted
 	// but deliberately not booked on the fabric: it overlaps the store's
 	// own completion and delays nothing the timing model observes.
-	*e.cHLLQ++
-	*e.cRoundtrip++
+	e.ev[stats.HLLQ]++
+	e.ev[stats.RoundTrip]++
 	if ld := lsq.FindViolation(st, e.scratchRemote, t); ld != nil {
 		return lsq.StoreResult{Violation: true, ViolatingLoad: ld}
 	}

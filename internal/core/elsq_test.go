@@ -9,11 +9,13 @@ import (
 	"repro/internal/lsq"
 	"repro/internal/mem"
 	"repro/internal/noc"
+	"repro/internal/stats"
 )
 
 // rig bundles an ELSQ with its substrate for testing.
 type rig struct {
 	e   *ELSQ
+	ev  *stats.Tally
 	l1  *mem.Cache
 	cfg config.Config
 }
@@ -26,7 +28,8 @@ func newRig(t *testing.T, mut func(*config.Config)) *rig {
 	}
 	l1 := mem.NewCache(cfg.L1)
 	fab := noc.NewAnalytic(4, 4, cfg.MeshHop, cfg.BusOneWay)
-	return &rig{e: New(&cfg, fab, l1, nil), l1: l1, cfg: cfg}
+	ev := new(stats.Tally)
+	return &rig{e: New(&cfg, fab, l1, nil, ev), ev: ev, l1: l1, cfg: cfg}
 }
 
 func mkStore(seq uint64, addr uint64, addrReady, dataReady int64) *lsq.MemOp {
@@ -54,11 +57,11 @@ func TestHLLocalForwardingNoERT(t *testing.T) {
 	if !res.Forwarded || res.ExtraLatency != 0 {
 		t.Fatalf("HL-HL forwarding = %+v", res)
 	}
-	c := r.e.Counters()
-	if c.Get("hl_sq") != 1 {
+	c := r.ev
+	if c[stats.HLSQ] != 1 {
 		t.Error("HL-SQ search not counted")
 	}
-	if c.Get("ert") != 0 {
+	if c[stats.ERT] != 0 {
 		t.Error("local hit still accessed the ERT")
 	}
 }
@@ -77,11 +80,11 @@ func TestGlobalForwardingThroughSQM(t *testing.T) {
 	if res.ExtraLatency != 2 {
 		t.Errorf("SQM extra = %d, want 2", res.ExtraLatency)
 	}
-	c := r.e.Counters()
-	if c.Get("sqm_search") != 1 || c.Get("roundtrip") != 0 {
-		t.Errorf("SQM accounting wrong: sqm=%d rt=%d", c.Get("sqm_search"), c.Get("roundtrip"))
+	c := r.ev
+	if c[stats.SQMSearch] != 1 || c[stats.RoundTrip] != 0 {
+		t.Errorf("SQM accounting wrong: sqm=%d rt=%d", c[stats.SQMSearch], c[stats.RoundTrip])
 	}
-	if c.Get("ert") != 1 || c.Get("ll_forward_global") != 1 {
+	if c[stats.ERT] != 1 || c[stats.LLForwardGlobal] != 1 {
 		t.Error("global path accounting wrong")
 	}
 }
@@ -100,7 +103,7 @@ func TestGlobalForwardingWithoutSQMPaysRoundTrip(t *testing.T) {
 	if res.ExtraLatency != 9 {
 		t.Errorf("no-SQM extra = %d, want 9", res.ExtraLatency)
 	}
-	if r.e.Counters().Get("roundtrip") != 1 {
+	if r.ev[stats.RoundTrip] != 1 {
 		t.Error("round trip not counted")
 	}
 }
@@ -118,7 +121,7 @@ func TestERTFalsePositive(t *testing.T) {
 	if res.Forwarded {
 		t.Fatal("aliased load forwarded")
 	}
-	if r.e.Counters().Get("ert_false_positive") != 1 {
+	if r.ev[stats.ERTFalsePositive] != 1 {
 		t.Error("false positive not counted")
 	}
 }
@@ -138,8 +141,8 @@ func TestLLLocalForwarding(t *testing.T) {
 	if !res.Forwarded || res.ExtraLatency != 0 {
 		t.Fatalf("local epoch forwarding = %+v", res)
 	}
-	c := r.e.Counters()
-	if c.Get("ll_forward_local") != 1 || c.Get("ert") != 0 {
+	c := r.ev
+	if c[stats.LLForwardLocal] != 1 || c[stats.ERT] != 0 {
 		t.Error("local forwarding accounting wrong")
 	}
 }
@@ -175,8 +178,8 @@ func TestEpochCommitHidesState(t *testing.T) {
 	if res.Forwarded {
 		t.Fatal("forwarded from a committed epoch")
 	}
-	if r.e.Counters().Get("ll_sq") != 1 { // only the insertion, no search
-		t.Errorf("ll_sq = %d, want 1 (insertion only)", r.e.Counters().Get("ll_sq"))
+	if r.ev[stats.LLSQ] != 1 { // only the insertion, no search
+		t.Errorf("ll_sq = %d, want 1 (insertion only)", r.ev[stats.LLSQ])
 	}
 	// Before t=100 the state is still live.
 	st2 := mkStore(2, 0x200, 5, 6)
@@ -284,8 +287,8 @@ func TestLineERTLockOverflow(t *testing.T) {
 		// Depending on prior forced unlocks the set may have space; accept
 		// either squash or success but require the counter to move on
 		// squash.
-		if r.e.Counters().Get("ert_lock_squash") == 0 &&
-			r.e.Counters().Get("ert_lock_stall") == 0 {
+		if r.ev[stats.ERTLockSquash] == 0 &&
+			r.ev[stats.ERTLockStall] == 0 {
 			t.Error("no lock-pressure event recorded")
 		}
 	}
@@ -311,7 +314,7 @@ func TestRSACRemovesLoadERT(t *testing.T) {
 	}
 	// ll_lq: 1 insertion (the load) + 1 local search; no ERT-guided
 	// remote searches because the Load-ERT was never populated.
-	if got := r.e.Counters().Get("ll_lq"); got != 2 {
+	if got := r.ev[stats.LLLQ]; got != 2 {
 		t.Errorf("ll_lq = %d, want 2 (insert + local search)", got)
 	}
 }
@@ -323,7 +326,7 @@ func TestStoreAddrReadyCountsHL(t *testing.T) {
 	if !res.Violation {
 		t.Error("HL violation not detected")
 	}
-	if r.e.Counters().Get("hl_lq") != 1 {
+	if r.ev[stats.HLLQ] != 1 {
 		t.Error("HL-LQ search not counted")
 	}
 }
@@ -331,13 +334,14 @@ func TestStoreAddrReadyCountsHL(t *testing.T) {
 func TestWithoutLoadQueue(t *testing.T) {
 	cfg := config.Default()
 	l1 := mem.NewCache(cfg.L1)
-	e := New(&cfg, noc.NewAnalytic(4, 4, 1, 4), l1, nil, WithoutLoadQueue())
+	var ev stats.Tally
+	e := New(&cfg, noc.NewAnalytic(4, 4, 1, 4), l1, nil, &ev, WithoutLoadQueue())
 	st := mkStore(5, 0x100, 60, 60)
 	res := e.StoreAddrReady(st, []*lsq.MemOp{{Seq: 7, Addr: 0x100, Size: 8, Issued: 30}}, 60)
 	if res.Violation {
 		t.Error("NoLQ ELSQ performed a violation search")
 	}
-	if e.Counters().Get("hl_lq") != 0 {
+	if ev[stats.HLLQ] != 0 {
 		t.Error("NoLQ ELSQ counted an LQ search")
 	}
 }
@@ -358,12 +362,12 @@ func TestMigrationInsertionCounts(t *testing.T) {
 	ldop.MigrateAt = 11
 	ldop.LowLoc = true
 	r.e.Migrate(ldop, 11)
-	c := r.e.Counters()
-	if c.Get("ll_sq") != 1 || c.Get("ll_lq") != 1 {
+	c := r.ev
+	if c[stats.LLSQ] != 1 || c[stats.LLLQ] != 1 {
 		t.Errorf("insertion counts: ll_sq=%d ll_lq=%d, want 1/1",
-			c.Get("ll_sq"), c.Get("ll_lq"))
+			c[stats.LLSQ], c[stats.LLLQ])
 	}
-	if c.Get("sqm_update") != 1 {
+	if c[stats.SQMUpdate] != 1 {
 		t.Error("SQM update not counted for migrated store")
 	}
 }
@@ -422,8 +426,8 @@ func TestLLLoadReachesYoungestHLStore(t *testing.T) {
 	if res.ExtraLatency == 0 {
 		t.Error("remote HL-SQ search was free")
 	}
-	c := r.e.Counters()
-	if c.Get("roundtrip") == 0 {
+	c := r.ev
+	if c[stats.RoundTrip] == 0 {
 		t.Error("ME->CP round trip not counted")
 	}
 }

@@ -1,7 +1,7 @@
-// Guard for the energy-accounting hot path: activity counters must not add
-// per-event allocations to the measured simulation loop. The counters ride
-// *uint64 handles interned at construction (stats.Counters), so
-// incrementing one in the loop costs an add, never an allocation.
+// Guard for the energy-accounting hot path: event counting must not add
+// per-event allocations to the measured simulation loop. Every event is an
+// index into the lane's fixed stats.Tally array, so counting one in the
+// loop costs an add, never an allocation.
 //
 // The loop is not allocation-free overall — the store index materialises an
 // op per store and wrong-path injection allocates occasionally, both

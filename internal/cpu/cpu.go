@@ -83,9 +83,10 @@ type Result struct {
 	Cycles int64
 	// IPC is Committed/Cycles.
 	IPC float64
-	// Counters aggregates pipeline, scheme, SVW and interconnect events
-	// (Table 2 columns use "hl_lq", "hl_sq", "ll_lq", "ll_sq", "ert",
-	// "ssbf", "roundtrip", "cache").
+	// Counters lists every event of the run with a non-zero count, by its
+	// stats event-table name (Table 2 columns read "hl_lq", "hl_sq",
+	// "ll_lq", "ll_sq", "ert", "ssbf_read"+"ssbf_write", "roundtrip" and
+	// "l1_access"+"l2_access"+"mem_access").
 	Counters *stats.Counters
 	// LoadDist and StoreDist are the decode→address-calculation latency
 	// histograms behind Figure 1 (30-cycle buckets).
@@ -101,13 +102,11 @@ type Result struct {
 	// results digest (digestResults hashes a fixed list).
 	BankActiveCycles  []int64
 	BankPowerDownFrac float64
-	// Activity holds the energy-accounting action counters (internal/energy):
-	// timed cache accesses split by satisfying level, ERT inserts, SSBF
-	// read/write split, epoch lifecycle events and per-message NoC traffic.
-	// It is a separate bag from Counters because golden fixtures and matrix
-	// digests pin the legacy counter set bit-for-bit; Activity is excluded
-	// from both, so the energy model observes without perturbing any
-	// baseline.
+	// Activity is always empty: the events internal/energy prices are
+	// listed in Counters.
+	//
+	// Deprecated: read Counters. Activity stays a non-nil empty view so
+	// code that adds its Snapshot to Counters' keeps working.
 	Activity *stats.Counters
 }
 
@@ -139,11 +138,6 @@ type Sim struct {
 	fab    noc.Fabric
 	svwEng *svw.Engine
 	epochs *fmc.Epochs
-
-	c *stats.Counters
-	// act collects the energy-accounting activity counters, kept separate
-	// from c so the digest-pinned counter set never changes (Result.Activity).
-	act *stats.Counters
 
 	regReady [isa.NumRegs]int64
 
@@ -201,15 +195,17 @@ type Sim struct {
 	// instead, because they stay searchable until compaction retires them.
 	loadOp, wpOp lsq.MemOp
 
-	// Interned counter handles for per-instruction events.
-	cCache, cMispredict, cViolation *uint64
-	cPartialForward, cLLSquash      *uint64
-	cRlacStall, cRsacStall          *uint64
-	cMigrateStall                   *uint64
-	cWpLoad, cWpStore, cWpOther     *uint64
-	cLoadLevel                      [3]*uint64 // indexed by mem.Level
-	aAccess                         [3]*uint64 // timed hierarchy accesses by satisfying level (act bag)
+	// ev counts every event of the run: the scheme and the SVW engine count
+	// into it too, and Lane.Finish adds the totals other layers keep.
+	ev stats.Tally
 }
+
+// levelAccess and levelLoad name the events a timed hierarchy access and a
+// committed load count, by the level that satisfied them.
+var (
+	levelAccess = [...]stats.Event{mem.LevelL1: stats.L1Access, mem.LevelL2: stats.L2Access, mem.LevelMem: stats.MemAccess}
+	levelLoad   = [...]stats.Event{mem.LevelL1: stats.LoadL1, mem.LevelL2: stats.LoadL2, mem.LevelMem: stats.LoadMem}
+)
 
 // New builds a simulator for cfg running the given benchmark source.
 func New(cfg config.Config, gen workload.Source) (*Sim, error) {
@@ -229,33 +225,11 @@ func newSim(cfg config.Config, gen workload.Source, ar *laneArena) (*Sim, error)
 		cfg:       cfg,
 		gen:       gen,
 		hier:      mem.NewHierarchyIn(&cfg, ar.lineArena()),
-		c:         stats.NewCounters(),
-		act:       stats.NewCounters(),
 		storeIx:   ar.storeIndex(),
 		loadDist:  stats.NewHistogram(30, 50),
 		storeDist: stats.NewHistogram(30, 50),
 	}
 	s.class = ar.classifier(&cfg)
-	s.cCache = s.c.Handle("cache")
-	s.cMispredict = s.c.Handle("mispredict")
-	s.cViolation = s.c.Handle("violation")
-	s.cPartialForward = s.c.Handle("partial_forward")
-	s.cLLSquash = s.c.Handle("ll_squash")
-	s.cRlacStall = s.c.Handle("rlac_stall")
-	s.cRsacStall = s.c.Handle("rsac_stall")
-	s.cMigrateStall = s.c.Handle("migrate_stall_cycles")
-	s.cWpLoad = s.c.Handle("wrongpath_load")
-	s.cWpStore = s.c.Handle("wrongpath_store")
-	s.cWpOther = s.c.Handle("wrongpath_other")
-	s.cLoadLevel[mem.LevelL1] = s.c.Handle("load_L1")
-	s.cLoadLevel[mem.LevelL2] = s.c.Handle("load_L2")
-	s.cLoadLevel[mem.LevelMem] = s.c.Handle("load_mem")
-	// Every timed hierarchy access (loads, store commits, SVW re-executions,
-	// wrong-path pollution) is attributed to its satisfying level; the sum
-	// equals the legacy "cache" counter by construction.
-	s.aAccess[mem.LevelL1] = s.act.Handle("l1_access")
-	s.aAccess[mem.LevelL2] = s.act.Handle("l2_access")
-	s.aAccess[mem.LevelMem] = s.act.Handle("mem_access")
 	// Interconnect fabric: analytic (the paper's contention-free model) or
 	// contended, whose link calendars are carved from the batch arena like
 	// the pipeline calendars below.
@@ -283,18 +257,18 @@ func newSim(cfg config.Config, gen workload.Source, ar *laneArena) (*Sim, error)
 
 	switch {
 	case cfg.LSQ == config.LSQCentral:
-		s.scheme = lsq.NewCentral(s.fab)
+		s.scheme = lsq.NewCentral(s.fab, &s.ev)
 	case cfg.LSQ == config.LSQConventional:
-		s.scheme = lsq.NewConventional(false)
+		s.scheme = lsq.NewConventional(false, &s.ev)
 	case cfg.LSQ == config.LSQSVW && cfg.Model == config.ModelOoO:
-		s.scheme = lsq.NewConventional(true)
-		s.svwEng = svw.New(cfg.SSBFBits, cfg.SVW)
+		s.scheme = lsq.NewConventional(true, &s.ev)
+		s.svwEng = svw.New(cfg.SSBFBits, cfg.SVW, &s.ev)
 	case cfg.LSQ == config.LSQSVW:
-		s.scheme = core.New(&cfg, s.fab, s.hier.L1, banks, core.WithoutLoadQueue())
-		s.svwEng = svw.New(cfg.SSBFBits, cfg.SVW)
+		s.scheme = core.New(&cfg, s.fab, s.hier.L1, banks, &s.ev, core.WithoutLoadQueue())
+		s.svwEng = svw.New(cfg.SSBFBits, cfg.SVW, &s.ev)
 		s.storesMigrate = true
 	case cfg.LSQ == config.LSQELSQ:
-		s.scheme = core.New(&cfg, s.fab, s.hier.L1, banks)
+		s.scheme = core.New(&cfg, s.fab, s.hier.L1, banks, &s.ev)
 		s.storesMigrate = true
 	default:
 		return nil, fmt.Errorf("cpu: unsupported scheme %v on %v", cfg.LSQ, cfg.Model)
@@ -527,7 +501,7 @@ func (s *Sim) step(in *isa.Inst) {
 			// migration (the window fills behind it).
 			llExec = false
 			s.lastMigrate = max64(s.lastMigrate, addrReady)
-			*s.cRlacStall++
+			s.ev[stats.RLACStall]++
 		}
 	}
 	llActive := s.llBusyUntil > dispatch
@@ -572,13 +546,13 @@ func (s *Sim) step(in *isa.Inst) {
 			if stall > 0 {
 				migT += stall
 				s.lastMigrate = migT
-				*s.cMigrateStall += uint64(stall)
+				s.ev[stats.MigrateStallCycles] += uint64(stall)
 			}
 			if op.AddrReady > migT {
 				// Address resolves inside the LL-LSQ.
 				if s.scheme.AddrKnownInLL(op, op.AddrReady) {
 					// Line-ERT lock overflow: squash from this op.
-					*s.cLLSquash++
+					s.ev[stats.LLSquash]++
 					s.nextFetchMin = max64(s.nextFetchMin, op.AddrReady+int64(s.cfg.MispredictPenalty))
 				}
 			}
@@ -587,7 +561,7 @@ func (s *Sim) step(in *isa.Inst) {
 				// Restricted SAC: younger memory references may not
 				// migrate until this store's address resolves.
 				s.migBlockMem = max64(s.migBlockMem, op.AddrReady)
-				*s.cRsacStall++
+				s.ev[stats.RSACStall]++
 			}
 		}
 	}
@@ -607,7 +581,7 @@ func (s *Sim) step(in *isa.Inst) {
 		}
 		done = issueAt + lat
 		if in.Op == isa.OpBranch && in.Mispred {
-			*s.cMispredict++
+			s.ev[stats.Mispredict]++
 			s.injectWrongPath(dispatch+1, done)
 			s.nextFetchMin = max64(s.nextFetchMin, done+int64(s.cfg.MispredictPenalty))
 		}
@@ -637,8 +611,7 @@ func (s *Sim) step(in *isa.Inst) {
 			lvl := s.hier.Probe(op.Addr)
 			lat := int64(s.hier.Latency(lvl))
 			ct = port + lat
-			*s.cCache++
-			*s.aAccess[lvl]++
+			s.ev[levelAccess[lvl]]++
 			op.FwdMask = 0
 			op.ReadAt = port
 		}
@@ -652,8 +625,7 @@ func (s *Sim) step(in *isa.Inst) {
 		// In-order memory update at commit.
 		s.portsCal.Reserve(ct)
 		lvl, _ := s.hier.Access(op.Addr)
-		*s.cCache++
-		*s.aAccess[lvl]++
+		s.ev[levelAccess[lvl]]++
 		if s.svwEng != nil {
 			s.svwEng.StoreCommitted(op.Addr, op.Seq, ct)
 		}
@@ -742,14 +714,13 @@ func (s *Sim) execLoad(op *lsq.MemOp, llExec bool, epochV int64, migT int64) (do
 
 	res := s.scheme.LoadIssue(op, s.storeIx, issue)
 	if res.Squash {
-		*s.cLLSquash++
+		s.ev[stats.LLSquash]++
 		s.nextFetchMin = max64(s.nextFetchMin, issue+int64(s.cfg.MispredictPenalty))
 	}
 
 	level, lat := s.hier.Access(op.Addr)
-	*s.cCache++
-	*s.cLoadLevel[level]++
-	*s.aAccess[level]++
+	s.ev[levelLoad[level]]++
+	s.ev[levelAccess[level]]++
 	// Train the locality classifier with the committed outcome (the sweep
 	// is program-ordered, so this is commit-order training; wrong-path
 	// loads never reach it).
@@ -765,7 +736,7 @@ func (s *Sim) execLoad(op *lsq.MemOp, llExec bool, epochV int64, migT int64) (do
 		// cache (squash-and-refetch-free variant of the Power4 rule). The
 		// re-read observes every older store: stores commit in order, so
 		// all of them are in the cache by the youngest one's commit.
-		*s.cPartialForward++
+		s.ev[stats.PartialForward]++
 		op.ReadAt = max64(issue, res.PartialStore.Commit)
 		done = op.ReadAt + int64(s.cfg.L1.LatencyCycles) + 1
 	default:
@@ -802,7 +773,7 @@ func (s *Sim) execLoad(op *lsq.MemOp, llExec bool, epochV int64, migT int64) (do
 	for _, st := range cands {
 		if st.AddrReady > issue {
 			if repairAt == 0 {
-				*s.cViolation++
+				s.ev[stats.Violation]++
 				if s.svwEng == nil {
 					// The squash triggers when the oldest violating store
 					// (first in ascending age) resolves its address.
@@ -876,9 +847,8 @@ func (s *Sim) injectWrongPath(start, resolve int64) {
 			wp.Issued = issue
 			s.scheme.LoadIssue(wp, s.storeIx, issue)
 			lvl, _ := s.hier.Access(wp.Addr)
-			*s.cCache++
-			*s.aAccess[lvl]++
-			*s.cWpLoad++
+			s.ev[levelAccess[lvl]]++
+			s.ev[stats.WrongPathLoad]++
 		case isa.OpStore:
 			wp := &s.wpOp
 			*wp = lsq.MemOp{
@@ -887,9 +857,9 @@ func (s *Sim) injectWrongPath(start, resolve int64) {
 				Epoch: lsq.HLEpoch, Issued: d + 1,
 			}
 			s.scheme.StoreAddrReady(wp, nil, d+1)
-			*s.cWpStore++
+			s.ev[stats.WrongPathStore]++
 		default:
-			*s.cWpOther++
+			s.ev[stats.WrongPathOther]++
 		}
 	}
 }

@@ -177,7 +177,7 @@ func TestSVWReexecutions(t *testing.T) {
 		t.Errorf("CheckStores should filter re-executions: %d vs %d",
 			check8.Counters.Get("reexec"), blind8.Counters.Get("reexec"))
 	}
-	if blind8.Counters.Get("ssbf") == 0 {
+	if blind8.Counters.Get("ssbf_read")+blind8.Counters.Get("ssbf_write") == 0 {
 		t.Error("SSBF accesses not counted")
 	}
 }
@@ -204,7 +204,7 @@ func TestSVWWindowDependence(t *testing.T) {
 
 func TestTable2CounterPresence(t *testing.T) {
 	r := run(t, quickCfg(config.Default()), "gcc", 1)
-	for _, k := range []string{"hl_sq", "hl_lq", "ll_sq", "ert", "cache"} {
+	for _, k := range []string{"hl_sq", "hl_lq", "ll_sq", "ert", "l1_access"} {
 		if r.Counters.Get(k) == 0 {
 			t.Errorf("counter %s is zero on FMC-Hash gcc", k)
 		}

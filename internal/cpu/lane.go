@@ -138,25 +138,30 @@ func (l *Lane) Finish() *Result {
 		Committed: s.committed,
 		Cycles:    cycles,
 		IPC:       float64(s.committed) / float64(cycles),
-		Counters:  s.c,
 		LoadDist:  s.loadDist,
 		StoreDist: s.storeDist,
+		Activity:  new(stats.Counters),
 	}
-	res.Counters.Merge(s.scheme.Counters())
-	if s.svwEng != nil {
-		res.Counters.Merge(s.svwEng.Counters())
-		res.Counters.Add("ssbf", s.svwEng.SSBFAccesses())
-	}
+	// The fabric, the epoch manager and the SSBF keep their own totals;
+	// copy them into the tally alongside the events counted in place.
+	ev := &s.ev
 	fs := s.fab.Traffic().Sub(l.fabAtMeasure)
-	res.Counters.Add("noc_hops", fs.Hops)
-	// Counters that post-date the golden fixture are added only when
-	// non-zero, so default-config runs keep their exact counter set (Add
-	// makes a counter visible even at zero).
-	addNZ(res.Counters, "noc_link_wait", fs.LinkWaitCycles)
-	addNZ(res.Counters, "noc_bus_wait", fs.BusWaitCycles)
-	addNZ(res.Counters, "noc_migrate_flits", fs.MigrateFlits)
+	ev[stats.NoCHops] = fs.Hops
+	ev[stats.NoCOneWay] = fs.OneWays
+	ev[stats.NoCRoundTrip] = fs.RoundTrips
+	ev[stats.NoCMigrateFlit] = fs.MigrateFlits
+	ev[stats.NoCLinkWait] = fs.LinkWaitCycles
+	ev[stats.NoCBusWait] = fs.BusWaitCycles
+	if s.svwEng != nil {
+		ev[stats.SSBFRead] = s.svwEng.SSBFReads()
+		ev[stats.SSBFWrite] = s.svwEng.SSBFWrites()
+	}
 	if s.cfg.Model == config.ModelFMC {
-		addNZ(res.Counters, "place_steals", s.epochs.Steals)
+		ev[stats.EpochOpen] = s.epochs.Opened
+		ev[stats.EpochSteal] = s.epochs.Steals
+		ev[stats.EpochRelease] = s.epochs.Releases
+		ev[stats.MEIssue] = s.epochs.Issues
+		ev[stats.PlaceSteals] = s.epochs.Steals
 		res.LLIdleFrac = float64(s.llIdle) / float64(cycles)
 		// Mean allocated epochs over the cycles the MP is active (the
 		// paper's "when the Memory Processor is active, not necessarily
@@ -173,38 +178,7 @@ func (l *Lane) Finish() *Result {
 		}
 		res.BankPowerDownFrac = idle / float64(len(ba))
 	}
-	// Energy-accounting activity bag (internal/energy): the level-split
-	// cache accesses accumulated in s.act, plus per-source action counts
-	// read out here. Plain Add keeps the name set deterministic per
-	// configuration; the bag is excluded from golden and matrix digests.
-	res.Activity = s.act
-	// Classifier accuracy and table activity (internal/predict): the
-	// reactive policy keeps none, so default-config runs keep their exact
-	// counter set.
-	s.class.Flush(res.Counters, res.Activity)
-	if a, ok := s.scheme.(interface{ Activity() *stats.Counters }); ok {
-		res.Activity.Merge(a.Activity())
-	}
-	if s.svwEng != nil {
-		res.Activity.Add("ssbf_read", s.svwEng.SSBFReads())
-		res.Activity.Add("ssbf_write", s.svwEng.SSBFWrites())
-	}
-	res.Activity.Add("noc_oneway", fs.OneWays)
-	res.Activity.Add("noc_roundtrip", fs.RoundTrips)
-	res.Activity.Add("noc_migrate_flit", fs.MigrateFlits)
-	if s.epochs != nil {
-		res.Activity.Add("epoch_open", s.epochs.Opened)
-		res.Activity.Add("epoch_steal", s.epochs.Steals)
-		res.Activity.Add("epoch_release", s.epochs.Releases)
-		res.Activity.Add("me_issue", s.epochs.Issues)
-	}
+	s.class.Flush(ev)
+	res.Counters = &stats.Counters{Tally: *ev}
 	return res
-}
-
-// addNZ adds a counter only when the value is non-zero, keeping counters
-// that post-date the golden fixture out of runs that never exercise them.
-func addNZ(c *stats.Counters, name string, v uint64) {
-	if v != 0 {
-		c.Add(name, v)
-	}
 }

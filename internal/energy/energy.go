@@ -12,14 +12,11 @@
 // to other capacities with a square-root rule; they are order-of-magnitude
 // estimates for comparing schemes, not sign-off numbers.
 //
-// Activity flows in from two counter bags with distinct identity contracts:
-// Result.Counters (the legacy bag, pinned bit-for-bit by golden fixtures
-// and matrix digests) and Result.Activity (energy-only counters added by
-// this subsystem, excluded from both digests so the model could land
-// without perturbing any baseline). The Actions registry records which bag
-// each action reads from; Compute fails loudly when an action counted
-// events for a structure the configuration does not instantiate, so
-// activity can never leak out of the accounting.
+// The actions are the priced entries of the stats event table: each names
+// the structure its events are charged to and how one event is priced
+// (stats.Kind), and its count is read from Result.Counters. Compute fails
+// loudly when a priced event fired for a structure the configuration does
+// not instantiate, so activity can never leak out of the accounting.
 package energy
 
 import (
@@ -31,6 +28,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/cpu"
+	"repro/internal/stats"
 )
 
 // Capacity anchors for the square-root access-energy scaling rule: the
@@ -266,83 +264,6 @@ func structuresFor(cfg *config.Config) []structure {
 	return out
 }
 
-// actKind selects which table coefficient prices one event of an action.
-type actKind uint8
-
-const (
-	actAccess actKind = iota
-	actWrite
-	actControl
-	actHop
-	actOneWay
-	actRoundTrip
-	actFlit
-	actMem
-)
-
-// Action maps one activity counter to the structure whose events it counts.
-type Action struct {
-	// Name is the counter name; Structure the accounted structure.
-	Name      string
-	Structure string
-	// FromActivity selects the counter bag: Result.Activity (energy-only
-	// counters) when true, the digest-pinned Result.Counters when false.
-	FromActivity bool
-
-	kind actKind
-}
-
-// Actions returns the full action registry: every counter the energy model
-// maps, with its source bag and target structure. The counter-liveness test
-// certifies each entry is exercised by at least one tier-1 run.
-//
-// Deliberately unmapped counters, to keep the accounting single-entry: the
-// svw "reexec" re-execution already pays its cache access through
-// l1/l2/mem_access; the scheme "roundtrip" tally mirrors bus trips that the
-// fabric's own traffic accounting prices via noc_roundtrip; the legacy
-// "ssbf" total is the sum of the ssbf_read/ssbf_write split mapped here.
-func Actions() []Action {
-	return []Action{
-		{Name: "hl_sq", Structure: "hl_sq", kind: actAccess},
-		{Name: "hl_lq", Structure: "hl_lq", kind: actAccess},
-		{Name: "ll_sq", Structure: "ll_lsq", kind: actAccess},
-		{Name: "ll_lq", Structure: "ll_lsq", kind: actAccess},
-		{Name: "ert", Structure: "ert", kind: actAccess},
-		{Name: "ert_insert", Structure: "ert", FromActivity: true, kind: actWrite},
-		{Name: "sqm_search", Structure: "sqm", kind: actAccess},
-		{Name: "sqm_update", Structure: "sqm", kind: actWrite},
-		{Name: "ssbf_read", Structure: "ssbf", FromActivity: true, kind: actAccess},
-		{Name: "ssbf_write", Structure: "ssbf", FromActivity: true, kind: actWrite},
-		{Name: "pred_read", Structure: "pred", FromActivity: true, kind: actAccess},
-		{Name: "pred_write", Structure: "pred", FromActivity: true, kind: actWrite},
-		{Name: "l1_access", Structure: "l1", FromActivity: true, kind: actAccess},
-		{Name: "l2_access", Structure: "l2", FromActivity: true, kind: actAccess},
-		{Name: "mem_access", Structure: "mem_if", FromActivity: true, kind: actMem},
-		{Name: "epoch_open", Structure: "fmc", FromActivity: true, kind: actControl},
-		{Name: "epoch_steal", Structure: "fmc", FromActivity: true, kind: actControl},
-		{Name: "epoch_release", Structure: "fmc", FromActivity: true, kind: actControl},
-		{Name: "me_issue", Structure: "fmc", FromActivity: true, kind: actControl},
-		{Name: "noc_hops", Structure: "noc", kind: actHop},
-		{Name: "noc_oneway", Structure: "noc", FromActivity: true, kind: actOneWay},
-		{Name: "noc_roundtrip", Structure: "noc", FromActivity: true, kind: actRoundTrip},
-		{Name: "noc_migrate_flit", Structure: "noc", FromActivity: true, kind: actFlit},
-	}
-}
-
-// Count reads an action's observed event count from the result.
-func Count(res *cpu.Result, a Action) uint64 {
-	if a.FromActivity {
-		if res.Activity == nil {
-			return 0
-		}
-		return res.Activity.Get(a.Name)
-	}
-	if res.Counters == nil {
-		return 0
-	}
-	return res.Counters.Get(a.Name)
-}
-
 // accessPJ is the per-access read/search energy of a structure under a
 // table: the class anchor scaled by sqrt of the accessed capacity ratio.
 func accessPJ(t *Table, s *structure) float64 {
@@ -361,23 +282,23 @@ func accessPJ(t *Table, s *structure) float64 {
 }
 
 // eventPJ prices one event of kind k on structure s.
-func eventPJ(t *Table, s *structure, k actKind) float64 {
+func eventPJ(t *Table, s *structure, k stats.Kind) float64 {
 	switch k {
-	case actAccess:
+	case stats.KindAccess:
 		return accessPJ(t, s)
-	case actWrite:
+	case stats.KindWrite:
 		return accessPJ(t, s) * t.WriteFactor
-	case actControl:
+	case stats.KindControl:
 		return t.ControlPJ
-	case actHop:
+	case stats.KindHop:
 		return t.HopPJ
-	case actOneWay:
+	case stats.KindOneWay:
 		return t.OneWayPJ
-	case actRoundTrip:
+	case stats.KindRoundTrip:
 		return t.RoundTripPJ
-	case actFlit:
+	case stats.KindFlit:
 		return t.FlitPJ
-	case actMem:
+	case stats.KindMem:
 		return t.MemAccessPJ
 	}
 	return 0
@@ -436,8 +357,12 @@ func Compute(cfg *config.Config, res *cpu.Result) (*Report, error) {
 	for i := range structs {
 		rep.Structures[i].Name = structs[i].name
 	}
-	for _, a := range Actions() {
-		n := Count(res, a)
+	for e := range stats.NumEvents {
+		a := e.Info()
+		if a.Kind == stats.Unpriced {
+			continue
+		}
+		n := res.Counters.Tally[e]
 		i, ok := index[a.Structure]
 		if !ok {
 			if n != 0 {
@@ -451,7 +376,7 @@ func Compute(cfg *config.Config, res *cpu.Result) (*Report, error) {
 			sr.Actions = make(map[string]uint64)
 		}
 		sr.Actions[a.Name] = n
-		sr.DynamicPJ += float64(n) * eventPJ(t, &structs[i], a.kind)
+		sr.DynamicPJ += float64(n) * eventPJ(t, &structs[i], a.Kind)
 	}
 	cycles := float64(res.Cycles)
 	for i := range structs {

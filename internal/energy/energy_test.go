@@ -1,7 +1,7 @@
 // Tests for the activity-energy model: table lookup, the accounting
 // identity (totals == structure sums), activity-independence of area, the
-// unaccounted-activity guard, and the counter-liveness registry property
-// certifying every mapped action fires in at least one tier-1 run.
+// unaccounted-activity guard, and the counter-liveness property certifying
+// every priced event fires in at least one tier-1 run.
 //
 // The package is tested externally because the runs come through
 // internal/simrun, which itself imports internal/energy.
@@ -86,13 +86,6 @@ func TestAccountingIdentity(t *testing.T) {
 		t.Errorf("degenerate report: table %q total %g pJ area %g mm2 %g pJ/inst",
 			rep.Table, rep.TotalPJ, rep.TotalAreaMM2, rep.PJPerInst)
 	}
-	// The cache-level activity split must conserve the legacy digest-pinned
-	// total: every "cache" access lands in exactly one level bucket.
-	res := out.Result
-	split := res.Activity.Get("l1_access") + res.Activity.Get("l2_access") + res.Activity.Get("mem_access")
-	if cache := res.Counters.Get("cache"); split != cache {
-		t.Errorf("cache-level split %d != legacy cache counter %d", split, cache)
-	}
 }
 
 // TestAreaIndependentOfActivity recomputes the report for the same run with
@@ -102,8 +95,7 @@ func TestAreaIndependentOfActivity(t *testing.T) {
 	cfg, out := runPoint(t, quickCfg(nil), "swim")
 	live := out.Energy
 	idle := &cpu.Result{
-		Counters:         stats.NewCounters(),
-		Activity:         stats.NewCounters(),
+		Counters:         new(stats.Counters),
 		Committed:        out.Result.Committed,
 		Cycles:           out.Result.Cycles,
 		BankActiveCycles: out.Result.BankActiveCycles,
@@ -158,8 +150,8 @@ func TestDigestStability(t *testing.T) {
 // configuration does not instantiate must fail loudly, not vanish.
 func TestUnaccountedActivity(t *testing.T) {
 	cfg := config.OoO64().WithBudget(testMeasure, testWarmup)
-	res := &cpu.Result{Counters: stats.NewCounters(), Activity: stats.NewCounters(), Committed: 1, Cycles: 1}
-	res.Activity.Add("epoch_open", 1) // fmc structure absent under OoO
+	res := &cpu.Result{Counters: new(stats.Counters), Committed: 1, Cycles: 1}
+	res.Counters.Tally[stats.EpochOpen] = 1 // fmc structure absent under OoO
 	if _, err := energy.Compute(&cfg, res); err == nil {
 		t.Fatal("epoch activity under OoO accounted silently, want error")
 	} else if !strings.Contains(err.Error(), "epoch_open") {
@@ -176,8 +168,8 @@ func TestBadTableSurfacesFromRun(t *testing.T) {
 	}
 }
 
-// TestActionLiveness is the counter-liveness registry property: every
-// action the energy table maps must be incremented by at least one of these
+// TestActionLiveness is the counter-liveness property: every priced event
+// of the stats table must be incremented by at least one of these
 // tier-1 runs, so a counter can never silently decouple from the hot path
 // it claims to measure.
 func TestActionLiveness(t *testing.T) {
@@ -210,18 +202,18 @@ func TestActionLiveness(t *testing.T) {
 			c.NumEpochs = 4
 		}), "mcf"},
 	}
-	union := make(map[string]uint64)
+	var union stats.Tally
 	for _, p := range points {
 		_, out := runPoint(t, p.cfg, p.bench)
-		for _, a := range energy.Actions() {
-			union[a.Name] += energy.Count(out.Result, a)
+		for e, n := range out.Result.Counters.Tally {
+			union[e] += n
 		}
 		if err := out.Energy.Check(); err != nil {
 			t.Errorf("%s: %v", p.name, err)
 		}
 	}
-	for _, a := range energy.Actions() {
-		if union[a.Name] == 0 {
+	for e := range stats.NumEvents {
+		if a := e.Info(); a.Kind != stats.Unpriced && union[e] == 0 {
 			t.Errorf("action %s (structure %s) never fired across the liveness matrix", a.Name, a.Structure)
 		}
 	}

@@ -37,7 +37,7 @@ func Energy(opt Options) (string, error) {
 		for ci, cfg := range cfgs {
 			sr := runs[ci][suite]
 			ert := sr.counterMeanMillions("ert") * 1e6 * ERTReadNJ * 1e-6 // nJ -> mJ
-			l1 := sr.counterMeanMillions("cache") * 1e6 * L1ReadNJ * 1e-6 //
+			l1 := sr.counterMeanMillions(cacheAccesses...) * 1e6 * L1ReadNJ * 1e-6
 			fmt.Fprintf(&b, "  %-16s ERT %7.3f   cache %8.3f\n", cfg.Name(), ert, l1)
 		}
 		b.WriteString("\n")
@@ -49,7 +49,7 @@ func Energy(opt Options) (string, error) {
 		rsac := runs[rsacIdx][suite]
 		fmt.Fprintf(&b, "%s RSAC vs SVW: cache %+.1f%%, roundtrips %+.1f%%, LL-SQ %+.1f%%, IPC %+.1f%%\n",
 			suite,
-			100*(rsac.counterMeanMillions("cache")/svw.counterMeanMillions("cache")-1),
+			100*(rsac.counterMeanMillions(cacheAccesses...)/svw.counterMeanMillions(cacheAccesses...)-1),
 			relOrZero(rsac.counterMeanMillions("roundtrip"), svw.counterMeanMillions("roundtrip")),
 			relOrZero(rsac.counterMeanMillions("ll_sq"), svw.counterMeanMillions("ll_sq")),
 			100*(rsac.meanIPC()/svw.meanIPC()-1))

@@ -132,13 +132,18 @@ func (sr *suiteRun) meanRelIPC(base *suiteRun) float64 {
 	return s / float64(len(sr.results))
 }
 
-// counterMean returns the suite-mean of a counter normalised to events per
-// 100M committed instructions, expressed in millions (the paper's Table 2
-// unit).
-func (sr *suiteRun) counterMeanMillions(name string) float64 {
+// counterMeanMillions returns the suite-mean of the named counters' sum
+// normalised to events per 100M committed instructions, expressed in
+// millions (the paper's Table 2 unit). Each run's counts are summed as
+// integers before the conversion.
+func (sr *suiteRun) counterMeanMillions(names ...string) float64 {
 	var s float64
 	for _, r := range sr.results {
-		s += float64(r.Counters.Get(name)) / float64(r.Committed) * 1e8 / 1e6
+		var n uint64
+		for _, name := range names {
+			n += r.Counters.Get(name)
+		}
+		s += float64(n) / float64(r.Committed) * 1e8 / 1e6
 	}
 	return s / float64(len(sr.results))
 }

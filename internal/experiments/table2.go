@@ -8,6 +8,14 @@ import (
 	"repro/internal/workload"
 )
 
+// cacheAccesses and ssbfAccesses are the counters whose sum is Table 2's
+// Cache and SSBF column: every timed data-cache access by the level that
+// satisfied it, and every SSBF read and write.
+var (
+	cacheAccesses = []string{"l1_access", "l2_access", "mem_access"}
+	ssbfAccesses  = []string{"ssbf_read", "ssbf_write"}
+)
+
 // table2Configs returns the six Table 2 rows in paper order.
 func table2Configs() []config.Config {
 	mkFMC := func(mut func(*config.Config)) config.Config {
@@ -51,11 +59,11 @@ func Table2(opt Options) (string, error) {
 	}
 	cols := []struct {
 		name string
-		key  string
+		keys []string // summed
 	}{
-		{"HL-LQ", "hl_lq"}, {"HL-SQ", "hl_sq"}, {"LL-LQ", "ll_lq"},
-		{"LL-SQ", "ll_sq"}, {"ERT", "ert"}, {"SSBF", "ssbf"},
-		{"RndTrip", "roundtrip"}, {"Cache", "cache"},
+		{"HL-LQ", []string{"hl_lq"}}, {"HL-SQ", []string{"hl_sq"}}, {"LL-LQ", []string{"ll_lq"}},
+		{"LL-SQ", []string{"ll_sq"}}, {"ERT", []string{"ert"}}, {"SSBF", ssbfAccesses},
+		{"RndTrip", []string{"roundtrip"}}, {"Cache", cacheAccesses},
 	}
 	var b strings.Builder
 	b.WriteString("Table 2: accesses to LSQ components (millions per 100M insts)\n")
@@ -71,7 +79,7 @@ func Table2(opt Options) (string, error) {
 			sr := runs[ci][suite]
 			fmt.Fprintf(&b, "  %-16s", cfg.Name())
 			for _, c := range cols {
-				fmt.Fprintf(&b, "%9.3f", sr.counterMeanMillions(c.key))
+				fmt.Fprintf(&b, "%9.3f", sr.counterMeanMillions(c.keys...))
 			}
 			fmt.Fprintf(&b, "%9.3f\n", sr.meanIPC()/base)
 		}

@@ -11,19 +11,14 @@ import (
 // never filters, stalls, or overflows.
 type Central struct {
 	fab noc.Fabric
-	c   *stats.Counters
-
-	cHLSQ, cHLLQ, cRoundtrip *uint64
+	ev  *stats.Tally
 }
 
 // NewCentral builds the idealised queue over the given interconnect fabric
-// (searches from the Memory Processor pay its CP<->MP round trip).
-func NewCentral(fab noc.Fabric) *Central {
-	s := &Central{fab: fab, c: stats.NewCounters()}
-	s.cHLSQ = s.c.Handle("hl_sq")
-	s.cHLLQ = s.c.Handle("hl_lq")
-	s.cRoundtrip = s.c.Handle("roundtrip")
-	return s
+// (searches from the Memory Processor pay its CP<->MP round trip), counting
+// its searches into ev.
+func NewCentral(fab noc.Fabric, ev *stats.Tally) *Central {
+	return &Central{fab: fab, ev: ev}
 }
 
 // Name implements Scheme.
@@ -32,11 +27,11 @@ func (s *Central) Name() string { return "central" }
 // LoadIssue implements Scheme: one single-cycle search of the whole window;
 // MP-resident loads pay a bus round trip.
 func (s *Central) LoadIssue(ld *MemOp, ix *StoreIndex, t int64) LoadResult {
-	*s.cHLSQ++ // the central queue is counted as the HL structure
+	s.ev[stats.HLSQ]++ // the central queue is counted as the HL structure
 	var extra int64
 	if ld.LowLoc {
 		extra = s.fab.BusRoundTrip(t) - t
-		*s.cRoundtrip++
+		s.ev[stats.RoundTrip]++
 	}
 	match, _ := FindForward(ld, ix.Candidates(ld, t), t)
 	ld.UnresolvedOlderStore = ix.Unresolved(ld, t)
@@ -47,9 +42,9 @@ func (s *Central) LoadIssue(ld *MemOp, ix *StoreIndex, t int64) LoadResult {
 
 // StoreAddrReady implements Scheme.
 func (s *Central) StoreAddrReady(st *MemOp, younger []*MemOp, t int64) StoreResult {
-	*s.cHLLQ++
+	s.ev[stats.HLLQ]++
 	if st.LowLoc {
-		*s.cRoundtrip++
+		s.ev[stats.RoundTrip]++
 	}
 	if ld := FindViolation(st, younger, t); ld != nil {
 		return StoreResult{Violation: true, ViolatingLoad: ld}
@@ -69,9 +64,6 @@ func (s *Central) EpochCommitted(epoch int, t int64) {}
 // EpochSquashed implements Scheme.
 func (s *Central) EpochSquashed(epoch int) {}
 
-// Counters implements Scheme.
-func (s *Central) Counters() *stats.Counters { return s.c }
-
 // Conventional is the finite age-indexed CAM LSQ of the OoO-64 baseline:
 // every load searches the store queue, every store searches the load queue,
 // both at single-cycle latency. Capacity back-pressure is enforced by the
@@ -81,17 +73,13 @@ func (s *Central) Counters() *stats.Counters { return s.c }
 type Conventional struct {
 	// NoLQ removes the associative load queue (SVW composition).
 	NoLQ bool
-	c    *stats.Counters
-
-	cHLSQ, cHLLQ *uint64
+	ev   *stats.Tally
 }
 
-// NewConventional builds the OoO-64 queue model.
-func NewConventional(noLQ bool) *Conventional {
-	s := &Conventional{NoLQ: noLQ, c: stats.NewCounters()}
-	s.cHLSQ = s.c.Handle("hl_sq")
-	s.cHLLQ = s.c.Handle("hl_lq")
-	return s
+// NewConventional builds the OoO-64 queue model, counting its searches
+// into ev.
+func NewConventional(noLQ bool, ev *stats.Tally) *Conventional {
+	return &Conventional{NoLQ: noLQ, ev: ev}
 }
 
 // Name implements Scheme.
@@ -104,7 +92,7 @@ func (s *Conventional) Name() string {
 
 // LoadIssue implements Scheme.
 func (s *Conventional) LoadIssue(ld *MemOp, ix *StoreIndex, t int64) LoadResult {
-	*s.cHLSQ++
+	s.ev[stats.HLSQ]++
 	match, _ := FindForward(ld, ix.Candidates(ld, t), t)
 	ld.UnresolvedOlderStore = ix.Unresolved(ld, t)
 	return Resolve(ld, match, t)
@@ -115,7 +103,7 @@ func (s *Conventional) StoreAddrReady(st *MemOp, younger []*MemOp, t int64) Stor
 	if s.NoLQ {
 		return StoreResult{} // violations caught by commit-time re-execution
 	}
-	*s.cHLLQ++
+	s.ev[stats.HLLQ]++
 	if ld := FindViolation(st, younger, t); ld != nil {
 		return StoreResult{Violation: true, ViolatingLoad: ld}
 	}
@@ -133,6 +121,3 @@ func (s *Conventional) EpochCommitted(epoch int, t int64) {}
 
 // EpochSquashed implements Scheme.
 func (s *Conventional) EpochSquashed(epoch int) {}
-
-// Counters implements Scheme.
-func (s *Conventional) Counters() *stats.Counters { return s.c }

@@ -7,10 +7,7 @@
 // baseline composes with either in package svw.
 package lsq
 
-import (
-	"repro/internal/isa"
-	"repro/internal/stats"
-)
+import "repro/internal/isa"
 
 // HLEpoch marks a memory operation that lives in the high-locality queues
 // (never migrated to a memory engine).
@@ -126,8 +123,8 @@ type StoreResult struct {
 
 // Scheme is the LSQ organisation under test. The pipeline model invokes the
 // hooks in program-order processing; implementations update their structures
-// and account every search in the shared counter bag using the Table 2
-// column names ("hl_lq", "hl_sq", "ll_lq", "ll_sq", "ert", "roundtrip").
+// and count every search into the lane's stats.Tally under the Table 2
+// column events (stats.HLLQ, HLSQ, LLLQ, LLSQ, ERT, RoundTrip).
 type Scheme interface {
 	// Name identifies the scheme for reports.
 	Name() string
@@ -161,9 +158,6 @@ type Scheme interface {
 	// EpochSquashed is called when an epoch's state is discarded on
 	// recovery.
 	EpochSquashed(epoch int)
-
-	// Counters exposes the scheme's event counts.
-	Counters() *stats.Counters
 }
 
 // FindForward scans olderStores (ascending age) for the youngest store with

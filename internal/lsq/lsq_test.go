@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/noc"
+	"repro/internal/stats"
 )
 
 func st(seq uint64, addr uint64, size uint8, addrReady, dataReady, commit int64) *MemOp {
@@ -213,7 +214,8 @@ func TestStoreIndexCandidatesProperty(t *testing.T) {
 }
 
 func TestCentralScheme(t *testing.T) {
-	s := NewCentral(noc.NewAnalytic(4, 4, 1, 4))
+	var ev stats.Tally
+	s := NewCentral(noc.NewAnalytic(4, 4, 1, 4), &ev)
 	if s.Name() != "central" {
 		t.Error("name wrong")
 	}
@@ -232,10 +234,10 @@ func TestCentralScheme(t *testing.T) {
 	if r.ExtraLatency != 8 {
 		t.Errorf("LL central extra = %d, want 8", r.ExtraLatency)
 	}
-	if s.Counters().Get("roundtrip") != 1 {
+	if ev[stats.RoundTrip] != 1 {
 		t.Error("roundtrip not counted")
 	}
-	if s.Counters().Get("hl_sq") != 2 {
+	if ev[stats.HLSQ] != 2 {
 		t.Error("searches not counted")
 	}
 	// No-op hooks must not blow up.
@@ -247,7 +249,8 @@ func TestCentralScheme(t *testing.T) {
 }
 
 func TestConventionalScheme(t *testing.T) {
-	s := NewConventional(false)
+	var ev, nolqEv stats.Tally
+	s := NewConventional(false, &ev)
 	ix := NewStoreIndex()
 	stv := st(5, 100, 8, 60, 60, 0)
 	ix.Add(stv)
@@ -256,11 +259,11 @@ func TestConventionalScheme(t *testing.T) {
 	if !r.Violation || r.ViolatingLoad.Seq != 7 {
 		t.Errorf("violation missed: %+v", r)
 	}
-	if s.Counters().Get("hl_lq") != 1 {
+	if ev[stats.HLLQ] != 1 {
 		t.Error("LQ search not counted")
 	}
 	// The SVW composition removes the load queue.
-	nolq := NewConventional(true)
+	nolq := NewConventional(true, &nolqEv)
 	if nolq.Name() != "conventional-svw" {
 		t.Error("name wrong")
 	}
@@ -268,7 +271,7 @@ func TestConventionalScheme(t *testing.T) {
 	if r.Violation {
 		t.Error("NoLQ scheme performed a violation search")
 	}
-	if nolq.Counters().Get("hl_lq") != 0 {
+	if nolqEv[stats.HLLQ] != 0 {
 		t.Error("NoLQ counted an LQ search")
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/oracle"
+	"repro/internal/stats"
 )
 
 const (
@@ -78,12 +79,12 @@ func schemesUnderTest() []schemeUnderTest {
 				mut(&cfg)
 			}
 			l1 := mem.NewCache(cfg.L1)
-			return core.New(&cfg, noc.NewAnalytic(4, 4, cfg.MeshHop, cfg.BusOneWay), l1, nil)
+			return core.New(&cfg, noc.NewAnalytic(4, 4, cfg.MeshHop, cfg.BusOneWay), l1, nil, new(stats.Tally))
 		}
 	}
 	return []schemeUnderTest{
-		{"central", func() lsq.Scheme { return lsq.NewCentral(noc.NewAnalytic(4, 4, 1, 4)) }},
-		{"conventional", func() lsq.Scheme { return lsq.NewConventional(false) }},
+		{"central", func() lsq.Scheme { return lsq.NewCentral(noc.NewAnalytic(4, 4, 1, 4), new(stats.Tally)) }},
+		{"conventional", func() lsq.Scheme { return lsq.NewConventional(false, new(stats.Tally)) }},
 		{"elsq-hash", elsq(nil)},
 		{"elsq-line", elsq(func(c *config.Config) { c.ERT = config.ERTLine })},
 	}

@@ -60,11 +60,10 @@ type Classifier interface {
 	// latency. Called once per committed load, after the LowLocality call
 	// for the same instruction.
 	ObserveLoad(addr uint64, level mem.Level, latency int64)
-	// Flush adds the policy's accuracy counters to c and its table-activity
-	// counts to act (internal/energy prices them against the "pred"
-	// structure). The reactive policy keeps no counters, so default-config
-	// runs keep their exact visible counter set.
-	Flush(c, act *stats.Counters)
+	// Flush adds the policy's accuracy counts and its table reads and
+	// writes (which internal/energy prices against the "pred" structure)
+	// to ev. The reactive policy keeps no counts.
+	Flush(ev *stats.Tally)
 }
 
 // TableWords returns how many uint64 words of predictor-table state the
@@ -136,8 +135,8 @@ func (r *reactive) LowLocality(q *Query) bool {
 // ObserveLoad implements Classifier (no training state).
 func (r *reactive) ObserveLoad(uint64, mem.Level, int64) {}
 
-// Flush implements Classifier (no counters).
-func (r *reactive) Flush(*stats.Counters, *stats.Counters) {}
+// Flush implements Classifier (no counts).
+func (r *reactive) Flush(*stats.Tally) {}
 
 // table is the shared tagged direct-mapped predictor array: one 64-bit word
 // per entry holding a valid bit, a 32-bit line tag and a 16-bit payload the
@@ -149,16 +148,15 @@ type table struct {
 	shift   uint // address -> line index
 	idxBits uint // line -> table index width
 
-	// Hot-path event tallies, read out once by Flush.
-	reads, writes   uint64 // table lookups / training updates (activity bag)
-	hits, misses    uint64 // prediction outcome per trained load
-	predLL, falseLL uint64 // prediction-driven LL calls / ones that hit in cache
-
 	// lastPred and lastCausedLL carry the most recent load's dispatch-time
 	// prediction to its ObserveLoad call (the sweep is program-ordered, so
 	// the pairing is exact).
 	lastPred     bool
 	lastCausedLL bool
+
+	// ev counts the table's lookups and training updates and each trained
+	// load's prediction outcome; Flush adds it to the lane's tally.
+	ev stats.Tally
 }
 
 const (
@@ -189,24 +187,26 @@ func (t *table) store(addr uint64, payload uint64) {
 	t.entries[idx] = entryValid | tag<<16 | payload&payloadMax
 }
 
-// flush empties the tallies into the result bags. Accuracy counters ride
-// the digest-pinned Counters bag but only non-zero (the addNZ convention
-// for counters post-dating the golden fixture); the read/write activity
-// feeds the energy model's "pred" structure.
-func (t *table) flush(c, act *stats.Counters) {
-	nz := func(name string, v uint64) {
-		if v != 0 {
-			c.Add(name, v)
-		}
+// Flush implements Classifier for the table policies.
+func (t *table) Flush(ev *stats.Tally) {
+	for e, n := range t.ev {
+		ev[e] += n
 	}
-	nz("pred_hit", t.hits)
-	nz("pred_miss", t.misses)
-	nz("pred_ll", t.predLL)
-	nz("pred_false_ll", t.falseLL)
-	if t.reads != 0 || t.writes != 0 {
-		act.Add("pred_read", t.reads)
-		act.Add("pred_write", t.writes)
+}
+
+// score tallies the observed load's dispatch-time prediction against the
+// level that satisfied it, and reports whether that level was memory.
+func (t *table) score(level mem.Level) (wentMem bool) {
+	wentMem = level == mem.LevelMem
+	if t.lastPred == wentMem {
+		t.ev[stats.PredHit]++
+	} else {
+		t.ev[stats.PredMiss]++
 	}
+	if t.lastCausedLL && !wentMem {
+		t.ev[stats.PredFalseLL]++
+	}
+	return wentMem
 }
 
 // cachelevel predicts the hierarchy level that will satisfy each load from
@@ -231,13 +231,13 @@ func (p *cachelevel) LowLocality(q *Query) bool {
 	if !isLoad {
 		return base
 	}
-	p.reads++
+	p.ev[stats.PredRead]++
 	sat, ok := p.lookup(q.In.Addr)
 	predMem := ok && sat >= 2
 	p.lastPred = predMem
 	p.lastCausedLL = predMem && !base
 	if p.lastCausedLL {
-		p.predLL++
+		p.ev[stats.PredLL]++
 	}
 	return base || predMem
 }
@@ -245,15 +245,7 @@ func (p *cachelevel) LowLocality(q *Query) bool {
 // ObserveLoad implements Classifier: bump the line's saturating counter
 // toward "memory" on a memory-level access, away otherwise.
 func (p *cachelevel) ObserveLoad(addr uint64, level mem.Level, _ int64) {
-	wentMem := level == mem.LevelMem
-	if p.lastPred == wentMem {
-		p.hits++
-	} else {
-		p.misses++
-	}
-	if p.lastCausedLL && !wentMem {
-		p.falseLL++
-	}
+	wentMem := p.score(level)
 	sat, ok := p.lookup(addr)
 	switch {
 	case !ok:
@@ -268,12 +260,9 @@ func (p *cachelevel) ObserveLoad(addr uint64, level mem.Level, _ int64) {
 	case !wentMem && sat > 0:
 		sat--
 	}
-	p.writes++
+	p.ev[stats.PredWrite]++
 	p.store(addr, sat)
 }
-
-// Flush implements Classifier.
-func (p *cachelevel) Flush(c, act *stats.Counters) { p.flush(c, act) }
 
 // delaytrack keeps a per-line exponential moving average of observed load
 // access latency and classifies a load low-locality when its readiness
@@ -299,13 +288,13 @@ func (p *delaytrack) LowLocality(q *Query) bool {
 	if !isLoad {
 		return base
 	}
-	p.reads++
+	p.ev[stats.PredRead]++
 	est, _ := p.lookup(q.In.Addr)
 	pred := slack+int64(est) > p.threshold
 	p.lastPred = pred
 	p.lastCausedLL = pred && !base
 	if p.lastCausedLL {
-		p.predLL++
+		p.ev[stats.PredLL]++
 	}
 	return pred
 }
@@ -313,15 +302,7 @@ func (p *delaytrack) LowLocality(q *Query) bool {
 // ObserveLoad implements Classifier: fold the observed latency into the
 // line's delay estimate (3/4 old + 1/4 new, clamped to the payload width).
 func (p *delaytrack) ObserveLoad(addr uint64, level mem.Level, latency int64) {
-	wentMem := level == mem.LevelMem
-	if p.lastPred == wentMem {
-		p.hits++
-	} else {
-		p.misses++
-	}
-	if p.lastCausedLL && !wentMem {
-		p.falseLL++
-	}
+	p.score(level)
 	if latency < 0 {
 		latency = 0
 	}
@@ -333,9 +314,6 @@ func (p *delaytrack) ObserveLoad(addr uint64, level mem.Level, latency int64) {
 	if next > payloadMax {
 		next = payloadMax
 	}
-	p.writes++
+	p.ev[stats.PredWrite]++
 	p.store(addr, next)
 }
-
-// Flush implements Classifier.
-func (p *delaytrack) Flush(c, act *stats.Counters) { p.flush(c, act) }

@@ -84,10 +84,10 @@ func TestReactiveRule(t *testing.T) {
 	if c.LowLocality(loadQ(0x1000, 100, 100)) {
 		t.Error("load consulted Ready instead of AddrReady")
 	}
-	cnt, act := stats.NewCounters(), stats.NewCounters()
-	c.Flush(cnt, act)
-	if len(cnt.Names())+len(act.Names()) != 0 {
-		t.Errorf("reactive flushed counters: %v / %v", cnt.Names(), act.Names())
+	var ev stats.Tally
+	c.Flush(&ev)
+	if ev != (stats.Tally{}) {
+		t.Errorf("reactive flushed counts: %v", (&stats.Counters{Tally: ev}).Names())
 	}
 }
 
@@ -122,13 +122,13 @@ func TestCacheLevelLearnsMissingLine(t *testing.T) {
 		t.Fatal("slack past threshold stayed HL under a cache-hit prediction")
 	}
 
-	cnt, act := stats.NewCounters(), stats.NewCounters()
-	c.Flush(cnt, act)
-	if cnt.Get("pred_hit") == 0 || cnt.Get("pred_miss") == 0 {
-		t.Errorf("accuracy tallies missing: hit=%d miss=%d", cnt.Get("pred_hit"), cnt.Get("pred_miss"))
+	var ev stats.Tally
+	c.Flush(&ev)
+	if ev[stats.PredHit] == 0 || ev[stats.PredMiss] == 0 {
+		t.Errorf("accuracy tallies missing: hit=%d miss=%d", ev[stats.PredHit], ev[stats.PredMiss])
 	}
-	if act.Get("pred_read") == 0 || act.Get("pred_write") == 0 {
-		t.Errorf("table activity missing: read=%d write=%d", act.Get("pred_read"), act.Get("pred_write"))
+	if ev[stats.PredRead] == 0 || ev[stats.PredWrite] == 0 {
+		t.Errorf("table activity missing: read=%d write=%d", ev[stats.PredRead], ev[stats.PredWrite])
 	}
 }
 

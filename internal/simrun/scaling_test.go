@@ -69,7 +69,7 @@ func TestEngineScalingContendedSeparation(t *testing.T) {
 			case config.PlaceLeastLoaded:
 				// The migration-heavy policy must show mesh queueing and
 				// real state movement.
-				if cc["noc_link_wait"] == 0 || cc["noc_migrate_flits"] == 0 || cc["place_steals"] == 0 {
+				if cc["noc_link_wait"] == 0 || cc["noc_migrate_flit"] == 0 || cc["place_steals"] == 0 {
 					t.Errorf("n=%d leastloaded: missing contention evidence: %v", n, cc)
 				}
 				llDelta[n] = cont.Cycles - free.Cycles

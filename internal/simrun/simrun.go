@@ -37,17 +37,6 @@ import (
 	"repro/internal/workload"
 )
 
-// Sample overrides the point's sampling plan: Intervals measurement
-// intervals separated by BleedInsts functional instructions
-// (config.Config.SampleIntervals / SampleBleedInsts).
-type Sample struct {
-	// Intervals is the number of measurement intervals (>1 enables
-	// sampling).
-	Intervals int
-	// BleedInsts is the functional fast-forward between intervals.
-	BleedInsts uint64
-}
-
 // Point describes one simulation completely: what to run, from what warm
 // state, and what to attach to it. The zero value of every optional field
 // means "off".
@@ -76,8 +65,6 @@ type Point struct {
 	// Observer, when non-nil, is attached to the committed memory-op
 	// stream. Mutually exclusive with Oracle.
 	Observer cpu.CommitObserver
-	// Sample, when non-nil, overrides the config's sampling plan.
-	Sample *Sample
 }
 
 // Outcome is what one Point produced.
@@ -115,10 +102,6 @@ func (p *Point) effectiveConfig() (config.Config, error) {
 	if p.TracePath != "" {
 		cfg.TracePath = p.TracePath
 		cfg.TraceDigest = ""
-	}
-	if p.Sample != nil {
-		cfg.SampleIntervals = p.Sample.Intervals
-		cfg.SampleBleedInsts = p.Sample.BleedInsts
 	}
 	if cfg.TracePath != "" && cfg.TraceDigest == "" {
 		if err := trace.Resolve(&cfg); err != nil {

@@ -1,15 +1,16 @@
-// Package stats provides the counters and histograms used to report every
-// figure and table in the reproduction. All values are plain integers or
-// float64s accumulated single-threadedly by the simulator; per-100M-inst
+// Package stats provides the event counters and histograms used to report
+// every figure and table in the reproduction.
+//
+// Every counted event has a constant ID (Event) and one entry in one table:
+// its counter name and, for the events internal/energy prices, the
+// structure it is charged to and how one event is priced (Kind). Each
+// simulation lane counts into one fixed array indexed by those IDs
+// (Tally), incremented in place on the hot path; a finished run reports it
+// through the name-keyed Counters view, which lists an event if and only
+// if its count is non-zero. All values are plain integers or float64s
+// accumulated single-threadedly by the simulator; per-100M-inst
 // normalisation (the paper's reporting unit) is provided by Per100M.
 package stats
-
-import (
-	"encoding/json"
-	"fmt"
-	"sort"
-	"strings"
-)
 
 // Per100M scales an event count observed over n committed instructions to
 // the paper's "events per 100 million committed instructions" unit.
@@ -118,132 +119,4 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Counters is a string-keyed event-counter bag. The simulator increments
-// named events (e.g. "hlsq.search", "ert.lookup", "noc.roundtrip"); the
-// experiment harness reads them out for Table 2 style reports.
-//
-// Hot paths should obtain a Handle once at construction and increment
-// through it; the map is then only touched at setup and report time.
-//
-// Visibility rule: a counter appears in Names/Snapshot/String/JSON once it
-// has a nonzero value or was explicitly written through Inc/Add/Merge. A
-// handle that was interned but never incremented stays invisible, so
-// pre-registering handles does not change reported results.
-type Counters struct {
-	m map[string]*centry
-}
-
-// centry is one counter cell. Handles point at v directly.
-type centry struct {
-	v uint64
-	// touched marks explicit Inc/Add/Merge writes, which make the counter
-	// visible even while its value is zero (e.g. Add(name, 0)).
-	touched bool
-}
-
-func (e *centry) visible() bool { return e.v > 0 || e.touched }
-
-// NewCounters returns an empty counter bag.
-func NewCounters() *Counters { return &Counters{m: make(map[string]*centry)} }
-
-func (c *Counters) entry(name string) *centry {
-	if e, ok := c.m[name]; ok {
-		return e
-	}
-	e := &centry{}
-	c.m[name] = e
-	return e
-}
-
-// Handle interns the named counter and returns a stable pointer to its
-// value. Incrementing through the pointer is equivalent to Inc(name) but
-// costs one memory add instead of a map lookup — the per-event path of the
-// simulator is built on these.
-func (c *Counters) Handle(name string) *uint64 { return &c.entry(name).v }
-
-// Inc adds one to the named counter.
-func (c *Counters) Inc(name string) {
-	e := c.entry(name)
-	e.v++
-	e.touched = true
-}
-
-// Add adds n to the named counter.
-func (c *Counters) Add(name string, n uint64) {
-	e := c.entry(name)
-	e.v += n
-	e.touched = true
-}
-
-// Get returns the named counter (0 if never incremented).
-func (c *Counters) Get(name string) uint64 {
-	if e, ok := c.m[name]; ok {
-		return e.v
-	}
-	return 0
-}
-
-// Merge adds every visible counter of other into c.
-func (c *Counters) Merge(other *Counters) {
-	if other == nil {
-		return
-	}
-	for k, v := range other.m {
-		if v.visible() {
-			c.Add(k, v.v)
-		}
-	}
-}
-
-// Names returns all visible counter names in sorted order.
-func (c *Counters) Names() []string {
-	names := make([]string, 0, len(c.m))
-	for k, v := range c.m {
-		if v.visible() {
-			names = append(names, k)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Snapshot returns a copy of every visible counter as a plain map.
-func (c *Counters) Snapshot() map[string]uint64 {
-	out := make(map[string]uint64, len(c.m))
-	for k, v := range c.m {
-		if v.visible() {
-			out[k] = v.v
-		}
-	}
-	return out
-}
-
-// MarshalJSON implements json.Marshaler, so results carrying a counter bag
-// serialise into sweep artifacts and the on-disk result cache.
-func (c *Counters) MarshalJSON() ([]byte, error) {
-	return json.Marshal(c.Snapshot())
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (c *Counters) UnmarshalJSON(b []byte) error {
-	m := make(map[string]uint64)
-	if err := json.Unmarshal(b, &m); err != nil {
-		return err
-	}
-	c.m = make(map[string]*centry, len(m))
-	for k, v := range m {
-		c.m[k] = &centry{v: v, touched: true}
-	}
-	return nil
-}
-
-// String renders the counters as "name=value" lines, sorted by name.
-func (c *Counters) String() string {
-	var b strings.Builder
-	for _, n := range c.Names() {
-		fmt.Fprintf(&b, "%s=%d\n", n, c.m[n].v)
-	}
-	return b.String()
 }

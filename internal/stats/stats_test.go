@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -120,28 +121,61 @@ func TestMean(t *testing.T) {
 }
 
 func TestCounters(t *testing.T) {
-	c := NewCounters()
-	c.Inc("a")
-	c.Inc("a")
-	c.Add("b", 5)
-	if c.Get("a") != 2 || c.Get("b") != 5 || c.Get("missing") != 0 {
-		t.Errorf("counter values wrong: a=%d b=%d", c.Get("a"), c.Get("b"))
+	var c Counters
+	c.Tally[ERT] = 3
+	c.Tally[HLSQ] = 5
+	c.Tally[NoCHops] = 0 // a zero count is never listed
+	if c.Get("ert") != 3 || c.Get("hl_sq") != 5 || c.Get("noc_hops") != 0 || c.Get("missing") != 0 {
+		t.Errorf("counter values wrong: ert=%d hl_sq=%d", c.Get("ert"), c.Get("hl_sq"))
 	}
-	d := NewCounters()
-	d.Add("a", 1)
-	d.Add("c", 3)
-	c.Merge(d)
-	if c.Get("a") != 3 || c.Get("c") != 3 {
-		t.Error("merge wrong")
-	}
-	c.Merge(nil)
 	names := c.Names()
-	if len(names) != 3 || names[0] != "a" || names[2] != "c" {
+	if len(names) != 2 || names[0] != "ert" || names[1] != "hl_sq" {
 		t.Errorf("Names = %v", names)
 	}
-	s := c.String()
-	if !strings.Contains(s, "a=3") || !strings.Contains(s, "b=5") {
+	if snap := c.Snapshot(); len(snap) != 2 || snap["ert"] != 3 || snap["hl_sq"] != 5 {
+		t.Errorf("Snapshot = %v", snap)
+	}
+	if s := c.String(); s != "ert=3\nhl_sq=5\n" {
 		t.Errorf("String = %q", s)
+	}
+
+	buf, err := json.Marshal(&c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(buf) != `{"ert":3,"hl_sq":5}` {
+		t.Errorf("JSON = %s", buf)
+	}
+	var back Counters
+	if err := json.Unmarshal(buf, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back != c {
+		t.Errorf("JSON round trip: got %v, want %v", back.Snapshot(), c.Snapshot())
+	}
+	// A name outside the event table (here a retired counter) is an error,
+	// not a silently dropped count.
+	if err := json.Unmarshal([]byte(`{"ert":1,"cache":7}`), &back); err == nil || !strings.Contains(err.Error(), "cache") {
+		t.Errorf("unknown event decoded: err %v", err)
+	}
+}
+
+// TestEventTable: every event has a distinct name that maps back to it, and
+// an entry names a structure exactly when it is priced.
+func TestEventTable(t *testing.T) {
+	seen := make(map[string]bool)
+	for e := range NumEvents {
+		info := e.Info()
+		if info.Name == "" || seen[info.Name] {
+			t.Errorf("event %d: empty or duplicate name %q", e, info.Name)
+		}
+		seen[info.Name] = true
+		if byName[info.Name] != e {
+			t.Errorf("event %d does not round-trip through its name %q", e, info.Name)
+		}
+		if (info.Structure == "") != (info.Kind == Unpriced) {
+			t.Errorf("%s: structure %q with kind %d", info.Name, info.Structure, info.Kind)
+		}
 	}
 }
 

@@ -24,31 +24,17 @@ import (
 type Engine struct {
 	ssbf    *filter.SSBF
 	variant config.SVWVariant
-	c       *stats.Counters
-
-	cReexec, cReexecFiltered *uint64
+	ev      *stats.Tally
 }
 
-// New builds an SVW engine with a 2^bits-entry SSBF.
-func New(bits int, variant config.SVWVariant) *Engine {
-	e := &Engine{
-		ssbf:    filter.NewSSBF(bits),
-		variant: variant,
-		c:       stats.NewCounters(),
-	}
-	e.cReexec = e.c.Handle("reexec")
-	e.cReexecFiltered = e.c.Handle("reexec_filtered")
-	return e
+// New builds an SVW engine with a 2^bits-entry SSBF, counting its
+// re-execution decisions into ev.
+func New(bits int, variant config.SVWVariant, ev *stats.Tally) *Engine {
+	return &Engine{ssbf: filter.NewSSBF(bits), variant: variant, ev: ev}
 }
 
 // Variant returns the configured filtering variant.
 func (e *Engine) Variant() config.SVWVariant { return e.variant }
-
-// Counters exposes the engine's event counts.
-func (e *Engine) Counters() *stats.Counters { return e.c }
-
-// SSBFAccesses returns total SSBF reads+writes (the Table 2 SSBF column).
-func (e *Engine) SSBFAccesses() uint64 { return e.ssbf.Reads + e.ssbf.Writes }
 
 // SSBFReads returns the filter's read (vulnerability-test) count; the
 // energy model prices reads and writes separately.
@@ -97,9 +83,9 @@ func (e *Engine) LoadCommitting(ld *lsq.MemOp) bool {
 		return false // forwarded from that store: value is current
 	}
 	if e.variant == config.SVWCheckStores && !ld.UnresolvedOlderStore {
-		*e.cReexecFiltered++
+		e.ev[stats.ReexecFiltered]++
 		return false
 	}
-	*e.cReexec++
+	e.ev[stats.Reexec]++
 	return true
 }

@@ -5,10 +5,11 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/lsq"
+	"repro/internal/stats"
 )
 
 func TestNoReexecWithoutStores(t *testing.T) {
-	e := New(10, config.SVWBlind)
+	e := New(10, config.SVWBlind, new(stats.Tally))
 	ld := &lsq.MemOp{Seq: 1, Addr: 0x100, Size: 8, Issued: 50}
 	if e.LoadCommitting(ld) {
 		t.Error("load re-executed with empty SSBF")
@@ -16,20 +17,21 @@ func TestNoReexecWithoutStores(t *testing.T) {
 }
 
 func TestReexecWhenAliasingStoreCommitsAfterIssue(t *testing.T) {
-	e := New(10, config.SVWBlind)
+	var ev stats.Tally
+	e := New(10, config.SVWBlind, &ev)
 	// Store to the same address commits at cycle 100; load issued at 50.
 	e.StoreCommitted(0x100, 5, 100)
 	ld := &lsq.MemOp{Seq: 9, Addr: 0x100, Size: 8, Issued: 50}
 	if !e.LoadCommitting(ld) {
 		t.Error("vulnerable load not re-executed")
 	}
-	if e.Counters().Get("reexec") != 1 {
+	if ev[stats.Reexec] != 1 {
 		t.Error("reexec not counted")
 	}
 }
 
 func TestNoReexecWhenStoreVisibleAtIssue(t *testing.T) {
-	e := New(10, config.SVWBlind)
+	e := New(10, config.SVWBlind, new(stats.Tally))
 	// Store committed at 40, load issued at 50: the load saw it in the
 	// cache — not vulnerable.
 	e.StoreCommitted(0x100, 5, 40)
@@ -40,8 +42,9 @@ func TestNoReexecWhenStoreVisibleAtIssue(t *testing.T) {
 }
 
 func TestCheckStoresFiltersResolvedLoads(t *testing.T) {
-	blind := New(10, config.SVWBlind)
-	check := New(10, config.SVWCheckStores)
+	blind := New(10, config.SVWBlind, new(stats.Tally))
+	var ev stats.Tally
+	check := New(10, config.SVWCheckStores, &ev)
 	blind.StoreCommitted(0x200, 5, 100)
 	check.StoreCommitted(0x200, 5, 100)
 	// Load issued at 50 with NO unresolved older stores: CheckStores
@@ -54,7 +57,7 @@ func TestCheckStoresFiltersResolvedLoads(t *testing.T) {
 	if check.LoadCommitting(&ld2) {
 		t.Error("CheckStores re-executed a fully resolved load")
 	}
-	if check.Counters().Get("reexec_filtered") != 1 {
+	if ev[stats.ReexecFiltered] != 1 {
 		t.Error("filtered re-execution not counted")
 	}
 	// With an unresolved older store it must re-execute.
@@ -69,7 +72,7 @@ func TestAliasingCausesFalseReexec(t *testing.T) {
 	// SSBF aliasing: a store to a different address with the same hash
 	// triggers a false re-execution — fewer index bits, more aliasing
 	// (the 8/10/12-bit sweep of Figure 10).
-	e := New(8, config.SVWBlind)
+	e := New(8, config.SVWBlind, new(stats.Tally))
 	a := uint64(0x100)
 	b := a + (1 << (8 + 3)) // aliases under 8 bits
 	e.StoreCommitted(b, 5, 100)
@@ -78,7 +81,7 @@ func TestAliasingCausesFalseReexec(t *testing.T) {
 		t.Error("aliased store did not trigger re-execution")
 	}
 	// Under 12 bits the same pair does not alias.
-	e12 := New(12, config.SVWBlind)
+	e12 := New(12, config.SVWBlind, new(stats.Tally))
 	e12.StoreCommitted(b, 5, 100)
 	ld2 := &lsq.MemOp{Seq: 9, Addr: a, Size: 8, Issued: 50}
 	if e12.LoadCommitting(ld2) {
@@ -92,7 +95,7 @@ func TestAliasingCausesFalseReexec(t *testing.T) {
 // PR fixes: the committed store IS the forwarding source, so the load's
 // value is current and must not spuriously re-execute.
 func TestForwardedLoadNotVulnerableToItsSource(t *testing.T) {
-	e := New(10, config.SVWBlind)
+	e := New(10, config.SVWBlind, new(stats.Tally))
 	e.StoreCommitted(0x40, 7, 100)
 	ld := &lsq.MemOp{Seq: 9, Addr: 0x40, Size: 8, Issued: 50, FwdSeq: 7, FwdMask: 0xff}
 	if e.LoadCommitting(ld) {
@@ -115,7 +118,7 @@ func TestForwardedLoadNotVulnerableToItsSource(t *testing.T) {
 // A partial forwarding mask must not unlock the forwarding-window skip: the
 // bytes read from the cache are unprotected by the FwdSeq comparison.
 func TestPartialForwardMaskStillVulnerable(t *testing.T) {
-	e := New(10, config.SVWBlind)
+	e := New(10, config.SVWBlind, new(stats.Tally))
 	e.StoreCommitted(0x40, 7, 100)
 	ld := &lsq.MemOp{Seq: 9, Addr: 0x40, Size: 8, Issued: 50, FwdSeq: 7, FwdMask: 0x0f}
 	if !e.LoadCommitting(ld) {
@@ -126,7 +129,7 @@ func TestPartialForwardMaskStillVulnerable(t *testing.T) {
 // A load that re-read the cache after a partial-overlap wait (ReadAt past
 // the store's commit) observed the store's bytes and must not re-execute.
 func TestReReadAfterStoreCommitNotVulnerable(t *testing.T) {
-	e := New(10, config.SVWBlind)
+	e := New(10, config.SVWBlind, new(stats.Tally))
 	e.StoreCommitted(0x40, 7, 100)
 	ld := &lsq.MemOp{Seq: 9, Addr: 0x40, Size: 8, Issued: 50, ReadAt: 100}
 	if e.LoadCommitting(ld) {
@@ -143,7 +146,7 @@ func TestReReadAfterStoreCommitNotVulnerable(t *testing.T) {
 // the same store as the matched sequence number, even when several stores
 // hash into one SSBF entry: the youngest write owns both fields.
 func TestEntryPairsSeqWithItsOwnCommitCycle(t *testing.T) {
-	e := New(8, config.SVWBlind)
+	e := New(8, config.SVWBlind, new(stats.Tally))
 	a := uint64(0x100)
 	b := a + (1 << (8 + 3)) // aliases a under 8 bits
 	e.StoreCommitted(a, 5, 40)
@@ -158,7 +161,7 @@ func TestEntryPairsSeqWithItsOwnCommitCycle(t *testing.T) {
 	// The youngest write owns both fields: after both stores commit before
 	// the load's read, the entry must report the last pair and judge the
 	// load safe by that store's commit cycle.
-	e2 := New(8, config.SVWBlind)
+	e2 := New(8, config.SVWBlind, new(stats.Tally))
 	e2.StoreCommitted(b, 6, 30)
 	e2.StoreCommitted(a, 7, 40)
 	ld2 := &lsq.MemOp{Seq: 9, Addr: a, Size: 8, Issued: 50}
@@ -168,12 +171,12 @@ func TestEntryPairsSeqWithItsOwnCommitCycle(t *testing.T) {
 }
 
 func TestSSBFAccessCounting(t *testing.T) {
-	e := New(10, config.SVWCheckStores)
+	e := New(10, config.SVWCheckStores, new(stats.Tally))
 	e.StoreCommitted(0x40, 5, 5)
 	ld := &lsq.MemOp{Seq: 3, Addr: 0x40, Size: 8, Issued: 1, UnresolvedOlderStore: true}
 	e.LoadCommitting(ld)
-	if e.SSBFAccesses() != 2 { // one write + one read
-		t.Errorf("SSBFAccesses = %d, want 2", e.SSBFAccesses())
+	if e.SSBFReads() != 1 || e.SSBFWrites() != 1 {
+		t.Errorf("SSBF reads %d, writes %d, want 1 each", e.SSBFReads(), e.SSBFWrites())
 	}
 	if e.Variant() != config.SVWCheckStores {
 		t.Error("variant lost")

@@ -71,7 +71,7 @@ type Row struct {
 	AvgEpochs  float64 `json:"avg_epochs"`
 	// CacheHit reports whether this row was served from the result cache.
 	CacheHit bool `json:"cache_hit"`
-	// Counters is the complete event-counter bag of the run.
+	// Counters holds every event of the run with a non-zero count.
 	Counters map[string]uint64 `json:"counters"`
 }
 

@@ -52,7 +52,7 @@ type Job struct {
 // the simulator or the workload generators alters results for an unchanged
 // (config, benchmark, seed), so persistent caches (DiskCache) from older
 // builds miss instead of silently serving stale numbers.
-const cacheVersion = 2
+const cacheVersion = 3
 
 // Key returns the stable cache identity of the job: a digest of the cache
 // version, the canonical config encoding, the benchmark name, and the seed.
