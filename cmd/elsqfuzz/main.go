@@ -243,7 +243,7 @@ func minimise(p oracle.FuzzPoint) oracle.FuzzPoint {
 		return err == nil && ck.Err() != nil
 	}
 	if q := p; q.Config.SampleIntervals > 1 {
-		q.Config.SampleIntervals, q.Config.SampleBleedInsts = 0, 0
+		q.Config.SampleIntervals, q.Config.SampleBleedInsts = 1, 0
 		if fails(q) {
 			p = q
 		}
@@ -284,10 +284,7 @@ func emitRepro(s uint64, p oracle.FuzzPoint, violations []string, out string) er
 		f.Close()
 		return err
 	}
-	n := p.Config.WarmupInsts + p.Config.MaxInsts
-	if intervals, bleed := p.Config.Intervals(); intervals > 1 {
-		n += uint64(intervals-1) * bleed
-	}
+	n := p.Config.WarmupInsts + p.Config.MaxInsts + uint64(p.Config.SampleIntervals-1)*p.Config.SampleBleedInsts
 	if err := rec.Record(n); err != nil {
 		f.Close()
 		return err

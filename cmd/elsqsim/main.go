@@ -9,6 +9,11 @@
 //	elsqsim -bench swim -model ooo -lsq conventional
 //	elsqsim -trace swim.elt -insts 30000 -warmup 400000
 //	elsqsim -list
+//
+// -model picks the base configuration: fmc (config.Default, Table 1) or ooo
+// (config.OoO64). Every other config flag applies only when given, through
+// the config field registry, so it accepts exactly what elsqsweep -axis
+// accepts for the same field.
 package main
 
 import (
@@ -23,18 +28,25 @@ import (
 	"repro/internal/workload"
 )
 
+// configFlags names the config field each config flag sets.
+var configFlags = map[string]string{
+	"lsq": "lsq", "ert": "ert", "ertbits": "ert.bits", "sqm": "sqm", "disamb": "disamb",
+	"ssbf": "ssbf.bits", "svw": "svw", "insts": "insts", "warmup": "warmup",
+}
+
 func main() {
+	def := config.Default()
 	bench := flag.String("bench", "swim", "benchmark name")
-	model := flag.String("model", "fmc", "processor model: fmc | ooo")
-	lsqName := flag.String("lsq", "elsq", "LSQ scheme: elsq | central | conventional | svw")
-	ert := flag.String("ert", "hash", "ELSQ filter: hash | line")
-	ertBits := flag.Int("ertbits", 10, "hash-ERT index bits")
-	sqm := flag.Bool("sqm", true, "enable the Store Queue Mirror")
-	disamb := flag.String("disamb", "full", "disambiguation: full | rsac | rlac | rsaclac")
-	ssbf := flag.Int("ssbf", 10, "SSBF index bits (SVW)")
-	svwVar := flag.String("svw", "blind", "SVW variant: blind | checkstores")
-	insts := flag.Uint64("insts", 200_000, "measured instructions")
-	warmup := flag.Uint64("warmup", 2_000_000, "warm-up instructions")
+	model := flag.String("model", "fmc", "base configuration: fmc (Table 1 default) | ooo (OoO-64 baseline)")
+	flag.String("lsq", def.LSQ.String(), "LSQ scheme: central | conventional | elsq | svw (conventional under -model ooo)")
+	flag.String("ert", def.ERT.String(), "ELSQ filter: line | hash")
+	flag.Int("ertbits", def.ERTHashBits, "hash-ERT index bits")
+	flag.Bool("sqm", def.SQM, "enable the Store Queue Mirror")
+	flag.String("disamb", def.Disamb.String(), "disambiguation: full | rsac | rlac | rsaclac")
+	flag.Int("ssbf", def.SSBFBits, "SSBF index bits (SVW)")
+	flag.String("svw", def.SVW.String(), "SVW variant: blind | checkstores")
+	flag.Uint64("insts", def.MaxInsts, "measured instructions")
+	flag.Uint64("warmup", def.WarmupInsts, "warm-up instructions")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	tracePath := flag.String("trace", "", "drive the run from this recorded .elt trace (overrides -bench/-seed with the trace's identity)")
 	list := flag.Bool("list", false, "list benchmarks and exit")
@@ -51,45 +63,21 @@ func main() {
 		return
 	}
 
-	cfg := config.Default()
-	if *model == "ooo" {
+	cfg := def
+	switch *model {
+	case "fmc":
+	case "ooo":
 		cfg = config.OoO64()
-	}
-	switch *lsqName {
-	case "elsq":
-		cfg.LSQ = config.LSQELSQ
-	case "central":
-		cfg.LSQ = config.LSQCentral
-	case "conventional":
-		cfg.LSQ = config.LSQConventional
-	case "svw":
-		cfg.LSQ = config.LSQSVW
 	default:
-		fatalf("unknown -lsq %q", *lsqName)
+		fatalf("unknown -model %q (want fmc | ooo)", *model)
 	}
-	if *ert == "line" {
-		cfg.ERT = config.ERTLine
-	}
-	cfg.ERTHashBits = *ertBits
-	cfg.SQM = *sqm
-	switch *disamb {
-	case "full":
-		cfg.Disamb = config.DisambFull
-	case "rsac":
-		cfg.Disamb = config.DisambRSAC
-	case "rlac":
-		cfg.Disamb = config.DisambRLAC
-	case "rsaclac":
-		cfg.Disamb = config.DisambRSACLAC
-	default:
-		fatalf("unknown -disamb %q", *disamb)
-	}
-	cfg.SSBFBits = *ssbf
-	if *svwVar == "checkstores" {
-		cfg.SVW = config.SVWCheckStores
-	}
-	cfg.MaxInsts = *insts
-	cfg.WarmupInsts = *warmup
+	flag.Visit(func(f *flag.Flag) {
+		if field, ok := configFlags[f.Name]; ok {
+			if err := config.SetField(&cfg, field, f.Value.String()); err != nil {
+				fatalf("-%s: %v", f.Name, err)
+			}
+		}
+	})
 
 	if *tracePath != "" {
 		// The trace is self-describing: it names the benchmark and seed it

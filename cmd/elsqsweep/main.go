@@ -9,21 +9,21 @@
 //	          -insts 50000 -csv sweep.csv
 //	elsqsweep -axis ssbf.bits=8,10,12 -base ooo -axis lsq=svw -suites int \
 //	          -cachedir .sweepcache -out svw.json
-//	elsqsweep -axis ert=line,hash -ckptdir .ckpt -sample-intervals 4 \
-//	          -sample-bleed 50000 -suites fp -out sampled.json
+//	elsqsweep -axis ert=line,hash -ckptdir .ckpt -axis sample.intervals=4 \
+//	          -axis sample.bleed=50000 -suites fp -out sampled.json
 //	elsqsweep -fields          # list sweepable config fields
 //
 // Repeating a run with -cachedir (or re-running overlapping grids) serves
 // completed simulations from the cache; the summary line reports the hit
 // count.
 //
-// Warm-up checkpointing (on by default, -ckpt=false to disable): jobs whose
-// warm-up identity matches — same cache geometry, warm-up budget, benchmark
-// and seed, i.e. every config axis the paper sweeps — share one functional
-// warm-up instead of paying one each, with bit-identical results. -ckptdir
-// persists the snapshots so later runs (and cmd/elsqckpt pre-builds) skip
-// even that single warm-up. -sample-intervals/-sample-bleed select
-// SimPoint-style multi-interval measurement (see internal/config).
+// Warm-up checkpointing: jobs whose warm-up identity matches — same cache
+// geometry, warm-up budget, benchmark and seed, i.e. every config axis the
+// paper sweeps — share one functional warm-up instead of paying one each,
+// with bit-identical results. -ckptdir persists the snapshots so later runs
+// (and cmd/elsqckpt pre-builds) skip even that single warm-up. The
+// sample.intervals and sample.bleed axes select SimPoint-style
+// multi-interval measurement (see internal/config).
 //
 // Trace-driven sweeps: -axis trace=a.elt,b.elt sweeps over recorded .elt
 // files directly (the named benchmarks/seeds must match each recording),
@@ -53,15 +53,12 @@ func main() {
 	seeds := flag.String("seeds", "1", "workload seeds: range lo..hi or comma list")
 	insts := flag.Uint64("insts", 100_000, "measured instructions per benchmark")
 	warmup := flag.Uint64("warmup", 2_500_000, "functional warm-up instructions per benchmark")
-	sampleIntervals := flag.Int("sample-intervals", 0, "split the measured instructions into this many SimPoint-style intervals (0/1 = contiguous)")
-	sampleBleed := flag.Uint64("sample-bleed", 0, "functional fast-forward instructions between sample intervals")
 	workers := flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	outPath := flag.String("out", "", "write the JSON artifact to this file (- for stdout)")
 	csvPath := flag.String("csv", "", "write the CSV artifact to this file (- for stdout)")
 	cacheDir := flag.String("cachedir", "", "persistent result-cache directory (empty = in-memory only)")
 	traceDir := flag.String("tracedir", "", "drive every job from the recorded trace <tracedir>/<bench>-s<seed>.elt (see elsqtrace record -suites) instead of live generation")
-	useCkpt := flag.Bool("ckpt", true, "share one warm-up checkpoint across configs with equal warm-up identity (bit-identical results, one warm-up per benchmark/seed instead of one per job)")
-	ckptDir := flag.String("ckptdir", "", "persistent checkpoint-store directory (empty = in-memory only; implies -ckpt)")
+	ckptDir := flag.String("ckptdir", "", "persistent checkpoint-store directory (empty = in-memory only)")
 	ckptMax := flag.String("ckpt-max-bytes", "2G", "checkpoint store size budget for -ckptdir (K/M/G suffixes; 0 = unbounded)")
 	quiet := flag.Bool("q", false, "suppress per-job progress lines")
 	fields := flag.Bool("fields", false, "list sweepable config fields and exit")
@@ -82,8 +79,6 @@ func main() {
 	}
 	cfg.MaxInsts = *insts
 	cfg.WarmupInsts = *warmup
-	cfg.SampleIntervals = *sampleIntervals
-	cfg.SampleBleedInsts = *sampleBleed
 
 	grid := sweep.Grid{Base: cfg, Axes: axes}
 	var err error
@@ -128,8 +123,7 @@ func main() {
 	} else {
 		runner.Cache = sweep.NewMemCache()
 	}
-	switch {
-	case *ckptDir != "":
+	if *ckptDir != "" {
 		budget, err := config.ParseSize(*ckptMax)
 		if err != nil {
 			fatalf("bad -ckpt-max-bytes: %v", err)
@@ -137,7 +131,7 @@ func main() {
 		if runner.Checkpoints, err = ckpt.NewDiskStore(*ckptDir, int64(budget)); err != nil {
 			fatalf("%v", err)
 		}
-	case *useCkpt:
+	} else {
 		runner.Checkpoints = ckpt.NewMemStore()
 	}
 	if !*quiet {

@@ -43,6 +43,44 @@ func TestElsqtraceRecordVerify(t *testing.T) {
 	}
 }
 
+// TestElsqsimFlags builds cmd/elsqsim once and checks that its config flags
+// go through the config field registry: README's two command lines and a
+// bare -model ooo run, while a misspelt value exits 2 instead of silently
+// running some default.
+func TestElsqsimFlags(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "elsqsim")
+	build := exec.Command("go", "build", "-o", bin, "repro/cmd/elsqsim")
+	build.Dir = "."
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build cmd/elsqsim failed: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		args []string
+		exit int
+	}{
+		{[]string{"-bench", "mcf", "-model", "fmc", "-lsq", "elsq", "-ert", "hash", "-sqm"}, 0},
+		{[]string{"-bench", "swim", "-model", "ooo", "-lsq", "conventional"}, 0},
+		{[]string{"-bench", "mcf", "-model", "ooo"}, 0},
+		{[]string{"-ert", "lien"}, 2},
+		{[]string{"-lsq", "svw", "-svw", "bogus"}, 2},
+		{[]string{"-model", "bogus"}, 2},
+	} {
+		var stderr bytes.Buffer
+		run := exec.Command(bin, append(tc.args, "-insts", "1500", "-warmup", "4000")...)
+		run.Stderr = &stderr
+		err := run.Run()
+		exit := 0
+		if ee, ok := err.(*exec.ExitError); ok {
+			exit = ee.ExitCode()
+		} else if err != nil {
+			t.Fatalf("elsqsim %v: %v", tc.args, err)
+		}
+		if exit != tc.exit {
+			t.Errorf("elsqsim %v exited %d, want %d\nstderr: %s", tc.args, exit, tc.exit, stderr.String())
+		}
+	}
+}
+
 func TestExamplesBuildAndRun(t *testing.T) {
 	examples := []string{"quickstart", "largewindow", "pointerchase", "filtertuning"}
 	binDir := t.TempDir()

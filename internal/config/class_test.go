@@ -5,57 +5,6 @@ import (
 	"testing"
 )
 
-// TestClassOmittedAtDefault pins the byte-identity contract the prediction
-// layer rides on: the default reactive classifier (and its table geometry)
-// vanishes from the canonical encoding, so golden SweepKeys, sweep cache
-// keys and checkpoint keys predating the fields stay byte-identical.
-func TestClassOmittedAtDefault(t *testing.T) {
-	def := Default()
-	s := string(def.Canonical())
-	if strings.Contains(s, "Class") {
-		t.Fatalf("default canonical encoding mentions Class:\n%s", s)
-	}
-	clp := def
-	clp.Class = ClassCacheLevel
-	if !strings.Contains(string(clp.Canonical()), "Class") {
-		t.Fatal("non-default Class missing from canonical encoding")
-	}
-	if def.Hash() == clp.Hash() {
-		t.Fatal("Class does not reach the config hash")
-	}
-}
-
-// TestClassBitsNormalization: table geometry is dead state under the
-// reactive policy, and the default width is equivalent to leaving it unset,
-// so Canonical folds both to zero — two spellings of one machine must
-// share a sweep cache key.
-func TestClassBitsNormalization(t *testing.T) {
-	def := Default()
-	reactiveBits := Default()
-	reactiveBits.ClassTableBits = 12 // dead: no table exists
-	if got, want := reactiveBits.Hash(), def.Hash(); got != want {
-		t.Fatalf("reactive table bits reach the hash: %s vs %s", got, want)
-	}
-
-	explicit := Default()
-	explicit.Class = ClassDelayTrack
-	explicit.ClassTableBits = DefaultClassTableBits
-	implicit := Default()
-	implicit.Class = ClassDelayTrack
-	if explicit.Hash() != implicit.Hash() {
-		t.Fatal("explicit default table bits change the hash")
-	}
-	if s := string(explicit.Canonical()); strings.Contains(s, "ClassTableBits") {
-		t.Fatalf("default-width table bits survive canonicalization:\n%s", s)
-	}
-
-	narrow := implicit
-	narrow.ClassTableBits = 8
-	if narrow.Hash() == implicit.Hash() {
-		t.Fatal("non-default table bits do not reach the hash")
-	}
-}
-
 // TestClassExcludedFromWarmKey: classification is timing-only — it moves
 // instructions between the HL and LL pipelines but never changes functional
 // warm-up state — so runs differing only on the classifier must share
@@ -103,7 +52,7 @@ func TestClassFieldRoundTrip(t *testing.T) {
 	if err := SetField(&cfg, "class.bits", "12"); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.ClassTableBits != 12 || cfg.ClassBits() != 12 {
+	if cfg.ClassTableBits != 12 {
 		t.Fatalf("class.bits round trip lost the value: %d", cfg.ClassTableBits)
 	}
 	if err := cfg.Validate(); err != nil {
@@ -111,20 +60,18 @@ func TestClassFieldRoundTrip(t *testing.T) {
 	}
 }
 
-// TestClassValidateAndDefaults: the zero geometry resolves to the documented
-// default width, and out-of-range widths fail loudly.
+// TestClassValidateAndDefaults: the default geometry is the documented
+// 10-bit table, and out-of-range widths fail loudly.
 func TestClassValidateAndDefaults(t *testing.T) {
 	cfg := Default()
-	if cfg.ClassBits() != DefaultClassTableBits {
-		t.Fatalf("zero ClassTableBits resolves to %d, want %d", cfg.ClassBits(), DefaultClassTableBits)
+	if cfg.ClassTableBits != 10 {
+		t.Fatalf("default ClassTableBits = %d, want 10", cfg.ClassTableBits)
 	}
-	cfg.ClassTableBits = 25
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("ClassTableBits=25 passed Validate")
-	}
-	cfg.ClassTableBits = -1
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("ClassTableBits=-1 passed Validate")
+	for _, bits := range []int{25, 0, -1} {
+		cfg.ClassTableBits = bits
+		if err := cfg.Validate(); err == nil {
+			t.Fatalf("ClassTableBits=%d passed Validate", bits)
+		}
 	}
 }
 

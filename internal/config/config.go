@@ -23,13 +23,19 @@ const (
 	ModelFMC
 )
 
+var modelNames = enumNames[Model]{"model", [][]string{
+	ModelOoO: {"OoO-64", "ooo", "ooo64"},
+	ModelFMC: {"FMC"},
+}}
+
 // String implements fmt.Stringer.
-func (m Model) String() string {
-	if m == ModelOoO {
-		return "OoO-64"
-	}
-	return "FMC"
-}
+func (m Model) String() string { return modelNames.name(m) }
+
+// MarshalText implements encoding.TextMarshaler.
+func (m Model) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (m *Model) UnmarshalText(b []byte) error { return modelNames.unmarshal(m, b) }
 
 // LSQScheme selects the load/store-queue organisation under test.
 type LSQScheme uint8
@@ -47,21 +53,21 @@ const (
 	LSQSVW
 )
 
+var lsqNames = enumNames[LSQScheme]{"LSQ scheme", [][]string{
+	LSQCentral:      {"central"},
+	LSQConventional: {"conventional"},
+	LSQELSQ:         {"elsq"},
+	LSQSVW:          {"svw"},
+}}
+
 // String implements fmt.Stringer.
-func (s LSQScheme) String() string {
-	switch s {
-	case LSQCentral:
-		return "central"
-	case LSQConventional:
-		return "conventional"
-	case LSQELSQ:
-		return "elsq"
-	case LSQSVW:
-		return "svw"
-	default:
-		return fmt.Sprintf("lsq(%d)", uint8(s))
-	}
-}
+func (s LSQScheme) String() string { return lsqNames.name(s) }
+
+// MarshalText implements encoding.TextMarshaler.
+func (s LSQScheme) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (s *LSQScheme) UnmarshalText(b []byte) error { return lsqNames.unmarshal(s, b) }
 
 // ERTKind selects the global-disambiguation filter of the ELSQ.
 type ERTKind uint8
@@ -74,13 +80,19 @@ const (
 	ERTHash
 )
 
+var ertNames = enumNames[ERTKind]{"ERT kind", [][]string{
+	ERTLine: {"line"},
+	ERTHash: {"hash"},
+}}
+
 // String implements fmt.Stringer.
-func (k ERTKind) String() string {
-	if k == ERTLine {
-		return "line"
-	}
-	return "hash"
-}
+func (k ERTKind) String() string { return ertNames.name(k) }
+
+// MarshalText implements encoding.TextMarshaler.
+func (k ERTKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (k *ERTKind) UnmarshalText(b []byte) error { return ertNames.unmarshal(k, b) }
 
 // Disambiguation selects the restricted disambiguation model (Section 3.3).
 type Disambiguation uint8
@@ -99,21 +111,21 @@ const (
 	DisambRSACLAC
 )
 
+var disambNames = enumNames[Disambiguation]{"disambiguation", [][]string{
+	DisambFull:    {"full"},
+	DisambRSAC:    {"rsac"},
+	DisambRLAC:    {"rlac"},
+	DisambRSACLAC: {"rsac+rlac", "rsaclac"},
+}}
+
 // String implements fmt.Stringer.
-func (d Disambiguation) String() string {
-	switch d {
-	case DisambFull:
-		return "full"
-	case DisambRSAC:
-		return "rsac"
-	case DisambRLAC:
-		return "rlac"
-	case DisambRSACLAC:
-		return "rsac+rlac"
-	default:
-		return fmt.Sprintf("disamb(%d)", uint8(d))
-	}
-}
+func (d Disambiguation) String() string { return disambNames.name(d) }
+
+// MarshalText implements encoding.TextMarshaler.
+func (d Disambiguation) MarshalText() ([]byte, error) { return []byte(d.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (d *Disambiguation) UnmarshalText(b []byte) error { return disambNames.unmarshal(d, b) }
 
 // NoCModel selects the interconnect timing model for the CP<->MP bus and
 // the memory-engine mesh (noc.Fabric implementations).
@@ -130,13 +142,19 @@ const (
 	NoCContended
 )
 
+var nocNames = enumNames[NoCModel]{"NoC model", [][]string{
+	NoCAnalytic:  {"analytic", "free"},
+	NoCContended: {"contended"},
+}}
+
 // String implements fmt.Stringer.
-func (m NoCModel) String() string {
-	if m == NoCAnalytic {
-		return "analytic"
-	}
-	return "contended"
-}
+func (m NoCModel) String() string { return nocNames.name(m) }
+
+// MarshalText implements encoding.TextMarshaler.
+func (m NoCModel) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (m *NoCModel) UnmarshalText(b []byte) error { return nocNames.unmarshal(m, b) }
 
 // PlacePolicy selects how virtual epochs are placed onto physical banks
 // (memory engines) in the FMC.
@@ -156,19 +174,20 @@ const (
 	PlaceSteal
 )
 
+var placeNames = enumNames[PlacePolicy]{"placement policy", [][]string{
+	PlaceModN:        {"modn", "mod-n"},
+	PlaceLeastLoaded: {"leastloaded", "least-loaded"},
+	PlaceSteal:       {"steal"},
+}}
+
 // String implements fmt.Stringer.
-func (p PlacePolicy) String() string {
-	switch p {
-	case PlaceModN:
-		return "modn"
-	case PlaceLeastLoaded:
-		return "leastloaded"
-	case PlaceSteal:
-		return "steal"
-	default:
-		return fmt.Sprintf("place(%d)", uint8(p))
-	}
-}
+func (p PlacePolicy) String() string { return placeNames.name(p) }
+
+// MarshalText implements encoding.TextMarshaler.
+func (p PlacePolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (p *PlacePolicy) UnmarshalText(b []byte) error { return placeNames.unmarshal(p, b) }
 
 // ClassPolicy selects the execution-locality classifier that drives the
 // HL->LL migration decision (internal/predict).
@@ -194,24 +213,20 @@ const (
 	ClassDelayTrack
 )
 
-// String implements fmt.Stringer.
-func (p ClassPolicy) String() string {
-	switch p {
-	case ClassReactive:
-		return "reactive"
-	case ClassCacheLevel:
-		return "cachelevel"
-	case ClassDelayTrack:
-		return "delaytrack"
-	default:
-		return fmt.Sprintf("class(%d)", uint8(p))
-	}
-}
+var classNames = enumNames[ClassPolicy]{"classification policy", [][]string{
+	ClassReactive:   {"reactive"},
+	ClassCacheLevel: {"cachelevel", "cache-level", "clp"},
+	ClassDelayTrack: {"delaytrack", "delay-track", "dtp"},
+}}
 
-// DefaultClassTableBits is the predictor-table index width the cachelevel
-// and delaytrack policies use when Config.ClassTableBits is zero: 1024
-// tagged entries of 8 bytes, an 8KB SRAM-class structure.
-const DefaultClassTableBits = 10
+// String implements fmt.Stringer.
+func (p ClassPolicy) String() string { return classNames.name(p) }
+
+// MarshalText implements encoding.TextMarshaler.
+func (p ClassPolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (p *ClassPolicy) UnmarshalText(b []byte) error { return classNames.unmarshal(p, b) }
 
 // SVWVariant selects how SVW decides whether a forwarded load must
 // re-execute (Section 5.6).
@@ -224,13 +239,19 @@ const (
 	SVWCheckStores
 )
 
+var svwNames = enumNames[SVWVariant]{"SVW variant", [][]string{
+	SVWBlind:       {"blind"},
+	SVWCheckStores: {"checkstores"},
+}}
+
 // String implements fmt.Stringer.
-func (v SVWVariant) String() string {
-	if v == SVWBlind {
-		return "blind"
-	}
-	return "checkstores"
-}
+func (v SVWVariant) String() string { return svwNames.name(v) }
+
+// MarshalText implements encoding.TextMarshaler.
+func (v SVWVariant) MarshalText() ([]byte, error) { return []byte(v.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (v *SVWVariant) UnmarshalText(b []byte) error { return svwNames.unmarshal(v, b) }
 
 // CacheConfig describes one cache level.
 type CacheConfig struct {
@@ -266,8 +287,6 @@ type Config struct {
 	ROBSize int
 	// IntIQ and FpIQ are the CP issue-queue capacities.
 	IntIQ, FpIQ int
-	// IntRegs and FpRegs are the CP physical register counts.
-	IntRegs, FpRegs int
 	// CachePorts is the number of read/write L1 ports.
 	CachePorts int
 
@@ -280,8 +299,6 @@ type Config struct {
 	EpochMaxLoads, EpochMaxStores int
 	// MEIssueWidth is the in-order issue width of a memory engine.
 	MEIssueWidth int
-	// MEIQ is the memory-engine issue-queue size.
-	MEIQ int
 
 	// HLLQSize and HLSQSize are the high-locality load/store queue sizes.
 	HLLQSize, HLSQSize int
@@ -297,27 +314,22 @@ type Config struct {
 	MeshHop int
 
 	// NoC selects the interconnect timing model (analytic by default).
-	// The zero value encodes to nothing in the canonical form, so every
-	// legacy sweep/checkpoint/golden key is unchanged.
-	NoC NoCModel `json:",omitempty"`
+	NoC NoCModel
 	// NoCLinkWidth is the number of messages each mesh link (and each bus
-	// direction) accepts per cycle under the contended model. 0 and 1 both
-	// mean one message per cycle and encode identically; the field is
-	// ignored (and normalised away) under the analytic model.
-	NoCLinkWidth int `json:",omitempty"`
+	// direction) accepts per cycle under the contended model; the analytic
+	// model ignores it.
+	NoCLinkWidth int
 	// Place selects the epoch->bank placement policy (FMC only; mod-N by
-	// default, encoded only when non-default).
-	Place PlacePolicy `json:",omitempty"`
+	// default).
+	Place PlacePolicy
 	// Class selects the execution-locality classification policy
-	// (internal/predict; FMC only). The zero value is the reactive rule and
-	// encodes to nothing in the canonical form, so every legacy
-	// sweep/checkpoint/golden key is unchanged.
-	Class ClassPolicy `json:",omitempty"`
+	// (internal/predict; FMC only; the reactive rule by default).
+	Class ClassPolicy
 	// ClassTableBits is the log2 entry count of the predictor table behind
-	// the cachelevel and delaytrack policies. 0 means DefaultClassTableBits
-	// and encodes identically; the field is ignored (and normalised away)
-	// under the reactive policy.
-	ClassTableBits int `json:",omitempty"`
+	// the cachelevel and delaytrack policies (10 by default: 1024 tagged
+	// entries of 8 bytes, an 8KB SRAM-class structure); the reactive policy
+	// ignores it.
+	ClassTableBits int
 
 	// ERT selects the global-disambiguation filter (ELSQ only).
 	ERT ERTKind
@@ -355,41 +367,36 @@ type Config struct {
 	// fast-forwards SampleBleedInsts committed instructions functionally
 	// (memory references keep warming the caches, nothing is timed), so the
 	// measurement samples several program phases instead of one contiguous
-	// region — the paper's multi-SimPoint methodology. 0 and 1 both mean a
-	// single contiguous measured region and encode identically (the fields
-	// are omitted from the canonical form when unset, so legacy configs
-	// keep their cache identity). MaxInsts is split as evenly as possible,
-	// with the first interval absorbing the remainder; every reported
-	// metric still covers exactly MaxInsts committed instructions.
-	SampleIntervals int `json:",omitempty"`
+	// region — the paper's multi-SimPoint methodology. 1 (the default) is a
+	// single contiguous measured region. MaxInsts is split as evenly as
+	// possible, with the first interval absorbing the remainder; every
+	// reported metric still covers exactly MaxInsts committed instructions.
+	SampleIntervals int
 	// SampleBleedInsts is the per-gap functional fast-forward described
 	// above (ignored unless SampleIntervals > 1).
-	SampleBleedInsts uint64 `json:",omitempty"`
+	SampleBleedInsts uint64
 
 	// TracePath, when set, drives the simulation from the recorded .elt
 	// trace at this path (internal/trace) instead of the live synthetic
 	// generator: the committed-path stream is read from the file and the
 	// wrong-path stream re-synthesised from the recorded initial state, so
-	// results are bit-identical to the run the trace was recorded from. The
-	// field is omitted from the canonical encoding when unset, so legacy
-	// configs keep their cache identity.
-	TracePath string `json:",omitempty"`
+	// results are bit-identical to the run the trace was recorded from.
+	TracePath string
 	// TraceDigest is the content digest of that trace (trace.Meta.Digest),
 	// stamped by trace.Resolve. It — not the path — is what identifies a
 	// trace-driven run: Canonical() drops TracePath whenever a digest is
 	// present, so Hash(), WarmKey() and every cache key derived from them
 	// are content-addressed (the same trace under two paths shares one
 	// identity; a replaced file under one path does not).
-	TraceDigest string `json:",omitempty"`
+	TraceDigest string
 
 	// EnergyTable names the per-access energy/area coefficient table the
 	// post-run energy model (internal/energy) maps activity counters
-	// through. Empty means the default "base" table and is omitted from the
-	// canonical encoding, so every legacy sweep/checkpoint/golden key is
-	// unchanged. The table is observational only — it never feeds back into
-	// timing — and its value is validated by internal/energy at report time
-	// (config cannot depend on energy without a cycle).
-	EnergyTable string `json:",omitempty"`
+	// through ("base" by default). The table is observational only — it
+	// never feeds back into timing — and its name is resolved by
+	// internal/energy at report time (config cannot depend on energy
+	// without a cycle).
+	EnergyTable string
 
 	// WarmupInsts is the number of committed instructions executed before
 	// measurement starts, so caches and predictor-equivalent state reach
@@ -437,8 +444,10 @@ func (c Config) SmokeBudget() Config {
 
 // Default returns the Table 1 configuration: 4-way fetch, 64-entry CP ROB,
 // 16 memory engines of 128 instructions (64 loads / 32 stores), 40-entry
-// IQs, 96+96 registers, 2-ported 32KB 4-way L1 (1 cycle), 2MB 4-way L2
-// (10 cycles), 400-cycle memory, 4-cycle one-way bus, 1 cycle/hop mesh.
+// IQs, 2-ported 32KB 4-way L1 (1 cycle), 2MB 4-way L2 (10 cycles),
+// 400-cycle memory, 4-cycle one-way bus, 1 cycle/hop mesh. Table 1's 96+96
+// registers and 20-entry memory-engine issue queues are not modelled, so
+// they have no field.
 func Default() Config {
 	return Config{
 		Model:             ModelFMC,
@@ -448,15 +457,12 @@ func Default() Config {
 		ROBSize:           64,
 		IntIQ:             40,
 		FpIQ:              40,
-		IntRegs:           96,
-		FpRegs:            96,
 		CachePorts:        2,
 		NumEpochs:         16,
 		EpochMaxInsts:     128,
 		EpochMaxLoads:     64,
 		EpochMaxStores:    32,
 		MEIssueWidth:      2,
-		MEIQ:              20,
 		HLLQSize:          32,
 		HLSQSize:          24,
 		L1:                CacheConfig{SizeBytes: 32 << 10, Ways: 4, LineBytes: 32, LatencyCycles: 1},
@@ -464,6 +470,8 @@ func Default() Config {
 		MemLatency:        400,
 		BusOneWay:         4,
 		MeshHop:           1,
+		NoCLinkWidth:      1,
+		ClassTableBits:    10,
 		ERT:               ERTHash,
 		ERTHashBits:       10,
 		SQM:               true,
@@ -473,6 +481,8 @@ func Default() Config {
 		MigrateThreshold:  48,
 		MispredictPenalty: 8,
 		MaxInsts:          200_000,
+		SampleIntervals:   1,
+		EnergyTable:       "base",
 		WarmupInsts:       2_000_000,
 	}
 }
@@ -535,31 +545,27 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: L1 line size %d is not a power of two", c.L1.LineBytes)
 	case c.L2.LineBytes&(c.L2.LineBytes-1) != 0:
 		return fmt.Errorf("config: L2 line size %d is not a power of two", c.L2.LineBytes)
+	case c.Model == ModelOoO && c.LSQ == LSQELSQ:
+		// The ELSQ's low-locality queues live in the memory engines.
+		return fmt.Errorf("config: LSQ %v under Model %v: the ELSQ needs the FMC's memory engines", c.LSQ, c.Model)
 	case c.LSQ == LSQELSQ && c.ERT == ERTHash && (c.ERTHashBits < 1 || c.ERTHashBits > 24):
 		return fmt.Errorf("config: ERTHashBits %d out of range [1,24]", c.ERTHashBits)
 	case c.LSQ == LSQSVW && (c.SSBFBits < 1 || c.SSBFBits > 24):
 		return fmt.Errorf("config: SSBFBits %d out of range [1,24]", c.SSBFBits)
-	case c.NoCLinkWidth < 0 || c.NoCLinkWidth > 255:
-		return fmt.Errorf("config: NoCLinkWidth %d out of range [0,255]", c.NoCLinkWidth)
-	case c.ClassTableBits < 0 || c.ClassTableBits > 24:
-		return fmt.Errorf("config: ClassTableBits %d out of range [0,24] (0 = default)", c.ClassTableBits)
+	case c.NoCLinkWidth < 1 || c.NoCLinkWidth > maxWidth:
+		return fmt.Errorf("config: NoCLinkWidth %d out of range [1,%d]", c.NoCLinkWidth, maxWidth)
+	case c.ClassTableBits < 1 || c.ClassTableBits > 24:
+		return fmt.Errorf("config: ClassTableBits %d out of range [1,24]", c.ClassTableBits)
 	case c.MaxInsts == 0:
 		return fmt.Errorf("config: MaxInsts must be positive")
-	case c.SampleIntervals < 0:
-		return fmt.Errorf("config: SampleIntervals must be non-negative, got %d", c.SampleIntervals)
-	case c.SampleIntervals > 1 && c.MaxInsts < uint64(c.SampleIntervals):
+	case c.SampleIntervals < 1:
+		return fmt.Errorf("config: SampleIntervals must be at least 1, got %d", c.SampleIntervals)
+	case c.MaxInsts < uint64(c.SampleIntervals):
 		return fmt.Errorf("config: MaxInsts %d cannot be split into %d sample intervals", c.MaxInsts, c.SampleIntervals)
+	case c.EnergyTable == "":
+		return fmt.Errorf("config: EnergyTable must name an energy table")
 	}
 	return nil
-}
-
-// Intervals returns the measured-interval count (at least 1) and the
-// per-gap warm bleed the sampling fields denote.
-func (c *Config) Intervals() (n int, bleed uint64) {
-	if c.SampleIntervals > 1 {
-		return c.SampleIntervals, c.SampleBleedInsts
-	}
-	return 1, 0
 }
 
 // WarmKey returns a stable digest of exactly the fields the functional
@@ -593,15 +599,6 @@ func (c *Config) traceIdentity() string {
 		return c.TraceDigest
 	}
 	return c.TracePath
-}
-
-// ClassBits returns the effective predictor-table index width:
-// ClassTableBits, or DefaultClassTableBits when unset.
-func (c *Config) ClassBits() int {
-	if c.ClassTableBits == 0 {
-		return DefaultClassTableBits
-	}
-	return c.ClassTableBits
 }
 
 // Name returns a short human-readable identifier for the configuration, in

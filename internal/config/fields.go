@@ -71,48 +71,38 @@ func uint64Field(name, doc string, get func(*Config) *uint64) FieldSpec {
 	}
 }
 
+// enumField builds a FieldSpec for an enum field; its Doc lists the names.
+func enumField[E ~uint8](name, doc string, names *enumNames[E], get func(*Config) *E) FieldSpec {
+	return FieldSpec{
+		Name: name, Doc: doc + ": " + names.list(),
+		Set: func(c *Config, v string) error {
+			x, err := names.parse(v)
+			if err == nil {
+				*get(c) = x
+			}
+			return err
+		},
+		Get: func(c *Config) string { return names.name(*get(c)) },
+	}
+}
+
 // fieldRegistry lists every sweepable parameter. Keep names stable: they are
 // the public axis vocabulary of cmd/elsqsweep and appear in sweep artifacts.
 func fieldRegistry() []FieldSpec {
 	return []FieldSpec{
-		{
-			Name: "model", Doc: "processor model: fmc | ooo",
-			Set: func(c *Config, v string) error {
-				m, err := ParseModel(v)
-				if err != nil {
-					return err
-				}
-				c.Model = m
-				return nil
-			},
-			Get: func(c *Config) string { return c.Model.String() },
-		},
-		{
-			Name: "lsq", Doc: "LSQ scheme: central | conventional | elsq | svw",
-			Set: func(c *Config, v string) error {
-				s, err := ParseLSQScheme(v)
-				if err != nil {
-					return err
-				}
-				c.LSQ = s
-				return nil
-			},
-			Get: func(c *Config) string { return c.LSQ.String() },
-		},
+		enumField("model", "processor model", &modelNames, func(c *Config) *Model { return &c.Model }),
+		enumField("lsq", "LSQ scheme", &lsqNames, func(c *Config) *LSQScheme { return &c.LSQ }),
 		intField("fetch.width", "fetch/decode bandwidth (insts/cycle)", func(c *Config) *int { return &c.FetchWidth }),
 		intField("commit.width", "maximum commits per cycle", func(c *Config) *int { return &c.CommitWidth }),
 		intField("rob.size", "Cache Processor reorder-buffer entries", func(c *Config) *int { return &c.ROBSize }),
 		intField("iq.int", "integer issue-queue entries", func(c *Config) *int { return &c.IntIQ }),
 		intField("iq.fp", "floating-point issue-queue entries", func(c *Config) *int { return &c.FpIQ }),
-		intField("regs.int", "integer physical registers", func(c *Config) *int { return &c.IntRegs }),
-		intField("regs.fp", "floating-point physical registers", func(c *Config) *int { return &c.FpRegs }),
 		intField("cache.ports", "L1 read/write ports", func(c *Config) *int { return &c.CachePorts }),
 		intField("epochs", "LL-LSQ epochs == memory engines", func(c *Config) *int { return &c.NumEpochs }),
 		intField("epoch.insts", "per-epoch instruction budget", func(c *Config) *int { return &c.EpochMaxInsts }),
 		intField("epoch.loads", "per-epoch load-queue entries", func(c *Config) *int { return &c.EpochMaxLoads }),
 		intField("epoch.stores", "per-epoch store-queue entries", func(c *Config) *int { return &c.EpochMaxStores }),
 		intField("me.issue", "memory-engine issue width", func(c *Config) *int { return &c.MEIssueWidth }),
-		intField("me.iq", "memory-engine issue-queue entries", func(c *Config) *int { return &c.MEIQ }),
 		intField("hl.lq", "high-locality load-queue entries", func(c *Config) *int { return &c.HLLQSize }),
 		intField("hl.sq", "high-locality store-queue entries", func(c *Config) *int { return &c.HLSQSize }),
 		sizeField("l1.size", "L1 capacity in bytes (accepts 32K etc.)", func(c *Config) *int { return &c.L1.SizeBytes }),
@@ -126,56 +116,12 @@ func fieldRegistry() []FieldSpec {
 		intField("mem.latency", "main-memory latency (cycles)", func(c *Config) *int { return &c.MemLatency }),
 		intField("bus.oneway", "CP<->MP one-way bus latency (cycles)", func(c *Config) *int { return &c.BusOneWay }),
 		intField("mesh.hop", "per-hop mesh latency (cycles)", func(c *Config) *int { return &c.MeshHop }),
-		{
-			Name: "noc.model", Doc: "interconnect timing model: analytic | contended",
-			Set: func(c *Config, v string) error {
-				m, err := ParseNoCModel(v)
-				if err != nil {
-					return err
-				}
-				c.NoC = m
-				return nil
-			},
-			Get: func(c *Config) string { return c.NoC.String() },
-		},
-		intField("noc.linkwidth", "contended-fabric messages per link per cycle (0/1 = one)", func(c *Config) *int { return &c.NoCLinkWidth }),
-		{
-			Name: "place.policy", Doc: "epoch->bank placement: modn | leastloaded | steal",
-			Set: func(c *Config, v string) error {
-				p, err := ParsePlacePolicy(v)
-				if err != nil {
-					return err
-				}
-				c.Place = p
-				return nil
-			},
-			Get: func(c *Config) string { return c.Place.String() },
-		},
-		{
-			Name: "class.policy", Doc: "execution-locality classifier: reactive | cachelevel | delaytrack",
-			Set: func(c *Config, v string) error {
-				p, err := ParseClassPolicy(v)
-				if err != nil {
-					return err
-				}
-				c.Class = p
-				return nil
-			},
-			Get: func(c *Config) string { return c.Class.String() },
-		},
-		intField("class.bits", "predictor-table index width (bits, 0 = default)", func(c *Config) *int { return &c.ClassTableBits }),
-		{
-			Name: "ert", Doc: "ELSQ global-disambiguation filter: line | hash",
-			Set: func(c *Config, v string) error {
-				k, err := ParseERTKind(v)
-				if err != nil {
-					return err
-				}
-				c.ERT = k
-				return nil
-			},
-			Get: func(c *Config) string { return c.ERT.String() },
-		},
+		enumField("noc.model", "interconnect timing model", &nocNames, func(c *Config) *NoCModel { return &c.NoC }),
+		intField("noc.linkwidth", "contended-fabric messages per link per cycle", func(c *Config) *int { return &c.NoCLinkWidth }),
+		enumField("place.policy", "epoch->bank placement", &placeNames, func(c *Config) *PlacePolicy { return &c.Place }),
+		enumField("class.policy", "execution-locality classifier", &classNames, func(c *Config) *ClassPolicy { return &c.Class }),
+		intField("class.bits", "predictor-table index width (bits)", func(c *Config) *int { return &c.ClassTableBits }),
+		enumField("ert", "ELSQ global-disambiguation filter", &ertNames, func(c *Config) *ERTKind { return &c.ERT }),
 		intField("ert.bits", "hash-ERT index width (bits)", func(c *Config) *int { return &c.ERTHashBits }),
 		{
 			Name: "sqm", Doc: "Store Queue Mirror: true | false",
@@ -189,36 +135,14 @@ func fieldRegistry() []FieldSpec {
 			},
 			Get: func(c *Config) string { return strconv.FormatBool(c.SQM) },
 		},
-		{
-			Name: "disamb", Doc: "disambiguation model: full | rsac | rlac | rsaclac",
-			Set: func(c *Config, v string) error {
-				d, err := ParseDisambiguation(v)
-				if err != nil {
-					return err
-				}
-				c.Disamb = d
-				return nil
-			},
-			Get: func(c *Config) string { return c.Disamb.String() },
-		},
+		enumField("disamb", "disambiguation model", &disambNames, func(c *Config) *Disambiguation { return &c.Disamb }),
 		intField("ssbf.bits", "SSBF index width (bits, SVW only)", func(c *Config) *int { return &c.SSBFBits }),
-		{
-			Name: "svw", Doc: "SVW variant: blind | checkstores",
-			Set: func(c *Config, v string) error {
-				x, err := ParseSVWVariant(v)
-				if err != nil {
-					return err
-				}
-				c.SVW = x
-				return nil
-			},
-			Get: func(c *Config) string { return c.SVW.String() },
-		},
+		enumField("svw", "SVW variant", &svwNames, func(c *Config) *SVWVariant { return &c.SVW }),
 		intField("migrate.threshold", "low-locality migration slack (cycles)", func(c *Config) *int { return &c.MigrateThreshold }),
 		intField("mispredict.penalty", "front-end redirect cost (cycles)", func(c *Config) *int { return &c.MispredictPenalty }),
 		uint64Field("insts", "measured instructions per benchmark", func(c *Config) *uint64 { return &c.MaxInsts }),
 		uint64Field("warmup", "functional warm-up instructions", func(c *Config) *uint64 { return &c.WarmupInsts }),
-		intField("sample.intervals", "SimPoint-style measured intervals per benchmark (0/1 = contiguous)", func(c *Config) *int { return &c.SampleIntervals }),
+		intField("sample.intervals", "SimPoint-style measured intervals per benchmark (1 = contiguous)", func(c *Config) *int { return &c.SampleIntervals }),
 		uint64Field("sample.bleed", "functional fast-forward between sample intervals", func(c *Config) *uint64 { return &c.SampleBleedInsts }),
 		{
 			Name: "trace", Doc: "drive the run from this recorded .elt trace file (empty = live generation)",
@@ -232,7 +156,7 @@ func fieldRegistry() []FieldSpec {
 			Get: func(c *Config) string { return c.TracePath },
 		},
 		{
-			Name: "energy.table", Doc: "energy/area coefficient table for the post-run energy model: base | hp | lp (empty = base; observational only, never affects timing)",
+			Name: "energy.table", Doc: "energy/area coefficient table for the post-run energy model: base | hp | lp (observational only, never affects timing)",
 			Set: func(c *Config, v string) error { c.EnergyTable = v; return nil },
 			Get: func(c *Config) string { return c.EnergyTable },
 		},

@@ -123,11 +123,46 @@ func TestHash(t *testing.T) {
 	if a.Hash() == c.Hash() {
 		t.Error("instruction budget not part of the hash")
 	}
-	back, err := FromCanonical(a.Canonical())
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestEveryFieldReachesHash: the canonical form is the whole struct, so
+// giving any axis a different valid value changes the hash — including a
+// value the rest of the config makes inert (class.bits under the reactive
+// policy). A field without a row fails the test.
+func TestEveryFieldReachesHash(t *testing.T) {
+	alt := map[string]string{
+		"bus.oneway": "8", "cache.ports": "1", "class.bits": "12", "class.policy": "cachelevel",
+		"commit.width": "2", "disamb": "rsac", "energy.table": "hp", "epoch.insts": "64",
+		"epoch.loads": "32", "epoch.stores": "16", "epochs": "8", "ert": "line", "ert.bits": "12",
+		"fetch.width": "2", "hl.lq": "16", "hl.sq": "12", "insts": "1000", "iq.fp": "20",
+		"iq.int": "20", "l1.latency": "2", "l1.line": "64", "l1.size": "16K", "l1.ways": "2",
+		"l2.latency": "20", "l2.line": "64", "l2.size": "1M", "l2.ways": "8", "lsq": "svw",
+		"me.issue": "1", "mem.latency": "200", "mesh.hop": "2", "migrate.threshold": "24",
+		"mispredict.penalty": "4", "model": "ooo", "noc.linkwidth": "2", "noc.model": "contended",
+		"place.policy": "steal", "rob.size": "32", "sample.bleed": "1000", "sample.intervals": "2",
+		"sqm": "false", "ssbf.bits": "12", "svw": "checkstores", "trace": "a.elt", "warmup": "1000",
 	}
-	if back != a {
-		t.Error("FromCanonical(Canonical()) changed the config")
+	base := Default()
+	for _, f := range Fields() {
+		v, ok := alt[f.Name]
+		if !ok {
+			t.Errorf("field %s has no alternate value", f.Name)
+			continue
+		}
+		c := Default()
+		if err := f.Set(&c, v); err != nil {
+			t.Errorf("%s=%s: %v", f.Name, v, err)
+			continue
+		}
+		if f.Get(&c) == f.Get(&base) {
+			t.Errorf("%s=%s is the default value", f.Name, v)
+		}
+		if c.Hash() == base.Hash() {
+			t.Errorf("%s=%s does not reach the hash", f.Name, v)
+		}
+		delete(alt, f.Name)
+	}
+	for name := range alt {
+		t.Errorf("alternate value for unknown field %s", name)
 	}
 }

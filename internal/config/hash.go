@@ -8,34 +8,19 @@ import (
 )
 
 // Canonical returns the canonical serialisation of the configuration: JSON
-// with fields in declaration order and enums in their text form. Two configs
-// have equal Canonical output iff every simulated parameter is equal, so the
-// encoding doubles as the result-cache identity (internal/sweep) and as the
-// config record embedded in sweep artifacts. Semantically inert sampling
-// settings are normalised away first — SampleIntervals 0 and 1 both mean a
-// contiguous measurement and SampleBleedInsts is dead without at least two
-// intervals — so equivalent configs share one identity. A trace-driven
-// config with a resolved TraceDigest canonicalises to the digest alone
-// (TracePath dropped): the digest names the instruction stream, the path
-// merely locates a copy of it.
+// of every field in declaration order, enums in their text form. Equal
+// encodings mean equal simulations, so the encoding doubles as the
+// result-cache identity (internal/sweep) and as the config record embedded
+// in sweep artifacts. The converse does not hold: a field the rest of the
+// config makes inert (ssbf.bits under the ELSQ, class.bits under the
+// reactive policy) still splits the identity, which costs at most a
+// duplicate simulation. The one rule: a trace-driven config with a resolved
+// TraceDigest drops TracePath, because the digest names the instruction
+// stream and the path merely locates a copy of it.
 func (c *Config) Canonical() []byte {
 	cc := *c
-	if cc.SampleIntervals <= 1 {
-		cc.SampleIntervals = 0
-		cc.SampleBleedInsts = 0
-	}
 	if cc.TraceDigest != "" {
 		cc.TracePath = ""
-	}
-	// Link width is dead under the analytic fabric, and 0 and 1 both mean
-	// one message per cycle under the contended one.
-	if cc.NoC == NoCAnalytic || cc.NoCLinkWidth == 1 {
-		cc.NoCLinkWidth = 0
-	}
-	// Predictor-table geometry is dead under the reactive policy, and 0 and
-	// the default width both mean DefaultClassTableBits entries.
-	if cc.Class == ClassReactive || cc.ClassTableBits == DefaultClassTableBits {
-		cc.ClassTableBits = 0
 	}
 	b, err := json.Marshal(&cc)
 	if err != nil {
@@ -53,13 +38,4 @@ func (c *Config) Canonical() []byte {
 func (c *Config) Hash() string {
 	sum := sha256.Sum256(c.Canonical())
 	return hex.EncodeToString(sum[:8])
-}
-
-// FromCanonical parses a configuration previously produced by Canonical.
-func FromCanonical(b []byte) (Config, error) {
-	var c Config
-	if err := json.Unmarshal(b, &c); err != nil {
-		return Config{}, fmt.Errorf("config: bad canonical encoding: %w", err)
-	}
-	return c, nil
 }

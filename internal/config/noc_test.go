@@ -2,71 +2,8 @@ package config
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
 )
-
-// TestNoCPlaceCanonicalStability pins the cache-compatibility contract for
-// the fabric and placement fields: a default config's canonical encoding
-// must not mention them at all (every pre-fabric golden digest, sweep key
-// and checkpoint key stays byte-identical), and only semantically real
-// settings may split the identity.
-func TestNoCPlaceCanonicalStability(t *testing.T) {
-	base := Default()
-	b := string(base.Canonical())
-	for _, key := range []string{"NoC", "Place"} {
-		if strings.Contains(b, key) {
-			t.Errorf("default canonical encoding mentions %q: %s", key, b)
-		}
-	}
-
-	// Link width is inert under the analytic model and 1 is the contended
-	// default, so neither may split the identity.
-	inertWidth := Default()
-	inertWidth.NoCLinkWidth = 4
-	if inertWidth.Hash() != base.Hash() {
-		t.Error("link width under the analytic model changed the identity")
-	}
-	widthOne := Default()
-	widthOne.NoC = NoCContended
-	widthOne.NoCLinkWidth = 1
-	widthZero := Default()
-	widthZero.NoC = NoCContended
-	if widthOne.Hash() != widthZero.Hash() {
-		t.Error("contended link widths 0 and 1 split the identity")
-	}
-
-	// Real settings must split it.
-	if widthZero.Hash() == base.Hash() {
-		t.Error("the contended fabric shares the analytic identity")
-	}
-	wide := Default()
-	wide.NoC = NoCContended
-	wide.NoCLinkWidth = 2
-	if wide.Hash() == widthZero.Hash() {
-		t.Error("contended link width 2 shares the width-1 identity")
-	}
-	for _, pol := range []PlacePolicy{PlaceLeastLoaded, PlaceSteal} {
-		c := Default()
-		c.Place = pol
-		if c.Hash() == base.Hash() {
-			t.Errorf("placement policy %v shares the mod-N identity", pol)
-		}
-	}
-
-	// Round trip through the canonical encoding.
-	c := Default()
-	c.NoC = NoCContended
-	c.NoCLinkWidth = 2
-	c.Place = PlaceSteal
-	back, err := FromCanonical(c.Canonical())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back != c {
-		t.Errorf("FromCanonical changed the config:\n got %+v\nwant %+v", back, c)
-	}
-}
 
 // TestNoCPlaceWarmKeyInvariant: fabric and placement are timing-only — they
 // cannot change functional warm-up state, so warm-up checkpoints must be
@@ -88,20 +25,21 @@ func TestNoCPlaceWarmKeyInvariant(t *testing.T) {
 	}
 }
 
-// TestNoCPlaceTextForms covers the enums' parse and JSON text round trips,
-// including the accepted spelling aliases.
+// TestNoCPlaceTextForms covers the enums' registry parse and JSON text
+// round trips, including the accepted spelling aliases.
 func TestNoCPlaceTextForms(t *testing.T) {
 	for _, tt := range []struct {
 		in   string
 		want NoCModel
 	}{{"analytic", NoCAnalytic}, {"free", NoCAnalytic}, {"contended", NoCContended}} {
-		got, err := ParseNoCModel(tt.in)
-		if err != nil || got != tt.want {
-			t.Errorf("ParseNoCModel(%q) = %v, %v", tt.in, got, err)
+		c := Default()
+		if err := SetField(&c, "noc.model", tt.in); err != nil || c.NoC != tt.want {
+			t.Errorf("noc.model=%s set %v, %v", tt.in, c.NoC, err)
 		}
 	}
-	if _, err := ParseNoCModel("warp"); err == nil {
-		t.Error("ParseNoCModel accepted garbage")
+	c := Default()
+	if err := SetField(&c, "noc.model", "warp"); err == nil {
+		t.Error("noc.model accepted garbage")
 	}
 	for _, tt := range []struct {
 		in   string
@@ -111,16 +49,16 @@ func TestNoCPlaceTextForms(t *testing.T) {
 		{"leastloaded", PlaceLeastLoaded}, {"least-loaded", PlaceLeastLoaded},
 		{"steal", PlaceSteal},
 	} {
-		got, err := ParsePlacePolicy(tt.in)
-		if err != nil || got != tt.want {
-			t.Errorf("ParsePlacePolicy(%q) = %v, %v", tt.in, got, err)
+		c := Default()
+		if err := SetField(&c, "place.policy", tt.in); err != nil || c.Place != tt.want {
+			t.Errorf("place.policy=%s set %v, %v", tt.in, c.Place, err)
 		}
 	}
-	if _, err := ParsePlacePolicy("random"); err == nil {
-		t.Error("ParsePlacePolicy accepted garbage")
+	if err := SetField(&c, "place.policy", "random"); err == nil {
+		t.Error("place.policy accepted garbage")
 	}
 
-	c := Default()
+	c = Default()
 	c.NoC = NoCContended
 	c.NoCLinkWidth = 2
 	c.Place = PlaceLeastLoaded

@@ -6,213 +6,53 @@ import (
 	"strings"
 )
 
-// This file gives every enum a text round-trip (used by JSON serialisation,
-// the canonical hash encoding, and the sweep CLI's axis parser) and provides
-// the value parsers shared by cmd/elsqsim-style flag handling and the
-// internal/sweep field registry.
+// This file holds the text codecs shared by the enums' String and
+// MarshalText/UnmarshalText methods and by the field registry's parsers.
 
-// ParseModel parses a processor-model name ("fmc", "ooo", "OoO-64").
-func ParseModel(s string) (Model, error) {
-	switch strings.ToLower(s) {
-	case "fmc":
-		return ModelFMC, nil
-	case "ooo", "ooo-64", "ooo64":
-		return ModelOoO, nil
-	}
-	return 0, fmt.Errorf("config: unknown model %q (want fmc | ooo)", s)
+// enumNames is one enum's name table, indexed by value: each entry lists the
+// value's String form first, then the aliases parsing also accepts. Parsing
+// ignores case.
+type enumNames[E ~uint8] struct {
+	kind  string // what the enum selects, for error messages
+	names [][]string
 }
 
-// ParseLSQScheme parses a queue-organisation name.
-func ParseLSQScheme(s string) (LSQScheme, error) {
-	switch strings.ToLower(s) {
-	case "central":
-		return LSQCentral, nil
-	case "conventional":
-		return LSQConventional, nil
-	case "elsq":
-		return LSQELSQ, nil
-	case "svw":
-		return LSQSVW, nil
+// name returns v's String form.
+func (t *enumNames[E]) name(v E) string {
+	if int(v) < len(t.names) {
+		return t.names[v][0]
 	}
-	return 0, fmt.Errorf("config: unknown LSQ scheme %q (want central | conventional | elsq | svw)", s)
+	return fmt.Sprintf("%s(%d)", t.kind, uint8(v))
 }
 
-// ParseERTKind parses an ERT filter kind.
-func ParseERTKind(s string) (ERTKind, error) {
-	switch strings.ToLower(s) {
-	case "line":
-		return ERTLine, nil
-	case "hash":
-		return ERTHash, nil
+// parse returns the value one of whose names is s.
+func (t *enumNames[E]) parse(s string) (E, error) {
+	for v, names := range t.names {
+		for _, n := range names {
+			if strings.EqualFold(s, n) {
+				return E(v), nil
+			}
+		}
 	}
-	return 0, fmt.Errorf("config: unknown ERT kind %q (want line | hash)", s)
+	return 0, fmt.Errorf("config: unknown %s %q (want %s)", t.kind, s, t.list())
 }
 
-// ParseDisambiguation parses a restricted-disambiguation model name.
-func ParseDisambiguation(s string) (Disambiguation, error) {
-	switch strings.ToLower(s) {
-	case "full":
-		return DisambFull, nil
-	case "rsac":
-		return DisambRSAC, nil
-	case "rlac":
-		return DisambRLAC, nil
-	case "rsaclac", "rsac+rlac":
-		return DisambRSACLAC, nil
+// unmarshal parses b into *v.
+func (t *enumNames[E]) unmarshal(v *E, b []byte) error {
+	x, err := t.parse(string(b))
+	if err == nil {
+		*v = x
 	}
-	return 0, fmt.Errorf("config: unknown disambiguation %q (want full | rsac | rlac | rsaclac)", s)
+	return err
 }
 
-// ParseClassPolicy parses an execution-locality classifier name.
-func ParseClassPolicy(s string) (ClassPolicy, error) {
-	switch strings.ToLower(s) {
-	case "reactive":
-		return ClassReactive, nil
-	case "cachelevel", "cache-level", "clp":
-		return ClassCacheLevel, nil
-	case "delaytrack", "delay-track", "dtp":
-		return ClassDelayTrack, nil
+// list joins the String forms for error messages and registry docs.
+func (t *enumNames[E]) list() string {
+	first := make([]string, len(t.names))
+	for i, n := range t.names {
+		first[i] = n[0]
 	}
-	return 0, fmt.Errorf("config: unknown classification policy %q (want reactive | cachelevel | delaytrack)", s)
-}
-
-// ParseSVWVariant parses an SVW filtering-variant name.
-func ParseSVWVariant(s string) (SVWVariant, error) {
-	switch strings.ToLower(s) {
-	case "blind":
-		return SVWBlind, nil
-	case "checkstores":
-		return SVWCheckStores, nil
-	}
-	return 0, fmt.Errorf("config: unknown SVW variant %q (want blind | checkstores)", s)
-}
-
-// ParseNoCModel parses an interconnect timing-model name.
-func ParseNoCModel(s string) (NoCModel, error) {
-	switch strings.ToLower(s) {
-	case "analytic", "free":
-		return NoCAnalytic, nil
-	case "contended":
-		return NoCContended, nil
-	}
-	return 0, fmt.Errorf("config: unknown NoC model %q (want analytic | contended)", s)
-}
-
-// ParsePlacePolicy parses an epoch-placement policy name.
-func ParsePlacePolicy(s string) (PlacePolicy, error) {
-	switch strings.ToLower(s) {
-	case "modn", "mod-n":
-		return PlaceModN, nil
-	case "leastloaded", "least-loaded":
-		return PlaceLeastLoaded, nil
-	case "steal":
-		return PlaceSteal, nil
-	}
-	return 0, fmt.Errorf("config: unknown placement policy %q (want modn | leastloaded | steal)", s)
-}
-
-// MarshalText implements encoding.TextMarshaler.
-func (m Model) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
-
-// UnmarshalText implements encoding.TextUnmarshaler.
-func (m *Model) UnmarshalText(b []byte) error {
-	v, err := ParseModel(string(b))
-	if err != nil {
-		return err
-	}
-	*m = v
-	return nil
-}
-
-// MarshalText implements encoding.TextMarshaler.
-func (s LSQScheme) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
-
-// UnmarshalText implements encoding.TextUnmarshaler.
-func (s *LSQScheme) UnmarshalText(b []byte) error {
-	v, err := ParseLSQScheme(string(b))
-	if err != nil {
-		return err
-	}
-	*s = v
-	return nil
-}
-
-// MarshalText implements encoding.TextMarshaler.
-func (k ERTKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
-
-// UnmarshalText implements encoding.TextUnmarshaler.
-func (k *ERTKind) UnmarshalText(b []byte) error {
-	v, err := ParseERTKind(string(b))
-	if err != nil {
-		return err
-	}
-	*k = v
-	return nil
-}
-
-// MarshalText implements encoding.TextMarshaler.
-func (d Disambiguation) MarshalText() ([]byte, error) { return []byte(d.String()), nil }
-
-// UnmarshalText implements encoding.TextUnmarshaler.
-func (d *Disambiguation) UnmarshalText(b []byte) error {
-	v, err := ParseDisambiguation(string(b))
-	if err != nil {
-		return err
-	}
-	*d = v
-	return nil
-}
-
-// MarshalText implements encoding.TextMarshaler.
-func (v SVWVariant) MarshalText() ([]byte, error) { return []byte(v.String()), nil }
-
-// UnmarshalText implements encoding.TextUnmarshaler.
-func (v *SVWVariant) UnmarshalText(b []byte) error {
-	x, err := ParseSVWVariant(string(b))
-	if err != nil {
-		return err
-	}
-	*v = x
-	return nil
-}
-
-// MarshalText implements encoding.TextMarshaler.
-func (m NoCModel) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
-
-// UnmarshalText implements encoding.TextUnmarshaler.
-func (m *NoCModel) UnmarshalText(b []byte) error {
-	v, err := ParseNoCModel(string(b))
-	if err != nil {
-		return err
-	}
-	*m = v
-	return nil
-}
-
-// MarshalText implements encoding.TextMarshaler.
-func (p PlacePolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
-
-// UnmarshalText implements encoding.TextUnmarshaler.
-func (p *PlacePolicy) UnmarshalText(b []byte) error {
-	v, err := ParsePlacePolicy(string(b))
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
-}
-
-// MarshalText implements encoding.TextMarshaler.
-func (p ClassPolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
-
-// UnmarshalText implements encoding.TextUnmarshaler.
-func (p *ClassPolicy) UnmarshalText(b []byte) error {
-	v, err := ParseClassPolicy(string(b))
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
+	return strings.Join(first, " | ")
 }
 
 // ParseSize parses a byte size with an optional K/M/G suffix ("32K", "2M",

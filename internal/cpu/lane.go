@@ -26,10 +26,10 @@ type Lane struct {
 
 	warmAccess func(addr uint64)
 
-	// Sampling plan (config.Intervals): measurement is split into intervals
-	// of per instructions (the first absorbs the remainder, so target starts
-	// at MaxInsts - per*(intervals-1)) separated by bleed functional
-	// instructions.
+	// Sampling plan (config.SampleIntervals, SampleBleedInsts): measurement
+	// is split into intervals of per instructions (the first absorbs the
+	// remainder, so target starts at MaxInsts - per*(intervals-1)) separated
+	// by bleed functional instructions.
 	intervals  int
 	bleed, per uint64
 	target     uint64
@@ -49,11 +49,10 @@ func (s *Sim) NewLane() *Lane {
 		s:          s,
 		warmAccess: func(addr uint64) { s.hier.Access(addr) },
 	}
-	intervals, bleed := s.cfg.Intervals()
-	l.intervals = intervals
-	l.bleed = bleed
-	l.per = s.cfg.MaxInsts / uint64(intervals)
-	l.target = s.cfg.MaxInsts - l.per*uint64(intervals-1) // first interval absorbs the remainder
+	l.intervals = s.cfg.SampleIntervals
+	l.bleed = s.cfg.SampleBleedInsts
+	l.per = s.cfg.MaxInsts / uint64(l.intervals)
+	l.target = s.cfg.MaxInsts - l.per*uint64(l.intervals-1) // first interval absorbs the remainder
 	return l
 }
 

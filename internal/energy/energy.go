@@ -143,12 +143,9 @@ func tables() []Table {
 	return []Table{base, hp, lp}
 }
 
-// Lookup resolves a table name from the energy.table config axis. The empty
-// name means "base" (the omitempty-canonical default); unknown names error.
+// Lookup resolves a table name from the energy.table config axis; unknown
+// names error.
 func Lookup(name string) (*Table, error) {
-	if name == "" {
-		name = "base"
-	}
 	for _, t := range tables() {
 		if t.Name == name {
 			tt := t
@@ -244,7 +241,7 @@ func structuresFor(cfg *config.Config) []structure {
 		// Execution-locality predictor table (internal/predict): one tagged
 		// 8-byte entry per slot, SRAM-class like the other small filters.
 		out = append(out, structure{name: "pred", class: classFilter,
-			kb: float64(uint64(1)<<cfg.ClassBits()) * 8 / 1024})
+			kb: float64(uint64(1)<<cfg.ClassTableBits) * 8 / 1024})
 	}
 	out = append(out,
 		structure{name: "l1", class: classSRAM, kb: float64(cfg.L1.SizeBytes) / 1024},

@@ -59,15 +59,10 @@ func TestTables(t *testing.T) {
 			t.Errorf("table %q missing from Tables()", n)
 		}
 	}
-	def, err := energy.Lookup("")
-	if err != nil {
-		t.Fatalf("Lookup(\"\"): %v", err)
-	}
-	if def.Name != "base" {
-		t.Errorf("empty table name resolved to %q, want base", def.Name)
-	}
-	if _, err := energy.Lookup("nope"); err == nil {
-		t.Error("Lookup(nope) succeeded, want error")
+	for _, n := range []string{"", "nope"} {
+		if _, err := energy.Lookup(n); err == nil {
+			t.Errorf("Lookup(%q) succeeded, want error", n)
+		}
 	}
 }
 

@@ -97,15 +97,13 @@ type Contended struct {
 
 // NewContended builds the occupancy-based fabric for a w x h mesh with the
 // given per-hop and bus one-way latencies. linkWidth is the number of
-// messages each link (and each bus direction) accepts per cycle; values <= 0
-// mean 1. alloc builds each reservation calendar — the batch engine passes
-// an arena-backed allocator; nil allocates privately.
+// messages each link (and each bus direction) accepts per cycle. alloc
+// builds each reservation calendar — the batch engine passes an
+// arena-backed allocator; nil allocates privately. It panics on an empty
+// mesh, a negative latency or a non-positive link width.
 func NewContended(w, h, hopCost, oneWay, linkWidth int, alloc func(width int) *sched.Calendar) *Contended {
-	if w <= 0 || h <= 0 || hopCost < 0 || oneWay < 0 {
+	if w <= 0 || h <= 0 || hopCost < 0 || oneWay < 0 || linkWidth <= 0 {
 		panic("noc: invalid contended fabric geometry")
-	}
-	if linkWidth <= 0 {
-		linkWidth = 1
 	}
 	if alloc == nil {
 		alloc = func(width int) *sched.Calendar { return sched.NewCalendar(width, defaultHorizon) }

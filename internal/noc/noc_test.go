@@ -176,6 +176,8 @@ func TestConstructorPanics(t *testing.T) {
 		func() { NewAnalytic(4, -1, 1, 4) },
 		func() { NewAnalytic(0, 0, 0, 0) },
 		func() { NewAnalytic(4, 4, 1, -1) },
+		func() { NewContended(4, 4, 1, 4, 0, nil) },
+		func() { NewContended(4, 4, 1, 4, -1, nil) },
 	} {
 		func() {
 			defer func() {

@@ -107,10 +107,7 @@ func recordTo(t *testing.T, cfg *config.Config, bench string, seed uint64) strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := cfg.WarmupInsts + cfg.MaxInsts
-	if intervals, bleed := cfg.Intervals(); intervals > 1 {
-		n += uint64(intervals-1) * bleed
-	}
+	n := cfg.WarmupInsts + cfg.MaxInsts + uint64(cfg.SampleIntervals-1)*cfg.SampleBleedInsts
 	if err := rec.Record(n); err != nil {
 		t.Fatal(err)
 	}

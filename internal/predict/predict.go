@@ -73,7 +73,7 @@ func TableWords(cfg *config.Config) int {
 	if cfg.Model != config.ModelFMC || cfg.Class == config.ClassReactive {
 		return 0
 	}
-	return 1 << cfg.ClassBits()
+	return 1 << cfg.ClassTableBits
 }
 
 // New builds the classifier for cfg with privately allocated table state
@@ -98,7 +98,7 @@ func build(cfg *config.Config, words []uint64) Classifier {
 		entries: words[:n:n],
 		mask:    uint64(n - 1),
 		shift:   lineShift(cfg.L1.LineBytes),
-		idxBits: uint(cfg.ClassBits()),
+		idxBits: uint(cfg.ClassTableBits),
 	}
 	if cfg.Class == config.ClassCacheLevel {
 		return &cachelevel{table: t, threshold: thr}

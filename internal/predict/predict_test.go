@@ -37,8 +37,8 @@ func TestTableWords(t *testing.T) {
 	if n := TableWords(fmcCfg(config.ClassReactive)); n != 0 {
 		t.Errorf("reactive wants %d words, want 0", n)
 	}
-	if n := TableWords(fmcCfg(config.ClassCacheLevel)); n != 1<<config.DefaultClassTableBits {
-		t.Errorf("cachelevel wants %d words, want %d", n, 1<<config.DefaultClassTableBits)
+	if n := TableWords(fmcCfg(config.ClassCacheLevel)); n != 1024 {
+		t.Errorf("cachelevel wants %d words, want 1024", n)
 	}
 	narrow := fmcCfg(config.ClassDelayTrack)
 	narrow.ClassTableBits = 6

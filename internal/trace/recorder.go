@@ -13,17 +13,13 @@ import (
 	"repro/internal/workload"
 )
 
-// Recorder wraps a workload source and tees every committed-path
-// instruction it delivers into a streaming .elt encoder. It implements
-// workload.Source itself, so a simulation can run normally while its
-// instruction stream is captured; alternatively Record drains the source
-// without a consumer. Wrong-path instructions pass through unrecorded —
-// replay re-synthesises them bit-identically from the header's wrong-path
+// Recorder drains a workload source's committed-path instructions into a
+// streaming .elt encoder (Record). Wrong-path instructions are not recorded
+// — replay re-synthesises them bit-identically from the header's wrong-path
 // seed.
 //
-// Encoding errors are sticky: the stream keeps flowing to the consumer (the
-// Source interface has no error channel) and Close reports the first
-// failure — a recording is only valid if Close returns nil.
+// Encoding errors are sticky: Record and Close report the first failure —
+// a recording is only valid if Close returns nil.
 type Recorder struct {
 	src workload.Snapshottable
 
@@ -98,43 +94,13 @@ func (r *Recorder) writeHeader(m *Meta) error {
 	return err
 }
 
-// Name implements workload.Source.
-func (r *Recorder) Name() string { return r.src.Name() }
-
-// Suite implements workload.Source.
-func (r *Recorder) Suite() workload.Suite { return r.src.Suite() }
-
-// Next implements workload.Source: it delivers the source's next committed
-// instruction and records it.
-func (r *Recorder) Next(out *isa.Inst) {
-	r.src.Next(out)
-	r.record(out)
-}
-
-// WrongPath implements workload.Source. Wrong-path instructions are pass-
-// through: they are squashed state, re-synthesised at replay.
-func (r *Recorder) WrongPath(out *isa.Inst) { r.src.WrongPath(out) }
-
-// Warmup implements workload.Source. Unlike the wrapped source's count
-// mode, every warm-up instruction must be materialised to be recorded, so
-// this walks Next — recording trades the count-mode speed-up for the
-// on-disk artifact.
-func (r *Recorder) Warmup(n uint64, access func(addr uint64)) {
-	var in isa.Inst
-	for i := uint64(0); i < n; i++ {
-		r.Next(&in)
-		if in.IsMem() {
-			access(in.Addr)
-		}
-	}
-}
-
-// Record drains n instructions from the source into the recording without
-// a consumer (the cmd/elsqtrace record path).
+// Record drains the source's next n committed-path instructions into the
+// recording.
 func (r *Recorder) Record(n uint64) error {
 	var in isa.Inst
 	for i := uint64(0); i < n; i++ {
-		r.Next(&in)
+		r.src.Next(&in)
+		r.record(&in)
 		if r.err != nil {
 			return r.err
 		}

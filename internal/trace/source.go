@@ -208,7 +208,6 @@ func (s *Source) Restore(st *workload.SourceState) error {
 var (
 	_ workload.Source        = (*Source)(nil)
 	_ workload.Snapshottable = (*Source)(nil)
-	_ workload.Source        = (*Recorder)(nil)
 	_ workload.Snapshottable = (*workload.Generator)(nil)
 )
 
