@@ -94,6 +94,10 @@ func goldenPoints() []sweep.Job {
 			c.Model = config.ModelOoO
 			c.LSQ = config.LSQSVW
 		}),
+		mk("gcc", 1, func(c *config.Config) { // SVW no-unresolved-store filter
+			c.LSQ = config.LSQSVW
+			c.SVW = config.SVWCheckStores
+		}),
 	}
 }
 

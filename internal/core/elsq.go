@@ -74,28 +74,29 @@ type ELSQ struct {
 	// perform no violation searches and the Load-ERT is absent.
 	noLQ bool
 
-	// bypassed[p] marks a live bank whose ERT state is incomplete: a store
-	// bypassed filter insertion under pathological line-lock pressure, or
-	// forceUnlockOne released one of the bank's locked lines (the line may
-	// be evicted, losing the line-indexed filter entry). Searches must
-	// conservatively visit such banks regardless of the mask, or a load
-	// could miss the youngest matching store and silently read stale data.
-	// Cleared when the bank is reclaimed or squashed.
-	bypassed []bool
+	// bypassed has bank p's bit set while the live bank's ERT state is
+	// incomplete: a store bypassed filter insertion under pathological
+	// line-lock pressure, or forceUnlockOne released one of the bank's
+	// locked lines (the line may be evicted, losing the line-indexed filter
+	// entry). Searches must conservatively visit such banks regardless of
+	// the mask, or a load could miss the youngest matching store and
+	// silently read stale data. Cleared when the bank is reclaimed or
+	// squashed.
+	bypassed filter.EpochMask
 
 	// ev is the lane's event tally the queue searches, filter probes and
 	// round trips are counted into.
 	ev *stats.Tally
 
 	// Per-LoadIssue scratch replacing a per-call map: the youngest matching
-	// store per physical bank, stamped with a generation so no clearing is
-	// needed. At most one virtual epoch is live per bank, and candidate
-	// stores arrive ascending by age, so the live epoch's youngest match
-	// wins the slot exactly as the map's per-virtual-epoch entry did.
-	matchGen   []uint64
+	// store per physical bank, valid for the banks whose bit the current
+	// pass set in matched, so starting a pass clears one mask. At most one
+	// virtual epoch is live per bank, and candidate stores arrive ascending
+	// by age, so the live epoch's youngest match wins the slot exactly as
+	// the map's per-virtual-epoch entry did.
+	matched    filter.EpochMask
 	matchV     []int64
 	matchOp    []*lsq.MemOp
-	gen        uint64
 	candEpochs []int64
 
 	// Per-StoreAddrReady scratch for the local/remote younger-load split.
@@ -131,9 +132,7 @@ func New(cfg *config.Config, fab noc.Fabric, l1 *mem.Cache, banks fmc.BankMap, e
 		activeVirtual: make([]int64, cfg.NumEpochs),
 		releaseAt:     make([]int64, cfg.NumEpochs),
 		lockedSlots:   make([][]mem.LineSlot, cfg.NumEpochs),
-		bypassed:      make([]bool, cfg.NumEpochs),
 		ev:            ev,
-		matchGen:      make([]uint64, cfg.NumEpochs),
 		matchV:        make([]int64, cfg.NumEpochs),
 		matchOp:       make([]*lsq.MemOp, cfg.NumEpochs),
 	}
@@ -182,7 +181,7 @@ func (e *ELSQ) claim(phys int, v int64) {
 	}
 	e.activeVirtual[phys] = v
 	e.releaseAt[phys] = 0
-	e.bypassed[phys] = false
+	e.bypassed.Clear(phys)
 }
 
 // liveAt reports whether bank phys holds a still-uncommitted epoch at t.
@@ -222,7 +221,7 @@ func (e *ELSQ) insert(op *lsq.MemOp, canStall bool) (stall int64, ok bool) {
 					// The bank's filter state is now incomplete, so
 					// searches must visit it unconditionally.
 					e.ev[stats.ERTLockBypass]++
-					e.bypassed[phys] = true
+					e.bypassed.Set(phys)
 					return stall, true
 				}
 				slot, allocated = e.l1.Allocate(op.Addr)
@@ -273,7 +272,7 @@ func (e *ELSQ) forceUnlockOne() {
 	e.l1.Unlock(s)
 	// The unlocked line may now be evicted, taking the bank's line-indexed
 	// filter entry with it; the bank must be searched unconditionally.
-	e.bypassed[bank] = true
+	e.bypassed.Set(bank)
 }
 
 // Migrate implements lsq.Scheme: the op enters epoch op.Epoch. Stores
@@ -327,7 +326,7 @@ func (e *ELSQ) EpochCommitted(epoch int, t int64) {
 	// filter state is therefore incomplete and searches must visit it
 	// unconditionally.
 	if len(e.lockedSlots[phys]) > 0 {
-		e.bypassed[phys] = true
+		e.bypassed.Set(phys)
 	}
 	for _, s := range e.lockedSlots[phys] {
 		e.l1.Unlock(s)
@@ -349,14 +348,14 @@ func (e *ELSQ) EpochSquashed(epoch int) {
 	e.lockedSlots[phys] = e.lockedSlots[phys][:0]
 	e.activeVirtual[phys] = -1
 	e.releaseAt[phys] = 0
-	e.bypassed[phys] = false
+	e.bypassed.Clear(phys)
 }
 
 // epochMatch returns the youngest candidate store of virtual epoch v seen
 // by the current LoadIssue pass, or nil.
 func (e *ELSQ) epochMatch(v int64) *lsq.MemOp {
 	p := e.physical(v)
-	if e.matchGen[p] == e.gen && e.matchV[p] == v {
+	if e.matched.Has(p) && e.matchV[p] == v {
 		return e.matchOp[p]
 	}
 	return nil
@@ -377,19 +376,18 @@ func (e *ELSQ) LoadIssue(ld *lsq.MemOp, ix *lsq.StoreIndex, t int64) lsq.LoadRes
 	// epoch is live per bank), and the youngest match overall. Candidates
 	// are ascending by age, so later assignments win.
 	var hlMatch, youngest *lsq.MemOp
-	e.gen++
+	e.matched = filter.EpochMask{}
 	for _, st := range ix.Candidates(ld, t) {
 		if st.MigrateAt == 0 || st.MigrateAt > t {
 			hlMatch = st
 		} else {
 			p := e.physical(int64(st.Epoch))
-			e.matchGen[p] = e.gen
+			e.matched.Set(p)
 			e.matchV[p] = int64(st.Epoch)
 			e.matchOp[p] = st
 		}
 		youngest = st
 	}
-	ld.UnresolvedOlderStore = ix.Unresolved(ld, t)
 
 	// Level 1: local search. The local hit is final only when it is the
 	// youngest overlapping store overall.
@@ -486,31 +484,37 @@ func (e *ELSQ) LoadIssue(ld *lsq.MemOp, ix *lsq.StoreIndex, t int64) lsq.LoadRes
 // at cycle t that epoch physically still owned the bank and its filter
 // bits, so real hardware would search it. The candidates scratch tells us
 // exactly when that holds: it records an in-flight store of the bank's
-// time-t occupant. The returned slice is scratch storage owned by the
-// ELSQ, valid until the next call.
+// time-t occupant. Only banks in one of the three sets — mask, bypassed,
+// matched — can qualify, so the scan visits their set bits alone,
+// ascending. The returned slice is scratch storage owned by the ELSQ, valid
+// until the next call.
 func (e *ELSQ) candidateEpochs(mask filter.EpochMask, ld *lsq.MemOp, t int64) []int64 {
 	out := e.candEpochs[:0]
-	for phys := 0; phys < e.cfg.NumEpochs; phys++ {
-		v := e.activeVirtual[phys]
-		if e.matchGen[phys] == e.gen && v >= 0 && e.matchV[phys] < v {
-			// Displaced occupant with an in-flight candidate store at t:
-			// banks are reused only after their occupant fully commits, so
-			// the scratch epoch is the bank's owner as of cycle t. A
-			// squashed bank (activeVirtual < 0) stays dead — its state was
-			// discarded, not displaced.
-			v = e.matchV[phys]
-		} else {
-			if !mask.Has(phys) && !e.bypassed[phys] {
-				continue
+	visit := [2]uint64{mask.Lo | e.bypassed.Lo | e.matched.Lo, mask.Hi | e.bypassed.Hi | e.matched.Hi}
+	for w, word := range visit {
+		for m := word; m != 0; m &= m - 1 {
+			phys := w*64 + bits.TrailingZeros64(m)
+			v := e.activeVirtual[phys]
+			if e.matched.Has(phys) && v >= 0 && e.matchV[phys] < v {
+				// Displaced occupant with an in-flight candidate store at
+				// t: banks are reused only after their occupant fully
+				// commits, so the scratch epoch is the bank's owner as of
+				// cycle t. A squashed bank (activeVirtual < 0) stays dead —
+				// its state was discarded, not displaced.
+				v = e.matchV[phys]
+			} else {
+				if !mask.Has(phys) && !e.bypassed.Has(phys) {
+					continue
+				}
+				if v < 0 || !e.liveAt(phys, t) {
+					continue // stale bank bit (cleared or committed epoch)
+				}
 			}
-			if v < 0 || !e.liveAt(phys, t) {
-				continue // stale bank bit (cleared or committed epoch)
+			if ld.Epoch != lsq.HLEpoch && v >= int64(ld.Epoch) {
+				continue // only strictly older epochs hold older stores
 			}
+			out = append(out, v)
 		}
-		if ld.Epoch != lsq.HLEpoch && v >= int64(ld.Epoch) {
-			continue // only strictly older epochs hold older stores
-		}
-		out = append(out, v)
 	}
 	// Youngest (highest virtual id) first.
 	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {

@@ -192,8 +192,11 @@ type Sim struct {
 	// StoreIndex holds only stores, and schemes keep no op pointers), so
 	// one scratch value each makes the per-instruction path allocation-
 	// free. Store records come from the StoreIndex's recycling pool
-	// instead, because they stay searchable until compaction retires them.
+	// instead, because they stay searchable until the index retires them.
+	// wpIn is the wrong-path instruction scratch: a local would escape to
+	// the heap through the workload.Source call on every mispredict.
 	loadOp, wpOp lsq.MemOp
+	wpIn         isa.Inst
 
 	// ev counts every event of the run: the scheme and the SVW engine count
 	// into it too, and Lane.Finish adds the totals other layers keep.
@@ -713,6 +716,11 @@ func (s *Sim) execLoad(op *lsq.MemOp, llExec bool, epochV int64, migT int64) (do
 	op.Issued = issue
 
 	res := s.scheme.LoadIssue(op, s.storeIx, issue)
+	if s.svwEng != nil {
+		// The SVW commit check is the flag's one reader. Stores are Added
+		// only at commit, so the index is as LoadIssue saw it.
+		op.UnresolvedOlderStore = s.storeIx.Unresolved(op, issue)
+	}
 	if res.Squash {
 		s.ev[stats.LLSquash]++
 		s.nextFetchMin = max64(s.nextFetchMin, issue+int64(s.cfg.MispredictPenalty))
@@ -831,9 +839,9 @@ func (s *Sim) injectWrongPath(start, resolve int64) {
 	if n > int64(s.wrongPathCap) {
 		n = int64(s.wrongPathCap)
 	}
-	var in isa.Inst
+	in := &s.wpIn
 	for i := int64(0); i < n; i++ {
-		s.gen.WrongPath(&in)
+		s.gen.WrongPath(in)
 		d := start + i/int64(s.cfg.FetchWidth)
 		s.robRing.Push(resolve)
 		switch in.Op {

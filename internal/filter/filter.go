@@ -80,7 +80,8 @@ func (m EpochMask) Has(e int) bool {
 	return m.Hi&(1<<uint(e-64)) != 0
 }
 
-func (m *EpochMask) set(e int) {
+// Set sets epoch e's bit.
+func (m *EpochMask) Set(e int) {
 	if e < 64 {
 		m.Lo |= 1 << uint(e)
 	} else {
@@ -88,7 +89,8 @@ func (m *EpochMask) set(e int) {
 	}
 }
 
-func (m *EpochMask) clear(e int) {
+// Clear clears epoch e's bit.
+func (m *EpochMask) Clear(e int) {
 	if e < 64 {
 		m.Lo &^= 1 << uint(e)
 	} else {
@@ -100,7 +102,7 @@ func (m *EpochMask) clear(e int) {
 func MaskOf(epochs ...int) EpochMask {
 	var m EpochMask
 	for _, e := range epochs {
-		m.set(e)
+		m.Set(e)
 	}
 	return m
 }
@@ -144,7 +146,7 @@ func (t *EpochBitTable) NumEpochs() int { return t.numEpochs }
 // SetLoad marks a low-locality load with the given index in epoch e.
 func (t *EpochBitTable) SetLoad(idx, e int) {
 	if !t.loads[idx].Has(e) {
-		t.loads[idx].set(e)
+		t.loads[idx].Set(e)
 		t.touchedLd[e] = append(t.touchedLd[e], int32(idx))
 	}
 }
@@ -152,7 +154,7 @@ func (t *EpochBitTable) SetLoad(idx, e int) {
 // SetStore marks a low-locality store with the given index in epoch e.
 func (t *EpochBitTable) SetStore(idx, e int) {
 	if !t.stores[idx].Has(e) {
-		t.stores[idx].set(e)
+		t.stores[idx].Set(e)
 		t.touchedSt[e] = append(t.touchedSt[e], int32(idx))
 	}
 }
@@ -166,11 +168,11 @@ func (t *EpochBitTable) StoreMask(idx int) EpochMask { return t.stores[idx] }
 // ClearEpoch releases epoch e's two columns (on epoch commit or squash).
 func (t *EpochBitTable) ClearEpoch(e int) {
 	for _, idx := range t.touchedLd[e] {
-		t.loads[idx].clear(e)
+		t.loads[idx].Clear(e)
 	}
 	t.touchedLd[e] = t.touchedLd[e][:0]
 	for _, idx := range t.touchedSt[e] {
-		t.stores[idx].clear(e)
+		t.stores[idx].Clear(e)
 	}
 	t.touchedSt[e] = t.touchedSt[e][:0]
 }

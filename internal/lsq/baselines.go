@@ -34,7 +34,6 @@ func (s *Central) LoadIssue(ld *MemOp, ix *StoreIndex, t int64) LoadResult {
 		s.ev[stats.RoundTrip]++
 	}
 	match, _ := FindForward(ld, ix.Candidates(ld, t), t)
-	ld.UnresolvedOlderStore = ix.Unresolved(ld, t)
 	res := Resolve(ld, match, t+extra)
 	res.ExtraLatency = extra
 	return res
@@ -94,7 +93,6 @@ func (s *Conventional) Name() string {
 func (s *Conventional) LoadIssue(ld *MemOp, ix *StoreIndex, t int64) LoadResult {
 	s.ev[stats.HLSQ]++
 	match, _ := FindForward(ld, ix.Candidates(ld, t), t)
-	ld.UnresolvedOlderStore = ix.Unresolved(ld, t)
 	return Resolve(ld, match, t)
 }
 

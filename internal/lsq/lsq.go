@@ -49,6 +49,9 @@ type MemOp struct {
 	MigrateAt int64
 	// UnresolvedOlderStore records whether, at load issue, some older store
 	// still had an unknown address (the no-unresolved-store filter input).
+	// No Scheme sets it: the pipeline model fills it from
+	// StoreIndex.Unresolved right after LoadIssue, and only on lanes with an
+	// SVW engine, whose commit-time check is its one reader.
 	UnresolvedOlderStore bool
 
 	// Forwarding provenance, filled by the pipeline model once the load's
@@ -67,10 +70,12 @@ type MemOp struct {
 	// observe exactly the stores that committed by ReadAt.
 	ReadAt int64
 
-	// blockNext chains stores of the same 8-byte block inside the
-	// StoreIndex, youngest first. Intrusive linking keeps the per-store
+	// blockNext chains stores of the same bucket inside the StoreIndex,
+	// youngest first, and blockPrev links back to the next younger one, so
+	// retiring a chain's oldest store is O(1). addNext links every live
+	// store to the next one Added. Intrusive linking keeps the per-store
 	// path of the index allocation-free.
-	blockNext *MemOp
+	blockNext, blockPrev, addNext *MemOp
 }
 
 // InFlightAt reports whether the op still occupies its queue at cycle t.
@@ -130,7 +135,10 @@ type Scheme interface {
 	Name() string
 
 	// LoadIssue is called when a load searches for older matching stores.
-	// ix indexes every older store still potentially in flight.
+	// ix indexes every older store still potentially in flight. It does not
+	// fill ld.UnresolvedOlderStore: the caller does, with ix.Unresolved at
+	// the same t, right after LoadIssue returns and only when an SVW engine
+	// will read it (the index is unchanged in between).
 	LoadIssue(ld *MemOp, ix *StoreIndex, t int64) LoadResult
 
 	// StoreAddrReady is called when a store's address resolves and it

@@ -2,10 +2,10 @@ package lsq
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/noc"
 	"repro/internal/stats"
+	"repro/internal/xrand"
 )
 
 func st(seq uint64, addr uint64, size uint8, addrReady, dataReady, commit int64) *MemOp {
@@ -157,60 +157,77 @@ func TestStoreIndexAddPanicsOnLoad(t *testing.T) {
 	NewStoreIndex().Add(ld(1, 100, 8))
 }
 
-func TestStoreIndexCompaction(t *testing.T) {
-	ix := NewStoreIndex()
-	// Far more adds than the compaction period, all long-committed. The
-	// compactor keeps a 2^14-cycle safety margin behind the youngest
-	// dispatch, so only entries older than that are dropped.
-	for i := 0; i < 100000; i++ {
-		s := st(uint64(i), uint64(i*8)%4096, 8, int64(i), int64(i), int64(i+1))
-		s.Dispatch = int64(i)
-		ix.Add(s)
-	}
-	total := 0
-	for _, v := range ix.buckets {
-		for st := v; st != nil; st = st.blockNext {
-			total++
-		}
-	}
-	if total > 40000 {
-		t.Errorf("index retained %d entries after compaction", total)
+// The queries stop at the first store committed by the query cycle, which
+// is sound only in commit order, so Add must refuse any other order.
+func TestStoreIndexAddPanicsOutOfCommitOrder(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		first, second int64
+	}{
+		{"earlier commit", 20, 10},
+		{"commit after an uncommitted store", 0, 10},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ix := NewStoreIndex()
+			ix.Add(st(1, 100, 8, 5, 5, c.first))
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Add accepted commit %d after commit %d", c.second, c.first)
+				}
+			}()
+			ix.Add(st(2, 200, 8, 5, 5, c.second))
+		})
 	}
 }
 
-// Property: Candidates returns exactly the in-flight, overlapping,
-// resolved, older stores.
+func TestStoreIndexCompaction(t *testing.T) {
+	ix := NewStoreIndex()
+	// Far more adds than the retirement horizon, one per cycle, every
+	// other one late-address. A store retires once its commit falls 2^14
+	// cycles behind the youngest dispatch, so exactly the stores committed
+	// after that stay chained, and the late ones among them in lateAddr.
+	const n = 100000
+	horizon := int64(n-1) - retireHorizon
+	wantLive, wantLate := 0, 0
+	for i := 0; i < n; i++ {
+		s := st(uint64(i), uint64(i*8)%4096, 8, int64(i+i%2*20), int64(i), int64(i+21))
+		s.Dispatch = int64(i)
+		ix.Add(s)
+		if s.Commit > horizon {
+			wantLive++
+			wantLate += i % 2
+		}
+	}
+	live := 0
+	for _, v := range ix.buckets {
+		for st := v; st != nil; st = st.blockNext {
+			live++
+		}
+	}
+	if late := len(ix.lateAddr) - ix.lateHead; live != wantLive || late != wantLate || len(ix.freeOps) != n-wantLive {
+		t.Errorf("index chains %d stores (%d late) and pools %d, want %d (%d late) and %d",
+			live, late, len(ix.freeOps), wantLive, wantLate, n-wantLive)
+	}
+}
+
+// Property: every query answers what brute force over the stores Added so
+// far answers, on commit-ordered streams that cover recycled records
+// aliasing ring slots, late-address stores, uncommitted tails and
+// retirement.
 func TestStoreIndexCandidatesProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		ix := NewStoreIndex()
-		var all []*MemOp
-		x := uint64(seed)
-		next := func(n uint64) uint64 {
-			x = x*6364136223846793005 + 1442695040888963407
-			return x % n
-		}
-		for i := 0; i < 100; i++ {
-			s := st(uint64(i), 0x1000+next(64)*8, 8, int64(next(100)), 0, int64(next(200)))
-			ix.Add(s)
-			all = append(all, s)
-		}
-		l := ld(50, 0x1000+next(64)*8, 8)
-		tq := int64(next(200))
-		got := map[uint64]bool{}
-		for _, c := range ix.Candidates(l, tq) {
-			got[c.Seq] = true
-		}
-		for _, s := range all {
-			want := s.Seq < l.Seq && s.InFlightAt(tq) && s.AddrReady <= tq && s.Overlaps(l)
-			if got[s.Seq] != want {
-				return false
-			}
-		}
-		return true
+	var cov streamCoverage
+	for seed := uint64(1); seed <= 40; seed++ {
+		s := newStoreStream()
+		s.run(t, &rngSource{rng: xrand.New(seed), steps: 3000})
+		cov.aliased += s.cov.aliased
+		cov.late += s.cov.late
+		cov.tailQueries += s.cov.tailQueries
+		cov.retired += s.cov.retired
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+	if cov.aliased == 0 || cov.late == 0 || cov.tailQueries == 0 || cov.retired == 0 {
+		t.Errorf("streams missed a path: %+v", cov)
 	}
+	t.Logf("coverage: %+v", cov)
 }
 
 func TestCentralScheme(t *testing.T) {
