@@ -40,11 +40,6 @@ import (
 	"repro/internal/workload"
 )
 
-// fuzzChunk is how many consecutive fuzz seeds a worker claims per batch:
-// large enough that same-warm-key points can meet in one RunBatch call,
-// small enough that work stays evenly spread across workers.
-const fuzzChunk = 8
-
 // checkPoint runs one fuzz point with the differential oracle attached and
 // returns the checker (never nil on a nil error). It also certifies the
 // point's energy report: present under every fuzzed energy.table, with the
@@ -55,21 +50,13 @@ func checkPoint(p oracle.FuzzPoint) (*oracle.Checker, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkEnergy(out); err != nil {
-		return nil, err
-	}
-	return out.Oracle, nil
-}
-
-// checkEnergy asserts one outcome's energy accounting identity.
-func checkEnergy(out *simrun.Outcome) error {
 	if out.Energy == nil {
-		return fmt.Errorf("energy report missing from outcome")
+		return nil, fmt.Errorf("energy report missing from outcome")
 	}
 	if err := out.Energy.Check(); err != nil {
-		return fmt.Errorf("energy accounting identity violated: %w", err)
+		return nil, fmt.Errorf("energy accounting identity violated: %w", err)
 	}
-	return nil
+	return out.Oracle, nil
 }
 
 func main() {
@@ -100,7 +87,7 @@ func main() {
 	}
 
 	var (
-		next     = *seed - 1 // atomic; each worker claims the next chunk
+		next     = *seed - 1 // atomic; each worker claims the next seed
 		ran      uint64
 		loads    uint64
 		failures uint64
@@ -113,71 +100,36 @@ func main() {
 		go func() {
 			defer wg.Done()
 			for {
-				// Claim fuzzChunk consecutive seeds and run them as one
-				// RunBatch call: points that land on the same warm-up key
-				// (same benchmark, workload seed and warm-geometry draws)
-				// share a lane group and one functional warm-up.
-				s0 := atomic.AddUint64(&next, fuzzChunk) - fuzzChunk + 1
+				s := atomic.AddUint64(&next, 1)
 				if *duration > 0 && time.Now().After(deadline) {
 					return
 				}
-				var seeds []uint64
-				for s := s0; s < s0+fuzzChunk; s++ {
-					if *duration == 0 && s >= *seed+uint64(*points) {
-						break
-					}
-					seeds = append(seeds, s)
-				}
-				if len(seeds) == 0 {
+				if *duration == 0 && s >= *seed+uint64(*points) {
 					return
 				}
-				fps := make([]oracle.FuzzPoint, len(seeds))
-				pts := make([]simrun.Point, len(seeds))
-				for i, s := range seeds {
-					fps[i] = oracle.RandomPoint(s)
-					pts[i] = simrun.Point{Config: fps[i].Config, Bench: fps[i].Bench, Seed: fps[i].Seed, Oracle: true}
-				}
-				outs, err := simrun.RunBatch(nil, pts)
+				p := oracle.RandomPoint(s)
+				ck, err := checkPoint(p)
 				if err != nil {
 					mu.Lock()
-					fmt.Fprintf(os.Stderr, "seeds %d-%d: %v\n", seeds[0], seeds[len(seeds)-1], err)
+					fmt.Fprintf(os.Stderr, "seed %d: %s: %v\n", s, p.Label(), err)
 					mu.Unlock()
-					atomic.AddUint64(&failures, uint64(len(seeds)))
+					atomic.AddUint64(&failures, 1)
 					continue
 				}
-				for i, o := range outs {
-					s, p := seeds[i], fps[i]
-					if o.Err != nil {
-						mu.Lock()
-						fmt.Fprintf(os.Stderr, "seed %d: %s: %v\n", s, p.Label(), o.Err)
-						mu.Unlock()
-						atomic.AddUint64(&failures, 1)
-						continue
-					}
-					if eerr := checkEnergy(o); eerr != nil {
-						mu.Lock()
-						fmt.Fprintf(os.Stderr, "VIOLATION seed %d: %s\n  %v\n", s, p.Label(), eerr)
-						mu.Unlock()
-						atomic.AddUint64(&failures, 1)
-						continue
-					}
-					ck := o.Oracle
-					atomic.AddUint64(&ran, 1)
-					atomic.AddUint64(&loads, ck.Loads())
-					if cerr := ck.Err(); cerr != nil {
-						atomic.AddUint64(&failures, 1)
-						mu.Lock()
-						fmt.Fprintf(os.Stderr, "VIOLATION seed %d: %s\n  %v\n", s, p.Label(), cerr)
-						mu.Unlock()
-						// Minimisation re-simulates many times; keep it
-						// outside the output lock so other workers stay
-						// independent.
-						runOne(s, *out, false)
-					} else if *verbose {
-						mu.Lock()
-						fmt.Printf("seed %d ok: %s (%d loads)\n", s, p.Label(), ck.Loads())
-						mu.Unlock()
-					}
+				atomic.AddUint64(&ran, 1)
+				atomic.AddUint64(&loads, ck.Loads())
+				if cerr := ck.Err(); cerr != nil {
+					atomic.AddUint64(&failures, 1)
+					mu.Lock()
+					fmt.Fprintf(os.Stderr, "VIOLATION seed %d: %s\n  %v\n", s, p.Label(), cerr)
+					mu.Unlock()
+					// Minimisation re-simulates many times; keep it outside
+					// the output lock so other workers stay independent.
+					runOne(s, *out, false)
+				} else if *verbose {
+					mu.Lock()
+					fmt.Printf("seed %d ok: %s (%d loads)\n", s, p.Label(), ck.Loads())
+					mu.Unlock()
 				}
 			}
 		}()

@@ -131,8 +131,6 @@ func main() {
 		if runner.Checkpoints, err = ckpt.NewDiskStore(*ckptDir, int64(budget)); err != nil {
 			fatalf("%v", err)
 		}
-	} else {
-		runner.Checkpoints = ckpt.NewMemStore()
 	}
 	if !*quiet {
 		runner.OnProgress = func(p sweep.Progress) {

@@ -98,6 +98,11 @@ func goldenPoints() []sweep.Job {
 			c.LSQ = config.LSQSVW
 			c.SVW = config.SVWCheckStores
 		}),
+		mk("twolf", 1, func(c *config.Config) { // sampled: 3 intervals, 2 bleeds
+			c.SampleIntervals = 3
+			c.SampleBleedInsts = 20_000
+			c.MaxInsts = 20_001 // the uneven split makes the first interval absorb the remainder
+		}),
 	}
 }
 

@@ -24,7 +24,7 @@
 // results bit-identical to a fresh run of the same (config, benchmark,
 // seed) — enforced by TestResumeMatchesFreshRun over every scheme/model
 // path and by the smoke-matrix digest gate (the root package's
-// TestSmokeMatrix), whose batched pass resumes every point.
+// TestSmokeMatrix), whose resumed pass resumes every point.
 package ckpt
 
 import (

@@ -8,7 +8,7 @@ import (
 // TestClassExcludedFromWarmKey: classification is timing-only — it moves
 // instructions between the HL and LL pipelines but never changes functional
 // warm-up state — so runs differing only on the classifier must share
-// warm-up checkpoints and batch lane groups.
+// warm-up checkpoints.
 func TestClassExcludedFromWarmKey(t *testing.T) {
 	def := Default()
 	clp := def

@@ -4,7 +4,7 @@ import "testing"
 
 // TestEnergyTableExcludedFromWarmKey: the coefficient table is
 // observational, so runs differing only on it must share warm-up
-// checkpoints and batch lane groups.
+// checkpoints.
 func TestEnergyTableExcludedFromWarmKey(t *testing.T) {
 	def := Default()
 	hp := def

@@ -84,7 +84,7 @@ type ELSQ struct {
 	// squashed.
 	bypassed filter.EpochMask
 
-	// ev is the lane's event tally the queue searches, filter probes and
+	// ev is the simulation's event tally the queue searches, filter probes and
 	// round trips are counted into.
 	ev *stats.Tally
 

@@ -42,8 +42,7 @@ const calHorizon = 1 << 14
 // until it comfortably covers the in-flight window for large epoch counts
 // (the engine-scaling sweeps). The horizon only arms the calendar's
 // anti-aliasing guard — it never changes where a reservation lands — so
-// widening is result-neutral; at the default geometry it returns calHorizon
-// and slab layouts are unchanged.
+// widening is result-neutral.
 func calHorizonFor(cfg *config.Config) int {
 	h := calHorizon
 	for h < 4*cfg.WindowSize() {
@@ -59,16 +58,6 @@ func meshDims(numEpochs int) (w, h int) {
 		return 4, 4
 	}
 	return numEpochs, 1
-}
-
-// fabricCalendars returns how many arena-carved reservation calendars the
-// lane's interconnect fabric needs (0 for the analytic model).
-func fabricCalendars(cfg *config.Config) int {
-	if cfg.NoC != config.NoCContended {
-		return 0
-	}
-	w, h := meshDims(cfg.NumEpochs)
-	return noc.ContendedCalendars(w, h)
 }
 
 // Result carries everything an experiment reads out of one simulation.
@@ -159,7 +148,7 @@ type Sim struct {
 	obs     CommitObserver
 
 	// class is the execution-locality classifier (internal/predict) behind
-	// the HL/LL migration decision; classQ is its lane-resident query
+	// the HL/LL migration decision; classQ is its Sim-resident query
 	// scratch, lifted to a field so the per-instruction interface call
 	// never escapes anything to the heap.
 	class  predict.Classifier
@@ -193,13 +182,14 @@ type Sim struct {
 	// one scratch value each makes the per-instruction path allocation-
 	// free. Store records come from the StoreIndex's recycling pool
 	// instead, because they stay searchable until the index retires them.
-	// wpIn is the wrong-path instruction scratch: a local would escape to
-	// the heap through the workload.Source call on every mispredict.
+	// in and wpIn are the committed-path and wrong-path instruction
+	// scratch: a local would escape to the heap through the
+	// workload.Source call on every instruction.
 	loadOp, wpOp lsq.MemOp
-	wpIn         isa.Inst
+	in, wpIn     isa.Inst
 
 	// ev counts every event of the run: the scheme and the SVW engine count
-	// into it too, and Lane.Finish adds the totals other layers keep.
+	// into it too, and finish adds the totals other layers keep.
 	ev stats.Tally
 }
 
@@ -212,35 +202,26 @@ var (
 
 // New builds a simulator for cfg running the given benchmark source.
 func New(cfg config.Config, gen workload.Source) (*Sim, error) {
-	return newSim(cfg, gen, nil)
-}
-
-// newSim is the shared constructor behind New and NewBatch: with a nil
-// arena every structure is allocated privately (the scalar path); with an
-// arena the hot arrays — calendar slots, ring times, cache lines, the
-// StoreIndex bucket table and its MemOp pool — are carved from the batch's
-// shared slabs.
-func newSim(cfg config.Config, gen workload.Source, ar *laneArena) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	s := &Sim{
 		cfg:       cfg,
 		gen:       gen,
-		hier:      mem.NewHierarchyIn(&cfg, ar.lineArena()),
-		storeIx:   ar.storeIndex(),
+		hier:      mem.NewHierarchy(&cfg),
+		storeIx:   lsq.NewStoreIndex(),
+		class:     predict.New(&cfg),
 		loadDist:  stats.NewHistogram(30, 50),
 		storeDist: stats.NewHistogram(30, 50),
 	}
-	s.class = ar.classifier(&cfg)
 	// Interconnect fabric: analytic (the paper's contention-free model) or
-	// contended, whose link calendars are carved from the batch arena like
-	// the pipeline calendars below.
+	// contended, whose link calendars share the pipeline calendars'
+	// horizon.
 	w, h := meshDims(cfg.NumEpochs)
 	hor := calHorizonFor(&cfg)
 	if cfg.NoC == config.NoCContended {
 		s.fab = noc.NewContended(w, h, cfg.MeshHop, cfg.BusOneWay, cfg.NoCLinkWidth,
-			func(width int) *sched.Calendar { return ar.calendar(width, hor) })
+			func(width int) *sched.Calendar { return sched.NewCalendar(width, hor) })
 	} else {
 		s.fab = noc.NewAnalytic(w, h, cfg.MeshHop, cfg.BusOneWay)
 	}
@@ -284,57 +265,31 @@ func newSim(cfg config.Config, gen workload.Source, ar *laneArena) (*Sim, error)
 	// (the no-unresolved-store filter input).
 	s.storeIx.TuneLateSlack(cfg.FetchWidth)
 
-	s.fetchCal = ar.calendar(cfg.FetchWidth, hor)
-	s.cpIssueCal = ar.calendar(cfg.FetchWidth, hor)
-	s.portsCal = ar.calendar(cfg.CachePorts, hor)
-	s.llPortsCal = ar.calendar(cfg.CachePorts, hor)
-	s.commitCal = ar.calendar(cfg.CommitWidth, hor)
-	s.migCal = ar.calendar(cfg.FetchWidth, hor)
+	s.fetchCal = sched.NewCalendar(cfg.FetchWidth, hor)
+	s.cpIssueCal = sched.NewCalendar(cfg.FetchWidth, hor)
+	s.portsCal = sched.NewCalendar(cfg.CachePorts, hor)
+	s.llPortsCal = sched.NewCalendar(cfg.CachePorts, hor)
+	s.commitCal = sched.NewCalendar(cfg.CommitWidth, hor)
+	s.migCal = sched.NewCalendar(cfg.FetchWidth, hor)
 
-	caps := ringCapsFor(&cfg)
-	s.robRing = ar.ring(caps[ringROB])
-	s.intIQ = ar.ring(caps[ringIntIQ])
-	s.fpIQ = ar.ring(caps[ringFpIQ])
-	s.windowRing = ar.ring(caps[ringWindow])
-	// High-locality queue occupancy: entries live from dispatch to
-	// migration (FMC) or completion/commit. The central queue is unlimited.
-	s.lqRing = ar.ring(caps[ringLQ])
-	s.sqRing = ar.ring(caps[ringSQ])
-	return s, nil
-}
-
-// Ring indices into ringCapsFor's capacity vector.
-const (
-	ringROB = iota
-	ringIntIQ
-	ringFpIQ
-	ringWindow
-	ringLQ
-	ringSQ
-	numRings
-)
-
-// numCalendars is how many pipeline resource calendars newSim builds per
-// lane; a contended fabric adds fabricCalendars(cfg) more on top.
-const numCalendars = 6
-
-// ringCapsFor returns every occupancy ring's capacity under cfg, in
-// construction order (non-positive = unlimited, no backing storage). It is
-// the single source of truth newSim and the batch slab sizing share.
-func ringCapsFor(cfg *config.Config) [numRings]int {
-	caps := [numRings]int{
-		ringROB:   cfg.ROBSize,
-		ringIntIQ: cfg.IntIQ,
-		ringFpIQ:  cfg.FpIQ,
-	}
+	// Occupancy rings; a non-positive capacity is unlimited. The global
+	// in-flight cap exists only under FMC. High-locality queue entries live
+	// from dispatch to migration (FMC) or completion/commit; the central
+	// queue is unlimited.
+	window, lq, sq := 0, 0, 0
 	if cfg.Model == config.ModelFMC {
-		caps[ringWindow] = cfg.WindowSize()
+		window = cfg.WindowSize()
 	}
 	if cfg.LSQ != config.LSQCentral {
-		caps[ringLQ] = cfg.HLLQSize
-		caps[ringSQ] = cfg.HLSQSize
+		lq, sq = cfg.HLLQSize, cfg.HLSQSize
 	}
-	return caps
+	s.robRing = sched.NewRing(cfg.ROBSize)
+	s.intIQ = sched.NewRing(cfg.IntIQ)
+	s.fpIQ = sched.NewRing(cfg.FpIQ)
+	s.windowRing = sched.NewRing(window)
+	s.lqRing = sched.NewRing(lq)
+	s.sqRing = sched.NewRing(sq)
+	return s, nil
 }
 
 // SetCommitObserver attaches obs to the committed memory-operation stream.
@@ -422,26 +377,108 @@ func (s *Sim) warm(n uint64, access func(addr uint64), done <-chan struct{}) boo
 	return !canceled(done)
 }
 
-// run is the shared body of Run and RunContext, expressed over the same
-// incremental Lane the batch engine drives — scalar and batched execution
-// share one stepping implementation, which is what makes their bit-identity
-// structural rather than merely tested. It reports ok=false (and a nil
-// result) if done fired before the measured phase completed.
+// run is the shared body of Run and RunContext: the functional warm-up
+// (skipped after RestoreWarmState), then each sampling interval, every one
+// after the first preceded by its functional bleed, stepped in cancelChunk
+// pieces. It reports ok=false (and a nil result) if done fired before the
+// measured phase completed.
 func (s *Sim) run(done <-chan struct{}) (res *Result, ok bool) {
-	l := s.NewLane()
-	if !l.Warm(done) {
+	access := func(addr uint64) { s.hier.Access(addr) }
+	if !s.warmed && !s.warm(s.cfg.WarmupInsts, access, done) {
 		return nil, false
 	}
-	for {
-		more, ok := l.Step(cancelChunk, done)
-		if !ok {
-			return nil, false
+	// Measurement starts here: finish reports only the fabric traffic
+	// after this snapshot (the warm-up is functional, so today it is zero).
+	fabAtMeasure := s.fab.Traffic()
+	intervals := uint64(s.cfg.SampleIntervals)
+	per := s.cfg.MaxInsts / intervals
+	target := s.cfg.MaxInsts - per*(intervals-1) // the first interval absorbs the remainder
+	for k := uint64(0); k < intervals; k++ {
+		if k > 0 {
+			if !s.warm(s.cfg.SampleBleedInsts, access, done) {
+				return nil, false
+			}
+			target += per
 		}
-		if !more {
-			break
+		for s.committed < target {
+			limit := min(target, s.committed+cancelChunk)
+			for s.committed < limit {
+				s.gen.Next(&s.in)
+				s.step(&s.in)
+			}
+			if canceled(done) {
+				return nil, false
+			}
 		}
 	}
-	return l.Finish(), true
+	return s.finish(fabAtMeasure), true
+}
+
+// finish closes out the measured phase and assembles the Result; fabStart
+// is the fabric's traffic at measurement start.
+func (s *Sim) finish(fabStart noc.Traffic) *Result {
+	if s.epochs != nil {
+		if rel := s.epochs.CloseAll(); rel.OK {
+			s.scheme.EpochCommitted(int(rel.V), rel.At)
+		}
+	}
+	cycles := s.lastCommit
+	if cycles <= 0 {
+		cycles = 1
+	}
+	if s.llBusyUntil < cycles {
+		s.llIdle += cycles - s.llBusyUntil
+	}
+	res := &Result{
+		Bench:     s.gen.Name(),
+		Suite:     s.gen.Suite(),
+		Config:    s.cfg.Name(),
+		Committed: s.committed,
+		Cycles:    cycles,
+		IPC:       float64(s.committed) / float64(cycles),
+		LoadDist:  s.loadDist,
+		StoreDist: s.storeDist,
+		Activity:  new(stats.Counters),
+	}
+	// The fabric, the epoch manager and the SSBF keep their own totals;
+	// copy them into the tally alongside the events counted in place.
+	ev := &s.ev
+	fs := s.fab.Traffic().Sub(fabStart)
+	ev[stats.NoCHops] = fs.Hops
+	ev[stats.NoCOneWay] = fs.OneWays
+	ev[stats.NoCRoundTrip] = fs.RoundTrips
+	ev[stats.NoCMigrateFlit] = fs.MigrateFlits
+	ev[stats.NoCLinkWait] = fs.LinkWaitCycles
+	ev[stats.NoCBusWait] = fs.BusWaitCycles
+	if s.svwEng != nil {
+		ev[stats.SSBFRead] = s.svwEng.SSBFReads()
+		ev[stats.SSBFWrite] = s.svwEng.SSBFWrites()
+	}
+	if s.cfg.Model == config.ModelFMC {
+		ev[stats.EpochOpen] = s.epochs.Opened
+		ev[stats.EpochSteal] = s.epochs.Steals
+		ev[stats.EpochRelease] = s.epochs.Releases
+		ev[stats.MEIssue] = s.epochs.Issues
+		ev[stats.PlaceSteals] = s.epochs.Steals
+		res.LLIdleFrac = float64(s.llIdle) / float64(cycles)
+		// Mean allocated epochs over the cycles the MP is active (the
+		// paper's "when the Memory Processor is active, not necessarily
+		// all epoch queues are allocated" statistic).
+		if busy := cycles - s.llIdle; busy > 0 {
+			res.AvgEpochs = float64(s.epochs.ActiveCycleSum) / float64(busy)
+		}
+		// Per-bank residency for the Figure 11 power-down claim.
+		ba := s.epochs.BankActive()
+		res.BankActiveCycles = append([]int64(nil), ba...)
+		var idle float64
+		for _, a := range ba {
+			idle += 1 - float64(a)/float64(cycles)
+		}
+		res.BankPowerDownFrac = idle / float64(len(ba))
+	}
+	s.class.Flush(ev)
+	res.Counters = &stats.Counters{Tally: *ev}
+	return res
 }
 
 func max64(a, b int64) int64 {

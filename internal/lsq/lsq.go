@@ -50,8 +50,8 @@ type MemOp struct {
 	// UnresolvedOlderStore records whether, at load issue, some older store
 	// still had an unknown address (the no-unresolved-store filter input).
 	// No Scheme sets it: the pipeline model fills it from
-	// StoreIndex.Unresolved right after LoadIssue, and only on lanes with an
-	// SVW engine, whose commit-time check is its one reader.
+	// StoreIndex.Unresolved right after LoadIssue, and only in simulations
+	// with an SVW engine, whose commit-time check is its one reader.
 	UnresolvedOlderStore bool
 
 	// Forwarding provenance, filled by the pipeline model once the load's
@@ -128,7 +128,7 @@ type StoreResult struct {
 
 // Scheme is the LSQ organisation under test. The pipeline model invokes the
 // hooks in program-order processing; implementations update their structures
-// and count every search into the lane's stats.Tally under the Table 2
+// and count every search into the simulation's stats.Tally under the Table 2
 // column events (stats.HLLQ, HLSQ, LLLQ, LLSQ, ERT, RoundTrip).
 type Scheme interface {
 	// Name identifies the scheme for reports.

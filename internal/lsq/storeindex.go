@@ -97,35 +97,9 @@ const retireHorizon = 1 << 14
 
 // NewStoreIndex returns an empty index.
 func NewStoreIndex() *StoreIndex {
-	return NewStoreIndexIn(make([]*MemOp, 1<<storeIndexBucketBits))
-}
-
-// StoreIndexBuckets returns the bucket-table length every StoreIndex uses,
-// the size a caller must allocate per lane when backing indexes with
-// NewStoreIndexIn.
-func StoreIndexBuckets() int { return 1 << storeIndexBucketBits }
-
-// NewStoreIndexIn is NewStoreIndex over a caller-provided bucket table:
-// buckets must hold exactly StoreIndexBuckets() nil entries and must not
-// back another index. The batch engine stripes every lane's table into one
-// shared slab with it.
-func NewStoreIndexIn(buckets []*MemOp) *StoreIndex {
-	if len(buckets) != 1<<storeIndexBucketBits {
-		panic("lsq: store-index bucket backing size mismatch")
-	}
 	return &StoreIndex{
-		buckets:   buckets,
+		buckets:   make([]*MemOp, 1<<storeIndexBucketBits),
 		lateSlack: 8,
-	}
-}
-
-// SeedPool pre-populates the record-recycling pool with MemOps carved from
-// ops, so the index's steady-state store window draws from one caller-
-// placed slab instead of growing the heap a record at a time. Call it only
-// on a fresh index; ops must not be shared with another index.
-func (ix *StoreIndex) SeedPool(ops []MemOp) {
-	for i := range ops {
-		ix.freeOps = append(ix.freeOps, &ops[i])
 	}
 }
 

@@ -52,37 +52,6 @@ type Cache struct {
 // NewCache builds a cache from its geometry. It panics on degenerate
 // geometry; validate configs with config.Validate first.
 func NewCache(cfg config.CacheConfig) *Cache {
-	return NewCacheIn(cfg, nil)
-}
-
-// LineArena is a contiguous pool of cache-line bookkeeping records shared
-// by several caches: the batch engine carves every lane's L1 and L2 line
-// arrays from one arena so same-geometry lanes sit adjacent in host
-// memory. An arena must be sized with HierarchyLines (or cfg.Lines() per
-// cache) before construction; Take-ing past the end panics.
-type LineArena struct {
-	lines []line
-	off   int
-}
-
-// NewLineArena allocates an arena holding n line records.
-func NewLineArena(n int) *LineArena {
-	return &LineArena{lines: make([]line, n)}
-}
-
-// take carves n zeroed line records off the arena.
-func (a *LineArena) take(n int) []line {
-	if a.off+n > len(a.lines) {
-		panic(fmt.Sprintf("mem: line arena exhausted: need %d of %d remaining", n, len(a.lines)-a.off))
-	}
-	s := a.lines[a.off : a.off+n : a.off+n]
-	a.off += n
-	return s
-}
-
-// NewCacheIn is NewCache with the line array carved from arena (nil arena
-// allocates privately, exactly like NewCache).
-func NewCacheIn(cfg config.CacheConfig, arena *LineArena) *Cache {
 	nsets := cfg.Sets()
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("mem: set count %d must be a positive power of two", nsets))
@@ -90,14 +59,10 @@ func NewCacheIn(cfg config.CacheConfig, arena *LineArena) *Cache {
 	if cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		panic(fmt.Sprintf("mem: line size %d must be a power of two", cfg.LineBytes))
 	}
-	lines := make([]line, nsets*cfg.Ways)
-	if arena != nil {
-		lines = arena.take(nsets * cfg.Ways)
-	}
 	setShift := uint(bits.TrailingZeros(uint(cfg.LineBytes)))
 	return &Cache{
 		cfg:      cfg,
-		lines:    lines,
+		lines:    make([]line, nsets*cfg.Ways),
 		ways:     cfg.Ways,
 		setShift: setShift,
 		tagShift: setShift + uint(bits.TrailingZeros(uint(nsets))),

@@ -41,22 +41,9 @@ type Hierarchy struct {
 
 // NewHierarchy builds the hierarchy from a full processor configuration.
 func NewHierarchy(cfg *config.Config) *Hierarchy {
-	return NewHierarchyIn(cfg, nil)
-}
-
-// HierarchyLines returns the number of line records a hierarchy built from
-// cfg occupies — the size a shared LineArena must reserve per lane.
-func HierarchyLines(cfg *config.Config) int {
-	return cfg.L1.Lines() + cfg.L2.Lines()
-}
-
-// NewHierarchyIn is NewHierarchy with both levels' line arrays carved from
-// arena (nil arena allocates privately). The arena must have at least
-// HierarchyLines(cfg) records remaining.
-func NewHierarchyIn(cfg *config.Config, arena *LineArena) *Hierarchy {
 	return &Hierarchy{
-		L1:     NewCacheIn(cfg.L1, arena),
-		L2:     NewCacheIn(cfg.L2, arena),
+		L1:     NewCache(cfg.L1),
+		L2:     NewCache(cfg.L2),
 		l1Lat:  cfg.L1.LatencyCycles,
 		l2Lat:  cfg.L2.LatencyCycles,
 		memLat: cfg.MemLatency,

@@ -3,8 +3,8 @@ package noc
 import "repro/internal/sched"
 
 // defaultHorizon bounds the spread of link reservations when a contended
-// fabric allocates its own calendars (callers embedding the fabric in a
-// batch arena pass their own allocator and horizon instead).
+// fabric allocates its own calendars (a caller with a wider reservation
+// spread passes its own allocator and horizon instead).
 const defaultHorizon = 1 << 14
 
 // Traffic is a fabric's cumulative message accounting. The analytic model
@@ -68,10 +68,10 @@ type Fabric interface {
 	Traffic() Traffic
 }
 
-// ContendedCalendars returns how many reservation calendars a contended
+// contendedCalendars returns how many reservation calendars a contended
 // fabric over a w x h mesh books: one per directed mesh link plus the two
-// bus directions. Batch construction uses it to size the shared slab.
-func ContendedCalendars(w, h int) int {
+// bus directions.
+func contendedCalendars(w, h int) int {
 	return 2*((w-1)*h+w*(h-1)) + 2
 }
 
@@ -98,8 +98,8 @@ type Contended struct {
 // NewContended builds the occupancy-based fabric for a w x h mesh with the
 // given per-hop and bus one-way latencies. linkWidth is the number of
 // messages each link (and each bus direction) accepts per cycle. alloc
-// builds each reservation calendar — the batch engine passes an
-// arena-backed allocator; nil allocates privately. It panics on an empty
+// builds each reservation calendar — the pipeline model passes one at its
+// own calendar horizon; nil uses defaultHorizon. It panics on an empty
 // mesh, a negative latency or a non-positive link width.
 func NewContended(w, h, hopCost, oneWay, linkWidth int, alloc func(width int) *sched.Calendar) *Contended {
 	if w <= 0 || h <= 0 || hopCost < 0 || oneWay < 0 || linkWidth <= 0 {
@@ -111,7 +111,7 @@ func NewContended(w, h, hopCost, oneWay, linkWidth int, alloc func(width int) *s
 	f := &Contended{w: w, h: h, hopCost: hopCost, oneWay: oneWay}
 	f.busOut = alloc(linkWidth)
 	f.busIn = alloc(linkWidth)
-	f.links = make([]*sched.Calendar, ContendedCalendars(w, h)-2)
+	f.links = make([]*sched.Calendar, contendedCalendars(w, h)-2)
 	for i := range f.links {
 		f.links[i] = alloc(linkWidth)
 	}

@@ -202,12 +202,12 @@ func TestMigrateStateEdgeCases(t *testing.T) {
 }
 
 // TestContendedCalendars pins the resource count formula to the constructed
-// link table (batch slab sizing depends on it).
+// link table.
 func TestContendedCalendars(t *testing.T) {
 	for _, g := range []struct{ w, h int }{{4, 4}, {8, 1}, {1, 8}, {3, 5}, {1, 1}} {
 		co := NewContended(g.w, g.h, 1, 1, 1, nil)
-		if want := ContendedCalendars(g.w, g.h); len(co.links)+2 != want {
-			t.Fatalf("%dx%d: %d links + 2 bus != ContendedCalendars %d", g.w, g.h, len(co.links)+2, want)
+		if want := contendedCalendars(g.w, g.h); len(co.links)+2 != want {
+			t.Fatalf("%dx%d: %d links + 2 bus != contendedCalendars %d", g.w, g.h, len(co.links)+2, want)
 		}
 	}
 }

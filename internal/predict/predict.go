@@ -13,8 +13,7 @@
 //   - The reactive policy is arithmetic-identical to the pre-layer rule, so
 //     default configurations stay bit-identical (golden fixtures, bench
 //     digests, sweep cache keys).
-//   - Zero hot-path allocation: table state is sized by TableWords and
-//     carved from the batch arena via NewIn, mirroring lsq.NewStoreIndexIn;
+//   - Zero hot-path allocation: New sizes the table state once;
 //     LowLocality and ObserveLoad never allocate.
 //   - Scheme constraints stay in the caller: the RLAC override (a load that
 //     must compute its address in the HL-LSQ) and the store ride-along
@@ -25,7 +24,7 @@
 //     the level its timed access was satisfied from. Wrong-path loads reach
 //     neither hook. Classifier state starts empty at measurement start in
 //     every driving mode (warm-up is functional), which is what makes live,
-//     trace-replay, checkpoint-resume and batched runs bit-identical.
+//     trace-replay and checkpoint-resume runs bit-identical.
 package predict
 
 import (
@@ -49,7 +48,7 @@ type Query struct {
 }
 
 // Classifier is one execution-locality policy instance, owned by a single
-// simulation lane (none of the implementations are safe for concurrent use).
+// simulation (none of the implementations are safe for concurrent use).
 type Classifier interface {
 	// LowLocality reports whether the instruction classifies low-locality
 	// at dispatch. Called for every committed-path instruction of an FMC
@@ -66,36 +65,25 @@ type Classifier interface {
 	Flush(ev *stats.Tally)
 }
 
-// TableWords returns how many uint64 words of predictor-table state the
+// tableWords returns how many uint64 words of predictor-table state the
 // classifier for cfg needs (0 for the reactive policy and for non-FMC
-// models). cpu.NewBatch adds it to the shared u64 slab.
-func TableWords(cfg *config.Config) int {
+// models).
+func tableWords(cfg *config.Config) int {
 	if cfg.Model != config.ModelFMC || cfg.Class == config.ClassReactive {
 		return 0
 	}
 	return 1 << cfg.ClassTableBits
 }
 
-// New builds the classifier for cfg with privately allocated table state
-// (the scalar path).
-func New(cfg *config.Config) Classifier { return build(cfg, nil) }
-
-// NewIn builds the classifier for cfg with table state carved from words,
-// which must hold exactly TableWords(cfg) zeroed entries (an empty slice is
-// valid for the reactive policy).
-func NewIn(cfg *config.Config, words []uint64) Classifier { return build(cfg, words) }
-
-func build(cfg *config.Config, words []uint64) Classifier {
+// New builds the classifier for cfg.
+func New(cfg *config.Config) Classifier {
 	thr := int64(cfg.MigrateThreshold)
 	if cfg.Model != config.ModelFMC || cfg.Class == config.ClassReactive {
 		return &reactive{threshold: thr}
 	}
-	n := TableWords(cfg)
-	if words == nil {
-		words = make([]uint64, n)
-	}
+	n := tableWords(cfg)
 	t := table{
-		entries: words[:n:n],
+		entries: make([]uint64, n),
 		mask:    uint64(n - 1),
 		shift:   lineShift(cfg.L1.LineBytes),
 		idxBits: uint(cfg.ClassTableBits),
@@ -155,7 +143,7 @@ type table struct {
 	lastCausedLL bool
 
 	// ev counts the table's lookups and training updates and each trained
-	// load's prediction outcome; Flush adds it to the lane's tally.
+	// load's prediction outcome; Flush adds it to the simulation's tally.
 	ev stats.Tally
 }
 

@@ -31,23 +31,23 @@ func aluQ(dispatch, ready int64) *Query {
 }
 
 // TestTableWords: state exists exactly when an FMC configuration selects a
-// table policy; the reactive default and every OoO configuration carve
-// nothing from the batch slab.
+// table policy; the reactive default and every OoO configuration allocate
+// none.
 func TestTableWords(t *testing.T) {
-	if n := TableWords(fmcCfg(config.ClassReactive)); n != 0 {
+	if n := tableWords(fmcCfg(config.ClassReactive)); n != 0 {
 		t.Errorf("reactive wants %d words, want 0", n)
 	}
-	if n := TableWords(fmcCfg(config.ClassCacheLevel)); n != 1024 {
+	if n := tableWords(fmcCfg(config.ClassCacheLevel)); n != 1024 {
 		t.Errorf("cachelevel wants %d words, want 1024", n)
 	}
 	narrow := fmcCfg(config.ClassDelayTrack)
 	narrow.ClassTableBits = 6
-	if n := TableWords(narrow); n != 64 {
+	if n := tableWords(narrow); n != 64 {
 		t.Errorf("6-bit table wants %d words, want 64", n)
 	}
 	ooo := config.OoO64()
 	ooo.Class = config.ClassCacheLevel
-	if n := TableWords(&ooo); n != 0 {
+	if n := tableWords(&ooo); n != 0 {
 		t.Errorf("OoO wants %d words, want 0 (classifier is FMC-only)", n)
 	}
 }
@@ -225,31 +225,6 @@ func TestTableTagging(t *testing.T) {
 	// Same line offset within a cache line shares the entry.
 	if !c.LowLocality(loadQ(a+lineBytes-1, 0, 0)) {
 		t.Fatal("intra-line offset missed the trained entry")
-	}
-}
-
-// TestNewInMatchesNew: arena-carved and privately allocated classifiers are
-// behaviorally identical (the batch == scalar bit-identity contract).
-func TestNewInMatchesNew(t *testing.T) {
-	for _, class := range []config.ClassPolicy{config.ClassCacheLevel, config.ClassDelayTrack} {
-		cfg := fmcCfg(class)
-		private := New(cfg)
-		carved := NewIn(cfg, make([]uint64, TableWords(cfg)))
-		for i := 0; i < 500; i++ {
-			addr := uint64(i%37) * 64
-			q := loadQ(addr, int64(i), int64(i+i%60))
-			g1 := private.LowLocality(q)
-			g2 := carved.LowLocality(q)
-			if g1 != g2 {
-				t.Fatalf("%v: step %d diverged: %v vs %v", class, i, g1, g2)
-			}
-			lv, lat := mem.LevelL1, int64(1)
-			if i%3 == 0 {
-				lv, lat = mem.LevelMem, 300
-			}
-			private.ObserveLoad(addr, lv, lat)
-			carved.ObserveLoad(addr, lv, lat)
-		}
 	}
 }
 

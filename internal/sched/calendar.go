@@ -30,39 +30,17 @@ const calUsedBits = 8
 // spread is bounded by the instruction window lifetime. Width is capped at
 // 255 by the packed slot layout — far above any modelled issue width.
 func NewCalendar(width, horizon int) *Calendar {
-	return NewCalendarIn(width, horizon, make([]uint64, CalendarSlots(horizon)))
-}
-
-// CalendarSlots returns the backing-slot count a calendar with the given
-// horizon occupies (the horizon rounded up to a power of two). Batch
-// construction uses it to carve several calendars' rings from one shared
-// slab.
-func CalendarSlots(horizon int) int {
-	if horizon <= 0 {
-		panic("sched: invalid calendar horizon")
+	if width <= 0 || horizon <= 0 || width > 1<<calUsedBits-1 {
+		panic("sched: invalid calendar geometry")
 	}
 	n := 1
 	for n < horizon {
 		n <<= 1
 	}
-	return n
-}
-
-// NewCalendarIn is NewCalendar over caller-provided backing storage: slots
-// must hold exactly CalendarSlots(horizon) zeroed words and must not be
-// shared with another calendar. It is how the batch engine stripes the
-// calendars of many lanes into one contiguous slab.
-func NewCalendarIn(width, horizon int, slots []uint64) *Calendar {
-	if width <= 0 || horizon <= 0 || width > 1<<calUsedBits-1 {
-		panic("sched: invalid calendar geometry")
-	}
-	if len(slots) != CalendarSlots(horizon) {
-		panic("sched: calendar backing size mismatch")
-	}
 	return &Calendar{
 		width: uint64(width),
-		slots: slots,
-		mask:  int64(len(slots) - 1),
+		slots: make([]uint64, n),
+		mask:  int64(n - 1),
 	}
 }
 
@@ -113,17 +91,7 @@ func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		return &Ring{}
 	}
-	return NewRingIn(capacity, make([]int64, capacity))
-}
-
-// NewRingIn is NewRing over caller-provided backing storage: times must
-// hold exactly capacity zeroed entries (capacity must be positive — an
-// unlimited ring has no storage to share) and must not back another ring.
-func NewRingIn(capacity int, times []int64) *Ring {
-	if capacity <= 0 || len(times) != capacity {
-		panic("sched: ring backing size mismatch")
-	}
-	return &Ring{times: times}
+	return &Ring{times: make([]int64, capacity)}
 }
 
 // FreeAt returns the earliest cycle a new entry can be allocated.

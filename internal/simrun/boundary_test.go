@@ -1,10 +1,9 @@
 // The boundary test enforces the API redesign's central rule: simulators are
-// constructed in exactly three places — internal/cpu itself, the batch engine,
-// and this package. Everything else (sweeps, benches, commands, examples,
-// tests) goes through simrun.Point, so warm-up sharing, trace resolution,
-// oracle attachment and batching stay uniform. It is a lint written as a
-// test: any new cpu.New/cpu.NewBatch call site outside the allowed packages
-// fails CI with the offending position.
+// constructed in exactly two places — internal/cpu itself and this package.
+// Everything else (sweeps, benches, commands, examples, tests) goes through
+// simrun.Point, so warm-up sharing, trace resolution and oracle attachment
+// stay uniform. It is a lint written as a test: any new cpu.New call site
+// outside the two packages fails CI with the offending position.
 package simrun_test
 
 import (
@@ -22,7 +21,6 @@ import (
 // relative to the module root.
 var allowedDirs = []string{
 	filepath.Join("internal", "cpu"),
-	filepath.Join("internal", "batch"),
 	filepath.Join("internal", "simrun"),
 }
 
@@ -95,8 +93,8 @@ func TestSimulatorConstructionBoundary(t *testing.T) {
 			if !ok || id.Name != pkgName {
 				return true
 			}
-			if sel.Sel.Name == "New" || sel.Sel.Name == "NewBatch" {
-				t.Errorf("%s: %s.%s outside internal/{cpu,batch,simrun} — construct simulations through simrun.Point",
+			if sel.Sel.Name == "New" {
+				t.Errorf("%s: %s.%s outside internal/cpu and internal/simrun — construct simulations through simrun.Point",
 					fset.Position(sel.Pos()), pkgName, sel.Sel.Name)
 			}
 			return true

@@ -1,21 +1,27 @@
 // Cross-mode conservation of the energy accounting: for every smoke-matrix
 // scheme, the counters (every priced event among them) and the derived
-// energy report must be bit-identical however the same point is executed — live scalar, trace replay, checkpoint resume, batched with a
-// partner lane, or through the batch engine's scalar fallback. Any
-// divergence means an action counter fires outside the measured region (or
+// energy report must be bit-identical however the same point is executed:
+// live, trace replay or checkpoint resume. Any divergence means an action counter fires outside the measured region (or
 // differently per driving mode), which would make energy numbers a property
 // of the harness instead of the simulated machine.
 package simrun_test
 
 import (
 	"os"
+	"reflect"
 	"testing"
 
 	"repro/internal/ckpt"
 	"repro/internal/config"
+	"repro/internal/cpu"
 	"repro/internal/simrun"
 	"repro/internal/trace"
 	"repro/internal/workload"
+)
+
+const (
+	testWarmup  uint64 = 6000
+	testMeasure uint64 = 2500
 )
 
 // conservationSchemes spans the smoke matrix's LSQ schemes and fabric
@@ -81,6 +87,25 @@ func recordBudget(t *testing.T, cfg *config.Config, bench string, seed uint64) s
 	return path
 }
 
+// assertSameResult compares every deterministic field of two results.
+func assertSameResult(t *testing.T, label string, got, want *cpu.Result) {
+	t.Helper()
+	if got.Committed != want.Committed || got.Cycles != want.Cycles || got.IPC != want.IPC {
+		t.Errorf("%s: committed/cycles/IPC %d/%d/%v, want %d/%d/%v",
+			label, got.Committed, got.Cycles, got.IPC, want.Committed, want.Cycles, want.IPC)
+	}
+	if !reflect.DeepEqual(got.Counters.Snapshot(), want.Counters.Snapshot()) {
+		t.Errorf("%s: counters diverged:\n got %v\nwant %v", label, got.Counters.Snapshot(), want.Counters.Snapshot())
+	}
+	if !reflect.DeepEqual(got.LoadDist, want.LoadDist) || !reflect.DeepEqual(got.StoreDist, want.StoreDist) {
+		t.Errorf("%s: locality histograms diverged", label)
+	}
+	if got.LLIdleFrac != want.LLIdleFrac || got.AvgEpochs != want.AvgEpochs {
+		t.Errorf("%s: LL activity diverged: %v/%v vs %v/%v",
+			label, got.LLIdleFrac, got.AvgEpochs, want.LLIdleFrac, want.AvgEpochs)
+	}
+}
+
 // assertConserved compares one mode's outcome against the scalar reference:
 // headline metrics, the counters, and the energy report digest.
 func assertConserved(t *testing.T, label string, got, want *simrun.Outcome) {
@@ -96,7 +121,7 @@ func assertConserved(t *testing.T, label string, got, want *simrun.Outcome) {
 }
 
 // TestEnergyConservationAcrossModes is the conservation property test: one
-// benchmark per scheme, five execution modes, everything bit-identical.
+// benchmark per scheme, three execution modes, everything bit-identical.
 func TestEnergyConservationAcrossModes(t *testing.T) {
 	const bench, seed = "mcf", uint64(1)
 	for _, sc := range conservationSchemes() {
@@ -137,40 +162,6 @@ func TestEnergyConservationAcrossModes(t *testing.T) {
 			}
 			assertConserved(t, sc.name+"/ckpt-resume", resumed, scalar)
 
-			// Batched with a warm-up-compatible partner lane
-			// (MispredictPenalty is a non-warm-up axis).
-			partner := sc.cfg
-			partner.MispredictPenalty += 3
-			outs, err := simrun.RunBatch(nil, []simrun.Point{
-				{Config: sc.cfg, Bench: bench, Seed: seed},
-				{Config: partner, Bench: bench, Seed: seed},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, o := range outs {
-				if o.Err != nil {
-					t.Fatal(o.Err)
-				}
-			}
-			if !outs[0].Batched || !outs[1].Batched {
-				t.Errorf("%s: pair did not batch (%v/%v)", sc.name, outs[0].Batched, outs[1].Batched)
-			}
-			assertConserved(t, sc.name+"/batched", outs[0], scalar)
-
-			// Batch-engine scalar fallback: a singleton group runs scalar
-			// but must still conserve.
-			solo, err := simrun.RunBatch(nil, []simrun.Point{{Config: sc.cfg, Bench: bench, Seed: seed}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if solo[0].Err != nil {
-				t.Fatal(solo[0].Err)
-			}
-			if solo[0].Batched {
-				t.Errorf("%s: singleton group reported Batched", sc.name)
-			}
-			assertConserved(t, sc.name+"/batch-singleton", solo[0], scalar)
 		})
 	}
 }

@@ -95,33 +95,3 @@ func TestEngineScalingContendedSeparation(t *testing.T) {
 			w1.Counters.Snapshot()["noc_bus_wait"], w4.Counters.Snapshot()["noc_bus_wait"])
 	}
 }
-
-// TestScalingBatchMatchesScalar: the contended fabric's arena-carved
-// calendars must leave batched lanes bit-identical to scalar runs at the
-// extreme engine counts (the calendar horizon widens with the window).
-func TestScalingBatchMatchesScalar(t *testing.T) {
-	var pts []simrun.Point
-	for _, n := range []int{8, 128} {
-		for _, pol := range []config.PlacePolicy{config.PlaceModN, config.PlaceLeastLoaded} {
-			cfg := config.Default().WithBudget(4000, 20000)
-			cfg.NumEpochs = n
-			cfg.NoC = config.NoCContended
-			cfg.Place = pol
-			pts = append(pts, simrun.Point{Config: cfg, Bench: "mcf", Seed: 5})
-		}
-	}
-	batched, err := simrun.RunBatch(nil, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range pts {
-		scalar, err := p.Run(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if scalar.Result.IPC != batched[i].Result.IPC || scalar.Result.Cycles != batched[i].Result.Cycles {
-			t.Errorf("point %d: batch diverged from scalar: %v/%d vs %v/%d", i,
-				batched[i].Result.IPC, batched[i].Result.Cycles, scalar.Result.IPC, scalar.Result.Cycles)
-		}
-	}
-}

@@ -1,9 +1,8 @@
 // Package simrun is the single entry point for running simulations: every
 // driver — benchmarks, sweeps, commands, examples, tests — describes a run
-// as a Point and calls Run (or RunBatch for many points at once) instead of
-// wiring cpu.New, workload sources, traces, checkpoints and oracles by
-// hand. The package owns the composition rules those drivers used to
-// duplicate:
+// as a Point and calls Run instead of wiring cpu.New, workload sources,
+// traces, checkpoints and oracles by hand. The package owns the
+// composition rules those drivers used to duplicate:
 //
 //   - workload resolution (live generator vs trace replay, trace digest
 //     stamping via trace.Resolve),
@@ -11,16 +10,13 @@
 //     snapshot restore — the logic formerly split between ckpt.Resume and
 //     each driver),
 //   - oracle attachment (a fresh differential checker on the committed
-//     stream),
-//   - batched execution (RunBatch groups warm-up-compatible points onto
-//     the lane-parallel engine, internal/batch, with scalar fallback).
+//     stream).
 //
 // Determinism contract: for a given Point, Run's Result is bit-identical
-// whether the warm-up ran functionally, resumed from a checkpoint, or the
-// point executed as a lane of a batch.
+// whether the warm-up ran functionally or resumed from a checkpoint.
 //
-// The companion boundary test enforces that cpu.New/cpu.NewBatch call sites
-// exist only here, in internal/batch and in internal/cpu's own tests.
+// The companion boundary test enforces that cpu.New call sites exist only
+// here and in internal/cpu.
 package simrun
 
 import (
@@ -84,12 +80,6 @@ type Outcome struct {
 	// served by the store or by a concurrent build of the same key do not
 	// report it, so the flags over a run sum to the builds it performed.
 	CkptBuilt bool
-	// Batched reports that the point executed as a lane of the batch
-	// engine rather than a scalar run.
-	Batched bool
-	// Err is the point's failure when it ran inside RunBatch (Run returns
-	// errors directly instead).
-	Err error
 }
 
 // effectiveConfig folds the point's overrides into its config and resolves
@@ -166,10 +156,10 @@ func (p *Point) attach(sim *cpu.Sim, out *Outcome) {
 	}
 }
 
-// resolveSnapshot picks the warm-start image for a scalar run: the explicit
-// Snapshot if set, otherwise a store hit, otherwise nothing (the run warms
-// functionally — scalar runs only build checkpoints when a store is there
-// to keep them).
+// resolveSnapshot picks the warm-start image for a run: the explicit
+// Snapshot if set, otherwise the store's snapshot (built on a miss),
+// otherwise nothing (the run warms functionally — a run only builds a
+// checkpoint when a store is there to keep it).
 func (p *Point) resolveSnapshot(cfg *config.Config, prof workload.Profile, out *Outcome) (*ckpt.Snapshot, error) {
 	if p.Snapshot != nil {
 		out.Resumed = true
@@ -232,8 +222,8 @@ func restoredSource(cfg *config.Config, snap *ckpt.Snapshot, prof workload.Profi
 }
 
 // builds deduplicates concurrent checkpoint builds process-wide: sweep
-// workers and batch groups hitting the same key block on one build instead
-// of each paying the full functional warm-up.
+// workers hitting the same key block on one build instead of each paying
+// the full functional warm-up.
 var builds struct {
 	mu sync.Mutex
 	m  map[string]*buildCall

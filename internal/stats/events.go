@@ -179,7 +179,7 @@ var byName = func() map[string]Event {
 // Info returns e's table entry.
 func (e Event) Info() EventInfo { return table[e] }
 
-// Tally is one lane's count of every event, indexed by Event. The
+// Tally is one simulation's count of every event, indexed by Event. The
 // simulator increments it in place (ev[stats.ERT]++); a copy of it is a
 // complete snapshot of a run's counters.
 type Tally [NumEvents]uint64

@@ -4,7 +4,7 @@
 // Every counted event has a constant ID (Event) and one entry in one table:
 // its counter name and, for the events internal/energy prices, the
 // structure it is charged to and how one event is priced (Kind). Each
-// simulation lane counts into one fixed array indexed by those IDs
+// simulation counts into one fixed array indexed by those IDs
 // (Tally), incremented in place on the hot path; a finished run reports it
 // through the name-keyed Counters view, which lists an event if and only
 // if its count is non-zero. All values are plain integers or float64s

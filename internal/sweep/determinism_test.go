@@ -54,9 +54,9 @@ func detGrid(t *testing.T, benches string, seeds, insts, warmup uint64, axes ...
 // result cache and the matrix fixture: the same grid must produce identical
 // keys, results and results digest no matter how the work is scheduled, and
 // it must build exactly one warm-up checkpoint per (benchmark, seed). Each
-// grid runs as elsqsweep runs it by default — batched, with a fresh
-// in-memory checkpoint store — at Workers=1 (serial) and Workers=8 (lane
-// groups of one warm-up racing to build it). The scaling grid pins the
+// grid runs as elsqsweep runs it by default — with a fresh in-memory
+// checkpoint store — at Workers=1 (serial) and Workers=8 (jobs of one
+// warm-up racing to build it). The scaling grid pins the
 // contended fabric's calendar booking and every placement policy; the
 // classifier grid pins the table-based prediction policies. Both sweep
 // timing-only axes, so all their points share one warm-up per benchmark.
@@ -200,23 +200,23 @@ func TestCheckpointedRunMatchesFull(t *testing.T) {
 		want[i] = out.Result
 	}
 
-	// A store-less runner still shares each batch group's warm-up in-run:
-	// one build per (benchmark, seed), every job resumed, results
-	// bit-identical to the full-warm-up runs.
-	batched := &Runner{Workers: 4}
-	batchOut, batchStats, err := batched.Run(jobs)
+	// A store-less runner still shares warm-ups in-run, through a fresh
+	// memory store of its own: one build per (benchmark, seed), every job
+	// resumed, results bit-identical to the full-warm-up runs.
+	storeless := &Runner{Workers: 4}
+	slOut, slStats, err := storeless.Run(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batchStats.CheckpointsBuilt != 2 {
-		t.Errorf("store-less batched run built %d checkpoints, want 2 (one per benchmark)", batchStats.CheckpointsBuilt)
+	if slStats.CheckpointsBuilt != 2 {
+		t.Errorf("store-less run built %d checkpoints, want 2 (one per benchmark)", slStats.CheckpointsBuilt)
 	}
-	if batchStats.CheckpointResumes != len(jobs) {
-		t.Errorf("store-less batched run resumed %d jobs, want %d", batchStats.CheckpointResumes, len(jobs))
+	if slStats.CheckpointResumes != len(jobs) {
+		t.Errorf("store-less run resumed %d jobs, want %d", slStats.CheckpointResumes, len(jobs))
 	}
 	for i := range want {
-		if jobs[i].Key() != batchOut[i].Key || !reflect.DeepEqual(want[i], batchOut[i].Result) {
-			t.Errorf("job %d: batched outcome diverged from full run", i)
+		if jobs[i].Key() != slOut[i].Key || !reflect.DeepEqual(want[i], slOut[i].Result) {
+			t.Errorf("job %d: store-less outcome diverged from full run", i)
 		}
 	}
 

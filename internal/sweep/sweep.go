@@ -96,8 +96,7 @@ type Stats struct {
 	Ran int `json:"ran"`
 	// CheckpointsBuilt counts warm-up checkpoints built this run;
 	// CheckpointResumes counts simulated jobs that skipped their functional
-	// warm-up by resuming from a shared checkpoint (via the Runner's store
-	// or a batched group's in-run warm-up sharing).
+	// warm-up by resuming from a shared checkpoint.
 	CheckpointsBuilt  int `json:"checkpoints_built,omitempty"`
 	CheckpointResumes int `json:"checkpoint_resumes,omitempty"`
 }
@@ -130,12 +129,12 @@ type Runner struct {
 	Workers int
 	// Cache, if non-nil, is consulted before simulating and updated after.
 	Cache Cache
-	// Checkpoints, if non-nil, persists warm-up sharing: jobs whose
-	// warm-up-relevant identity matches (ckpt.Key — same cache geometry,
-	// warm-up budget, benchmark and seed; almost every paper sweep) share
-	// one warm-state snapshot through the store across runs and processes.
-	// Batched groups share their warm-up within a run even without a
-	// store. Results are bit-identical to full warm-up runs; only
+	// Checkpoints shares warm-ups: jobs whose warm-up-relevant identity
+	// matches (ckpt.Key — same cache geometry, warm-up budget, benchmark
+	// and seed; almost every paper sweep) resume from one warm-state
+	// snapshot in the store. A persistent store carries the snapshots
+	// across runs and processes; nil means a fresh ckpt.NewMemStore for
+	// each Run. Results are bit-identical to full warm-up runs; only
 	// wall-clock changes.
 	Checkpoints ckpt.Store
 	// OnProgress, if non-nil, is called after each unique job resolves.
@@ -151,12 +150,6 @@ func (r *Runner) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// defaultBatch caps how many warm-up-compatible jobs run as lanes of one
-// batch on the lane-parallel engine (simrun.RunBatch): large enough that
-// slab sharing and warm-up amortisation pay off, small enough that group
-// granularity still feeds every worker of a typical pool.
-const defaultBatch = 8
-
 // slot is the execution state of one unique simulation identity.
 type slot struct {
 	job     Job
@@ -165,17 +158,6 @@ type slot struct {
 	hit     bool
 	err     error
 	indices []int // positions in the submitted job slice
-}
-
-// point maps a job onto the simrun API, threading the runner's checkpoint
-// store through.
-func (r *Runner) point(j Job) simrun.Point {
-	return simrun.Point{
-		Config: j.Config,
-		Bench:  j.Bench.Name,
-		Seed:   j.Seed,
-		Ckpt:   r.Checkpoints,
-	}
 }
 
 // Run executes the jobs and returns one outcome per job, in submission
@@ -234,14 +216,13 @@ func (r *Runner) Run(jobs []Job) ([]Outcome, Stats, error) {
 	}
 	stats.Ran = len(pending)
 
-	// Shape the pending slots into lane groups: warm-up-compatible jobs
-	// run together on the batch engine, sharing one warm-up and adjacent
-	// slab state; everything else runs scalar. Groups of one go through
-	// the scalar path inside runGroup.
-	groups := r.groupSlots(pending)
+	store := r.Checkpoints
+	if store == nil {
+		store = ckpt.NewMemStore()
+	}
 	var built, resumed atomic.Int64
 
-	// Bounded pool: workers pull the next pending group from a shared
+	// Bounded pool: workers pull the next pending job from a shared
 	// cursor, so an idle worker steals whatever work remains.
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
@@ -251,16 +232,26 @@ func (r *Runner) Run(jobs []Job) ([]Outcome, Stats, error) {
 			defer wg.Done()
 			for {
 				n := cursor.Add(1) - 1
-				if n >= int64(len(groups)) {
+				if n >= int64(len(pending)) {
 					return
 				}
-				r.runGroup(groups[n], &built, &resumed)
-				for _, s := range groups[n] {
-					if s.err == nil && r.Cache != nil {
+				s := pending[n]
+				p := simrun.Point{Config: s.job.Config, Bench: s.job.Bench.Name, Seed: s.job.Seed, Ckpt: store}
+				if out, err := p.Run(context.Background()); err != nil {
+					s.err = fmt.Errorf("%s/%s: %w", s.job.Config.Name(), s.job.Bench.Name, err)
+				} else {
+					s.res = out.Result
+					if out.CkptBuilt {
+						built.Add(1)
+					}
+					if out.Resumed {
+						resumed.Add(1)
+					}
+					if r.Cache != nil {
 						r.Cache.Put(s.key, s.res)
 					}
-					report(s)
 				}
+				report(s)
 			}
 		}()
 	}
@@ -278,81 +269,4 @@ func (r *Runner) Run(jobs []Job) ([]Outcome, Stats, error) {
 		}
 	}
 	return out, stats, firstErr
-}
-
-// groupSlots partitions pending slots into execution groups: slots whose
-// simrun batch key matches (same benchmark, seed and warm-up-relevant
-// config slice) are grouped up to defaultBatch; a slot whose key cannot
-// be computed gets a singleton group so its error surfaces from the scalar
-// path.
-func (r *Runner) groupSlots(pending []*slot) [][]*slot {
-	byWarm := make(map[string][]*slot)
-	var order []string
-	var groups [][]*slot
-	for _, s := range pending {
-		bk, err := r.point(s.job).BatchKey()
-		if err != nil {
-			groups = append(groups, []*slot{s})
-			continue
-		}
-		if _, ok := byWarm[bk]; !ok {
-			order = append(order, bk)
-		}
-		byWarm[bk] = append(byWarm[bk], s)
-	}
-	for _, bk := range order {
-		g := byWarm[bk]
-		for len(g) > defaultBatch {
-			groups = append(groups, g[:defaultBatch])
-			g = g[defaultBatch:]
-		}
-		groups = append(groups, g)
-	}
-	return groups
-}
-
-// runGroup executes one group — scalar for a singleton, lanes of a batch
-// otherwise — and writes each slot's result, error and checkpoint stats.
-func (r *Runner) runGroup(g []*slot, built, resumed *atomic.Int64) {
-	if len(g) == 1 {
-		s := g[0]
-		out, err := r.point(s.job).Run(context.Background())
-		if err != nil {
-			s.err = fmt.Errorf("%s/%s: %w", s.job.Config.Name(), s.job.Bench.Name, err)
-			return
-		}
-		s.res = out.Result
-		r.countOutcome(out, built, resumed)
-		return
-	}
-	points := make([]simrun.Point, len(g))
-	for i, s := range g {
-		points[i] = r.point(s.job)
-	}
-	outs, err := simrun.RunBatch(context.Background(), points)
-	if err != nil {
-		for _, s := range g {
-			s.err = err
-		}
-		return
-	}
-	for i, s := range g {
-		out := outs[i]
-		if out.Err != nil {
-			s.err = fmt.Errorf("%s/%s: %w", s.job.Config.Name(), s.job.Bench.Name, out.Err)
-			continue
-		}
-		s.res = out.Result
-		r.countOutcome(out, built, resumed)
-	}
-}
-
-// countOutcome folds one outcome's warm-up bookkeeping into the run stats.
-func (r *Runner) countOutcome(out *simrun.Outcome, built, resumed *atomic.Int64) {
-	if out.CkptBuilt {
-		built.Add(1)
-	}
-	if out.Resumed {
-		resumed.Add(1)
-	}
 }

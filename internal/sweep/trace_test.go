@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/config"
+	"repro/internal/cpu"
+	"repro/internal/simrun"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -127,17 +129,20 @@ func TestTraceJobsShareCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Runner{Workers: 1, Checkpoints: nil}
 	jobs := []Job{
 		{Config: cfg, Bench: prof, Seed: 1},
 		{Config: other, Bench: prof, Seed: 1},
 	}
-	full, _, err := r.Run(jobs)
-	if err != nil {
-		t.Fatal(err)
+	full := make([]*cpu.Result, len(jobs))
+	for i, j := range jobs {
+		out, err := simrun.Point{Config: j.Config, Bench: j.Bench.Name, Seed: j.Seed}.Run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full[i] = out.Result
 	}
 
-	r.Checkpoints = ckpt.NewMemStore()
+	r := Runner{Workers: 1, Checkpoints: ckpt.NewMemStore()}
 	shared, stats, err := r.Run(jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +152,7 @@ func TestTraceJobsShareCheckpoints(t *testing.T) {
 			stats.CheckpointsBuilt, stats.CheckpointResumes)
 	}
 	for i := range jobs {
-		if full[i].Result.Cycles != shared[i].Result.Cycles || full[i].Result.IPC != shared[i].Result.IPC {
+		if full[i].Cycles != shared[i].Result.Cycles || full[i].IPC != shared[i].Result.IPC {
 			t.Errorf("job %d: checkpoint-shared trace run diverged from full run", i)
 		}
 	}

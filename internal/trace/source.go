@@ -51,8 +51,8 @@ func (s *Source) Name() string { return s.t.meta.Bench }
 func (s *Source) Suite() workload.Suite { return s.t.meta.Suite }
 
 // loadBlock points the cursor at the block holding record index pos,
-// fetched through the trace's shared decoded-block cache so lanes replaying
-// the same recording decode each block once per group, not once per lane.
+// fetched through the trace's shared decoded-block cache so Sources
+// replaying the same recording close together decode each block once.
 // The trace was fully verified at Source construction and the file image is
 // immutable in memory, so a decode failure here is unreachable short of
 // memory corruption — it panics rather than returning an error the Source

@@ -128,15 +128,15 @@ type Trace struct {
 	verifyOnce sync.Once
 	verifyErr  error
 
-	// Decoded-block cache shared by every Source over this trace: K batch
-	// lanes replaying the same recording in near-lockstep each want the same
-	// block at nearly the same time, so the group decompresses it once
-	// instead of once per lane. Records carry absolute sequence numbers
-	// (blockInfo.start), making a decoded block position-independent and
-	// therefore shareable; cached slices are immutable and readers must not
-	// modify them. A small FIFO bounds residency: lanes drift by at most a
-	// few blocks, so a handful of resident blocks covers a whole group while
-	// a full-trace cache would defeat the "never materialised" promise.
+	// Decoded-block cache shared by every Source over this trace: sweep
+	// jobs replaying the same recording on concurrent workers want the same
+	// block at nearby times, so it is decompressed once instead of once per
+	// Source. Records carry absolute sequence numbers (blockInfo.start),
+	// making a decoded block position-independent and therefore shareable;
+	// cached slices are immutable and readers must not modify them. A small
+	// FIFO bounds residency: a handful of resident blocks covers Sources a
+	// few blocks apart, while a full-trace cache would defeat the "never
+	// materialised" promise.
 	blockMu    sync.Mutex
 	blockCache map[int][]isa.Inst
 	blockFIFO  []int

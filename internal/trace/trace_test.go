@@ -12,7 +12,7 @@ import (
 
 // record encodes the first n committed-path instructions of (bench, seed)
 // with the given block granularity and returns the file image.
-func record(t *testing.T, bench string, seed, n uint64, blockRecords int) []byte {
+func record(t testing.TB, bench string, seed, n uint64, blockRecords int) []byte {
 	t.Helper()
 	prof, err := workload.ByName(bench)
 	if err != nil {
@@ -195,6 +195,30 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsOutOfRangeRecentPos: a corrupt wrong-path ring position
+// must fail Restore with an error, within the recording and past it, not
+// restore cleanly and panic on the next instruction.
+func TestRestoreRejectsOutOfRangeRecentPos(t *testing.T) {
+	tr := mustOpen(t, record(t, "mcf", 1, 3000, 256))
+	a := mustSource(t, tr)
+	var in isa.Inst
+	for i := 0; i < 3500; i++ { // past the recording: the snapshot carries kernel state
+		a.Next(&in)
+		if i == 1234 {
+			st := a.Snapshot()
+			st.RecentPos = 1 << 40
+			if err := mustSource(t, tr).Restore(st); err == nil {
+				t.Error("restore accepted recent_pos 2^40 within the recording")
+			}
+		}
+	}
+	st := a.Snapshot()
+	st.RecentPos = -1
+	if err := mustSource(t, tr).Restore(st); err == nil {
+		t.Error("restore accepted recent_pos -1 past the recording")
+	}
+}
+
 // TestOverflow checks the past-the-recording fallback: the source switches
 // to live generation seamlessly, and snapshots taken past the recording
 // carry full kernel state and restore.
@@ -349,6 +373,57 @@ func TestCorruptionDetection(t *testing.T) {
 			t.Errorf("%s parsed without error", mut.name)
 		}
 	}
+}
+
+// FuzzTraceOpen feeds arbitrary file images through the decoder as a
+// simulation would: New, then Verify, then Source, then a replay of every
+// record. Corrupt input must be rejected with an error, never a panic or a
+// hang, and an accepted input must replay exactly the record count its
+// trailer claims, all from the recording. The seeds are a 3,000-record mcf
+// recording and one-byte flips of it in the header, in a block payload and
+// in the trailer's content digest.
+//
+//	go test -fuzz=FuzzTraceOpen ./internal/trace/
+func FuzzTraceOpen(f *testing.F) {
+	data := record(f, "mcf", 1, 3000, 256)
+	tr, err := New(data)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	for _, off := range []int{
+		len(magicHead) + 3,          // header: the benchmark name
+		tr.blocks[1].off + 5,        // a block payload
+		len(data) - trailerLen + 20, // the trailer's content digest
+	} {
+		flipped := append([]byte(nil), data...)
+		flipped[off] ^= 0x20
+		f.Add(flipped)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := New(data)
+		if err != nil {
+			return
+		}
+		if err := tr.Verify(); err != nil {
+			return
+		}
+		src, err := tr.Source()
+		if err != nil {
+			return
+		}
+		n := tr.Meta().Records
+		var in isa.Inst
+		for i := uint64(0); i < n; i++ {
+			src.Next(&in)
+			if in.Seq != i {
+				t.Fatalf("record %d replayed with sequence number %d", i, in.Seq)
+			}
+		}
+		if src.pos != n || src.over != nil {
+			t.Fatalf("replayed %d records of %d, overflow generator %v", src.pos, n, src.over != nil)
+		}
+	})
 }
 
 // TestRecorderRequiresFreshSource pins the position-zero precondition the

@@ -106,6 +106,9 @@ func (w *wpSynth) restoreFrom(st *SourceState) error {
 	if len(st.Recent) != len(w.recentAddrs) {
 		return fmt.Errorf("workload: snapshot recent-ring size %d, want %d", len(st.Recent), len(w.recentAddrs))
 	}
+	if st.RecentPos < 0 || st.RecentPos >= len(w.recentAddrs) {
+		return fmt.Errorf("workload: snapshot recent-ring position %d outside [0, %d)", st.RecentPos, len(w.recentAddrs))
+	}
 	w.rng.SetState(st.WpRNG)
 	w.wpSeq = st.WpSeq
 	copy(w.recentAddrs[:], st.Recent)

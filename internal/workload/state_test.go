@@ -132,3 +132,25 @@ func TestRestoreRejectsMismatchedState(t *testing.T) {
 		t.Error("restore accepted a truncated kernel state")
 	}
 }
+
+// TestRestoreRejectsOutOfRangeRecentPos: a corrupt wrong-path ring position
+// must fail Restore with an error, not restore cleanly and panic on the
+// next Next.
+func TestRestoreRejectsOutOfRangeRecentPos(t *testing.T) {
+	for _, bench := range []string{"mcf", "swim", "gcc"} {
+		p, err := ByName(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := p.New(1)
+		g.Warmup(5000, func(uint64) {})
+		st := g.Snapshot()
+		for _, pos := range []int{1 << 40, -1, len(st.Recent)} {
+			bad := *st
+			bad.RecentPos = pos
+			if err := p.New(1).Restore(&bad); err == nil {
+				t.Errorf("%s: restore accepted recent_pos %d", bench, pos)
+			}
+		}
+	}
+}

@@ -7,9 +7,9 @@ package repro
 // digest and energy digest, and the test reproduces both twice:
 //
 //   - scalar: every point runs alone with a functional warm-up;
-//   - batched: each benchmark's seven points run as lanes of one batch,
-//     resumed from one shared checkpoint, with the differential oracle
-//     certifying every committed load of every lane.
+//   - resumed: each benchmark's seven points resume from one shared
+//     warm-up checkpoint, with the differential oracle certifying every
+//     committed load of every point.
 //
 // Throughput is not measured here; `bash perf/run.sh` measures it.
 //
@@ -32,6 +32,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/config"
 	"repro/internal/cpu"
 	"repro/internal/energy"
@@ -126,12 +127,12 @@ func TestSmokeMatrix(t *testing.T) {
 		if fix.GOARCH == runtime.GOARCH {
 			want = fix.Rows
 		} else {
-			t.Logf("%s digests were written on %s, not %s: checking batched == scalar only",
+			t.Logf("%s digests were written on %s, not %s: checking resumed == scalar only",
 				path, fix.GOARCH, runtime.GOARCH)
 		}
 	}
 	checkMatrix(t, "scalar", scalar, want)
-	checkMatrix(t, "batched", runMatrixBatched(t, rows), want)
+	checkMatrix(t, "resumed", runMatrixResumed(t, rows), want)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-16s %7s %6s %6s %8s %6s  %-32s  %s\n",
@@ -165,14 +166,16 @@ func runMatrixScalar(t *testing.T, rows []matrixRow) []matrixResult {
 	return out
 }
 
-// runMatrixBatched runs, per benchmark, the points of every row of its
-// suite as one batch with the oracle attached. Only the results and energy
-// reports are kept, so each group's oracle images die with the group.
-func runMatrixBatched(t *testing.T, rows []matrixRow) []matrixResult {
+// runMatrixResumed runs, per benchmark, the points of every row of its
+// suite through one checkpoint store, so the first point builds the
+// warm-up checkpoint and every point resumes from it, with the oracle
+// attached. Only the results and energy reports are kept, so each point's
+// oracle image dies with the point.
+func runMatrixResumed(t *testing.T, rows []matrixRow) []matrixResult {
 	t.Helper()
 	results := make([][]*cpu.Result, len(rows))
 	reports := make([][]*energy.Report, len(rows))
-	points, batched := 0, 0
+	points, resumed := 0, 0
 	for _, su := range []workload.Suite{workload.SuiteInt, workload.SuiteFP} {
 		var idx []int
 		for i, row := range rows {
@@ -181,25 +184,22 @@ func runMatrixBatched(t *testing.T, rows []matrixRow) []matrixResult {
 			}
 		}
 		for _, prof := range workload.SuiteOf(su) {
-			group := make([]simrun.Point, len(idx))
-			for k, i := range idx {
-				group[k] = simrun.Point{Config: rows[i].cfg, Bench: prof.Name, Seed: 1, Oracle: true}
-			}
-			outs, err := simrun.RunBatch(nil, group)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k, o := range outs {
-				i := idx[k]
+			store := ckpt.NewMemStore()
+			builds := 0
+			for _, i := range idx {
 				where := rows[i].name + "/" + prof.Name
-				if o.Err != nil {
-					t.Fatalf("%s: %v", where, o.Err)
+				o, err := simrun.Point{Config: rows[i].cfg, Bench: prof.Name, Seed: 1, Ckpt: store, Oracle: true}.Run(nil)
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
 				}
 				points++
-				if o.Batched {
-					batched++
+				if o.CkptBuilt {
+					builds++
+				}
+				if o.Resumed {
+					resumed++
 				} else {
-					t.Errorf("%s ran scalar, not as a batch lane", where)
+					t.Errorf("%s did not resume from a checkpoint", where)
 				}
 				if err := o.Oracle.Err(); err != nil {
 					t.Errorf("%s: %v", where, err)
@@ -210,9 +210,12 @@ func runMatrixBatched(t *testing.T, rows []matrixRow) []matrixResult {
 				results[i] = append(results[i], o.Result)
 				reports[i] = append(reports[i], o.Energy)
 			}
+			if builds != 1 {
+				t.Errorf("%s: %d checkpoint builds, want 1 shared by all %d rows", prof.Name, builds, len(idx))
+			}
 		}
 	}
-	t.Logf("batched pass: %d/%d points batched", batched, points)
+	t.Logf("resumed pass: %d/%d points resumed", resumed, points)
 	out := make([]matrixResult, len(rows))
 	for i, row := range rows {
 		out[i] = summarise(row.name, results[i], reports[i])
