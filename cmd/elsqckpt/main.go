@@ -9,9 +9,11 @@
 //
 // The store is keyed by the warm-up-relevant configuration slice only
 // (cache geometry + warm-up budget + benchmark + seed), so one store entry
-// serves every LSQ scheme, ERT shape and threshold swept over it. Snapshots
-// are ~1 MiB each at Table 1 geometry; -max-bytes bounds the store's total
-// size by pruning the oldest entries.
+// serves every LSQ scheme, ERT shape and threshold swept over it. A snapshot
+// holds the caches' valid lines only: at Table 1 geometry after the default
+// warm-up it takes 13.5 KiB to 1.03 MiB, 449 KiB on average over the 26
+// benchmarks. -max-bytes bounds the store's total size by pruning the
+// oldest entries.
 package main
 
 import (

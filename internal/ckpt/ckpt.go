@@ -18,7 +18,7 @@
 //   - the workload source position (workload.SourceState: committed-path
 //     RNG, kernel interior state, wrong-path synthesiser, queue surplus),
 //   - the memory hierarchy image (mem.HierarchyState: both cache levels'
-//     lines, LRU clocks and counters).
+//     valid lines, LRU clocks and counters).
 //
 // Determinism contract: a simulation resumed from a Snapshot produces
 // results bit-identical to a fresh run of the same (config, benchmark,
@@ -41,7 +41,7 @@ import (
 // FormatVersion is bumped whenever the snapshot schema or any state layout
 // it embeds changes incompatibly; it is part of every store key, so stale
 // on-disk checkpoints miss instead of resuming from misread state.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // Snapshot is one checkpoint: the complete warm-up-dependent state of a
 // (benchmark, seed) pair under a warm-up-relevant configuration slice.
@@ -111,6 +111,8 @@ func (s *Snapshot) Check(cfg *config.Config, bench string, seed uint64) error {
 		return fmt.Errorf("ckpt: snapshot warmed %d instructions, config wants %d", s.WarmupInsts, cfg.WarmupInsts)
 	case s.Source == nil || s.Hier == nil:
 		return fmt.Errorf("ckpt: incomplete snapshot")
+	case s.Source.Consumed != s.WarmupInsts:
+		return fmt.Errorf("ckpt: snapshot source is at instruction %d after a %d-instruction warm-up", s.Source.Consumed, s.WarmupInsts)
 	}
 	return nil
 }

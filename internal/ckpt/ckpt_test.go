@@ -5,6 +5,8 @@
 package ckpt_test
 
 import (
+	"encoding/json"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -196,17 +198,21 @@ func TestDiskStoreSizeBudget(t *testing.T) {
 		snaps = append(snaps, snap)
 	}
 
-	store, err := ckpt.NewDiskStore(t.TempDir(), 0)
+	// An entry is its snapshot's JSON, whose size follows the valid-line
+	// count. Budget for the two entries the store must keep, plus less
+	// than the first: the third Put must evict the oldest.
+	size := func(snap *ckpt.Snapshot) int64 {
+		b, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(len(b))
+	}
+	store, err := ckpt.NewDiskStore(t.TempDir(), size(snaps[1])+size(snaps[2])+size(snaps[0])/2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	store.Put(snaps[0])
-	one, err := store.TotalBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Budget for two snapshots: the third Put must evict the oldest.
-	store.MaxBytes = one*2 + one/2
 	for i, snap := range snaps[1:] {
 		// Spread mtimes so "oldest" is well defined on coarse filesystems.
 		past := time.Now().Add(time.Duration(i-3) * time.Second)
@@ -226,6 +232,34 @@ func TestDiskStoreSizeBudget(t *testing.T) {
 	if len(entries) != 2 {
 		t.Errorf("store holds %d entries, want 2", len(entries))
 	}
+}
+
+// TestSnapshotImageIsValidLinesOnly pins the image format on a Table 1
+// snapshot: the L2 image is one validity bit per line slot plus 12 bytes
+// (tag word and LRU tick) per valid line.
+func TestSnapshotImageIsValidLinesOnly(t *testing.T) {
+	cfg := testConfig(nil)
+	snap, err := ckpt.Build(&cfg, mustProfile(t, "gcc"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2 := snap.Hier.L2
+	slots := cfg.L2.Lines()
+	if len(l2.Valid) != slots/8 {
+		t.Errorf("L2 validity map is %d bytes, want %d for %d slots", len(l2.Valid), slots/8, slots)
+	}
+	valid := 0
+	for _, b := range l2.Valid {
+		valid += bits.OnesCount8(b)
+	}
+	if valid == 0 || valid == slots {
+		t.Fatalf("fixture: %d of %d L2 slots valid; want a partly filled L2", valid, slots)
+	}
+	if len(l2.Lines) != 12*valid {
+		t.Errorf("L2 line section is %d bytes, want 12 x %d valid lines", len(l2.Lines), valid)
+	}
+	t.Logf("L2 image: %d valid of %d slots, %d bytes (a dense 16-byte array would be %d)",
+		valid, slots, len(l2.Valid)+len(l2.Lines), 16*slots)
 }
 
 func TestResumeRejectsMismatch(t *testing.T) {
@@ -251,6 +285,12 @@ func TestResumeRejectsMismatch(t *testing.T) {
 	geom.L1.SizeBytes = 64 << 10
 	if err := resume(geom, "gzip"); err == nil {
 		t.Error("resume accepted a snapshot of different cache geometry")
+	}
+	src := *snap.Source
+	src.Consumed++
+	snap.Source = &src
+	if err := resume(cfg, "gzip"); err == nil {
+		t.Error("resume accepted a source position other than the warm-up budget")
 	}
 }
 

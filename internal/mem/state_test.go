@@ -1,7 +1,9 @@
 package mem
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"math/bits"
 	"testing"
 
 	"repro/internal/config"
@@ -13,16 +15,9 @@ func testGeom() config.CacheConfig {
 
 // TestCacheStateRoundTrip restores a captured image (through the JSON
 // encoding the disk store uses) onto a fresh cache and requires identical
-// observable behaviour from both.
+// lines and identical observable behaviour from both.
 func TestCacheStateRoundTrip(t *testing.T) {
-	a := NewCache(testGeom())
-	for i := uint64(0); i < 10_000; i++ {
-		addr := (i * 2654435761) % (64 << 10)
-		if _, hit := a.Access(addr); !hit {
-			a.allocateMissed(addr)
-		}
-	}
-	a.Lock(LineSlot{Set: 3, Way: 1})
+	a := warmCache(testGeom(), 10_000)
 
 	buf, err := json.Marshal(a.State())
 	if err != nil {
@@ -41,9 +36,6 @@ func TestCacheStateRoundTrip(t *testing.T) {
 		t.Fatalf("counters diverged: %d/%d/%d vs %d/%d/%d",
 			b.Accesses, b.Misses, b.useClock, a.Accesses, a.Misses, a.useClock)
 	}
-	if !b.Locked(LineSlot{Set: 3, Way: 1}) {
-		t.Error("lock count not restored")
-	}
 	for i := range a.lines {
 		if a.lines[i] != b.lines[i] {
 			t.Fatalf("line %d diverged: %+v vs %+v", i, a.lines[i], b.lines[i])
@@ -51,8 +43,6 @@ func TestCacheStateRoundTrip(t *testing.T) {
 	}
 	// Behavioural equivalence: the same access sequence produces the same
 	// hit/miss and victim decisions on both.
-	b.Unlock(LineSlot{Set: 3, Way: 1})
-	a.Unlock(LineSlot{Set: 3, Way: 1})
 	for i := uint64(0); i < 5_000; i++ {
 		addr := (i * 40503) % (64 << 10)
 		sa, ha := a.Access(addr)
@@ -70,8 +60,21 @@ func TestCacheStateRoundTrip(t *testing.T) {
 	}
 }
 
+// warmCache returns a cache of geometry g after n accesses spread over
+// 64 KiB, filling on every miss as the hierarchy does.
+func warmCache(g config.CacheConfig, n uint64) *Cache {
+	c := NewCache(g)
+	for i := uint64(0); i < n; i++ {
+		addr := (i * 2654435761) % (64 << 10)
+		if _, hit := c.Access(addr); !hit {
+			c.allocateMissed(addr)
+		}
+	}
+	return c
+}
+
 func TestCacheStateRejectsGeometryMismatch(t *testing.T) {
-	st := NewCache(testGeom()).State()
+	st := warmCache(testGeom(), 1_000).State()
 	other := testGeom()
 	other.Ways = 2
 	if err := NewCache(other).SetState(st); err == nil {
@@ -83,6 +86,90 @@ func TestCacheStateRejectsGeometryMismatch(t *testing.T) {
 	if err := same.SetState(&short); err == nil {
 		t.Error("SetState accepted a truncated line image")
 	}
+}
+
+// TestCacheStateRejectsMalformedImages corrupts a real image once per
+// SetState rule; each corruption must fail with an error, never restore.
+func TestCacheStateRejectsMalformedImages(t *testing.T) {
+	// Three ways over two sets leave two padding bits in the one-byte map.
+	odd := config.CacheConfig{SizeBytes: 2 * 3 * 32, Ways: 3, LineBytes: 32, LatencyCycles: 1}
+	rec := func(st *CacheState, k int) []byte { return st.Lines[k*lineStateBytes:] }
+	valid := func(st *CacheState, i int) bool { return st.Valid[i/8]&(1<<(i%8)) != 0 }
+	cases := []struct {
+		name string
+		geom config.CacheConfig
+		bad  func(st *CacheState)
+	}{
+		// The map corruptions keep the line section consistent with the
+		// bits they leave set, so only the map rule can catch them.
+		{"validity map too short", testGeom(), func(st *CacheState) {
+			last := bits.OnesCount8(st.Valid[len(st.Valid)-1])
+			st.Valid = st.Valid[:len(st.Valid)-1]
+			st.Lines = st.Lines[:len(st.Lines)-last*lineStateBytes]
+		}},
+		{"validity map too long", testGeom(), func(st *CacheState) { st.Valid = append(st.Valid, 0) }},
+		{"padding bit set", odd, func(st *CacheState) {
+			st.Valid[0] |= 1 << 7
+			st.Lines = append(st.Lines, rec(st, 0)[:lineStateBytes]...)
+		}},
+		{"line section short of the valid bits", testGeom(), func(st *CacheState) {
+			st.Lines = st.Lines[:len(st.Lines)-lineStateBytes]
+		}},
+		{"line section not whole records", testGeom(), func(st *CacheState) { st.Lines = append(st.Lines, 0) }},
+		{"extra valid bit", testGeom(), func(st *CacheState) {
+			for i := 0; ; i++ {
+				if !valid(st, i) {
+					st.Valid[i/8] |= 1 << (i % 8)
+					return
+				}
+			}
+		}},
+		{"listed line without valid bit", testGeom(), func(st *CacheState) { rec(st, 3)[0] &^= 1 }},
+		{"use tick above the clock", testGeom(), func(st *CacheState) {
+			binary.LittleEndian.PutUint32(rec(st, 5)[8:], st.UseClock+1)
+		}},
+		{"use clock at its wrap point", testGeom(), func(st *CacheState) { st.UseClock = ^uint32(0) }},
+		{"duplicate tag in one set", testGeom(), func(st *CacheState) {
+			// Copy the first valid line's tag onto the next valid way of
+			// its set; k counts listed records ahead of slot i.
+			ways := testGeom().Ways
+			for i, k := 0, 0; ; i++ {
+				if valid(st, i) {
+					if i%ways > 0 && valid(st, i-1) {
+						copy(rec(st, k)[:8], rec(st, k-1)[:8])
+						return
+					}
+					k++
+				}
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// 100 misses fill 100 of testGeom's 128 slots.
+			st := warmCache(tc.geom, 100).State()
+			if err := NewCache(tc.geom).SetState(st); err != nil {
+				t.Fatalf("uncorrupted image rejected: %v", err)
+			}
+			tc.bad(st)
+			if err := NewCache(tc.geom).SetState(st); err == nil {
+				t.Error("SetState accepted the corrupted image")
+			}
+		})
+	}
+}
+
+// TestCacheStateRefusesLockedLine: images carry no lock counts, so State
+// must not silently drop one.
+func TestCacheStateRefusesLockedLine(t *testing.T) {
+	c := warmCache(testGeom(), 1_000)
+	c.Lock(LineSlot{Set: 3, Way: 1})
+	defer func() {
+		if recover() == nil {
+			t.Error("State imaged a locked line")
+		}
+	}()
+	c.State()
 }
 
 func TestHierarchyStateRoundTrip(t *testing.T) {

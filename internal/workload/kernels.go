@@ -22,6 +22,14 @@ const (
 	fpAcc    = int16(isa.NumIntRegs + 16)
 )
 
+// Defaults the kernels give a zero size field on first use.
+const (
+	defaultBlockBytes    = uint64(8 << 10)   // streamKernel.blockBytes
+	defaultWindowBytes   = uint64(1 << 20)   // stencilKernel.windowBytes
+	defaultChaseHotBytes = uint64(512 << 10) // chaseKernel.hotBytes
+	defaultTableHotBytes = uint64(24 << 10)  // hashKernel and localKernel hotBytes
+)
+
 // Distinct, widely separated address regions so kernels composed in a mix
 // never alias by accident.
 const (
@@ -62,17 +70,7 @@ func (c *coldStream) maybe(g *Generator) {
 		return
 	}
 	if c.burst <= 0 {
-		// Default: scale the burst so one memory phase plus its quiet
-		// period spans ~10-20k instructions — long enough for the Memory
-		// Processor to drain and power down between phases, short enough
-		// that a measurement window samples several phases.
-		c.burst = 1200 / c.every
-		if c.burst < 4 {
-			c.burst = 4
-		}
-		if c.burst > 48 {
-			c.burst = 48
-		}
+		c.burst = defaultBurst(c.every)
 	}
 	pos := c.n % uint64(c.every*c.burst)
 	c.n++
@@ -88,6 +86,12 @@ func (c *coldStream) maybe(g *Generator) {
 		}
 	}
 }
+
+// defaultBurst scales the burst so one memory phase plus its quiet period
+// spans ~10-20k instructions — long enough for the Memory Processor to
+// drain and power down between phases, short enough that a measurement
+// window samples several phases.
+func defaultBurst(every int) int { return min(max(1200/every, 4), 48) }
 
 // isaBranchOn builds a branch instruction on the given condition register
 // with a forced prediction outcome.
@@ -121,7 +125,7 @@ type streamKernel struct {
 
 func (k *streamKernel) step() {
 	if k.blockBytes == 0 {
-		k.blockBytes = 8 << 10
+		k.blockBytes = defaultBlockBytes
 	}
 	k.offset += k.elem
 	if k.offset >= k.blockBytes {
@@ -188,7 +192,7 @@ type stencilKernel struct {
 
 func (k *stencilKernel) init() {
 	if k.windowBytes == 0 {
-		k.windowBytes = 1 << 20
+		k.windowBytes = defaultWindowBytes
 	}
 }
 
@@ -308,7 +312,7 @@ type chaseKernel struct {
 // target picks a chase destination respecting the hot fraction.
 func (k *chaseKernel) target() uint64 {
 	if k.hotBytes == 0 {
-		k.hotBytes = 512 << 10
+		k.hotBytes = defaultChaseHotBytes
 	}
 	if k.hotFrac > 0 && k.r.Bool(k.hotFrac) {
 		return align(k.r.Uint64n(k.hotBytes), 8)
@@ -381,7 +385,7 @@ type hashKernel struct {
 
 func (k *hashKernel) probe() uint64 {
 	if k.hotBytes == 0 {
-		k.hotBytes = 24 << 10
+		k.hotBytes = defaultTableHotBytes
 	}
 	if k.hotFrac > 0 && k.r.Bool(k.hotFrac) {
 		return align(k.r.Uint64n(k.hotBytes), 8)
@@ -482,7 +486,7 @@ type localKernel struct {
 
 func (k *localKernel) pick() uint64 {
 	if k.hotBytes == 0 {
-		k.hotBytes = 24 << 10
+		k.hotBytes = defaultTableHotBytes
 	}
 	if k.hotFrac > 0 && k.r.Bool(k.hotFrac) {
 		return align(k.r.Uint64n(k.hotBytes), 4)

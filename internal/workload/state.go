@@ -71,9 +71,31 @@ type kstate struct {
 	words     []uint64
 	pos       int
 	underflow bool
+	// emitted is, on load, how many committed-path instructions the
+	// snapshot's generator had emitted (delivered plus queued). Every emit
+	// call produces at least one, so it bounds each per-call counter.
+	emitted uint64
+	// bad is the first loaded value no emission sequence produces.
+	bad error
 }
 
 func (s *kstate) put(v uint64) { s.words = append(s.words, v) }
+
+// check records a bad value of field unless ok; the first one is kept.
+func (s *kstate) check(ok bool, field string, v uint64) {
+	if !ok && s.bad == nil {
+		s.bad = fmt.Errorf("%s %d is not a value emission produces", field, v)
+	}
+}
+
+// getLazy reads a lazily defaulted field: one holding its construction
+// value built until first use sets a zero built to def. The two values
+// emit identically.
+func (s *kstate) getLazy(field string, built, def uint64) uint64 {
+	v := s.get()
+	s.check(v == built || (built == 0 && v == def), field, v)
+	return v
+}
 
 func (s *kstate) get() uint64 {
 	if s.pos >= len(s.words) {
@@ -138,9 +160,12 @@ func (g *Generator) Snapshot() *SourceState {
 	return st
 }
 
-// Restore implements Snapshottable. The receiver must be a freshly built
-// (or at least same-benchmark, same-seed) generator; its state is fully
-// overwritten.
+// Restore implements Snapshottable. The receiver must be freshly built by
+// Profile.New for the snapshot's benchmark and seed: the kernel state is
+// checked against the kernel's construction-time parameters, and its
+// state is fully overwritten. A kernel word no emission sequence produces,
+// or a queued instruction outside the ranges an .elt record decodes to,
+// fails with an error.
 func (g *Generator) Restore(st *SourceState) error {
 	if err := g.checkState(st); err != nil {
 		return err
@@ -153,14 +178,43 @@ func (g *Generator) Restore(st *SourceState) error {
 	if err := g.wpSynth.restoreFrom(st); err != nil {
 		return err
 	}
-	ks := &kstate{words: st.Kernel}
+	ks := &kstate{words: st.Kernel, emitted: st.Consumed + uint64(len(st.Queue))}
 	g.k.load(ks)
 	if ks.underflow || ks.pos != len(ks.words) {
 		return fmt.Errorf("workload: %s kernel state is %d words, this build's layout needs %d (checkpoint from a different build?)",
 			st.Bench, len(ks.words), ks.pos)
 	}
+	if ks.bad != nil {
+		return fmt.Errorf("workload: %s kernel state: %w", st.Bench, ks.bad)
+	}
+	for i := range st.Queue {
+		if err := checkQueued(&st.Queue[i]); err != nil {
+			return fmt.Errorf("workload: %s queued instruction %d: %w", st.Bench, i, err)
+		}
+	}
 	g.queue = append(g.queue[:0], st.Queue...)
 	g.head = 0
+	return nil
+}
+
+// checkQueued rejects an instruction outside the field ranges an .elt
+// record decodes to: an op class, registers in [NoReg, NumRegs), an access
+// of 1, 2, 4 or 8 bytes on memory ops and no address or size on others,
+// and no wrong-path mark. Seq is not checked: Next overwrites it.
+func checkQueued(in *isa.Inst) error {
+	reg := func(r int16) bool { return r >= isa.NoReg && r < isa.NumRegs }
+	switch {
+	case int(in.Op) >= isa.NumOpClasses:
+		return fmt.Errorf("op class %d out of range", in.Op)
+	case !reg(in.Dst) || !reg(in.Src1) || !reg(in.Src2):
+		return fmt.Errorf("register out of range (dst %d, src %d, %d)", in.Dst, in.Src1, in.Src2)
+	case in.WrongPath:
+		return fmt.Errorf("wrong-path instruction on the committed path")
+	case in.IsMem() && (in.Size == 0 || in.Size > 8 || in.Size&(in.Size-1) != 0):
+		return fmt.Errorf("%v of %d bytes", in.Op, in.Size)
+	case !in.IsMem() && (in.Addr != 0 || in.Size != 0):
+		return fmt.Errorf("%v carries address %#x size %d", in.Op, in.Addr, in.Size)
+	}
 	return nil
 }
 
@@ -181,8 +235,14 @@ func (g *Generator) checkState(st *SourceState) error {
 // Each kernel saves exactly the fields its emission mutates, in declaration
 // order; construction-time parameters are re-derived by Profile.New and not
 // stored. Lazily-defaulted fields (coldStream.burst, hot/window/block sizes)
-// ARE stored: they are pure functions of the config today, but storing them
-// keeps a snapshot valid even if the defaulting rules change underneath it.
+// are stored too (getLazy accepts either value they can hold).
+//
+// Each load rejects, through kstate.check, every value its kernel's
+// emission cannot produce from the construction-time parameters: counters
+// above the emitted count, offsets off their stride or past their window,
+// and words another field determines exactly (the cold stream's offset and
+// dependent count follow from its call count; chase reloads pending follow
+// from the hop count).
 
 func (c *coldStream) save(s *kstate) {
 	s.put(uint64(c.burst))
@@ -192,10 +252,27 @@ func (c *coldStream) save(s *kstate) {
 }
 
 func (c *coldStream) load(s *kstate) {
-	c.burst = int(s.get())
+	burst := c.burst
+	if c.every > 0 && burst <= 0 {
+		burst = defaultBurst(c.every)
+	}
+	c.burst = int(s.getLazy("cold-stream burst", uint64(c.burst), uint64(burst)))
 	c.n = s.get()
 	c.nDep = s.get()
 	c.off = s.get()
+	var loads uint64 // the misses the first n calls of maybe inject
+	if c.every > 0 {
+		s.check(c.n <= s.emitted, "cold-stream calls", c.n)
+		period, b := uint64(c.every*burst), uint64(burst)
+		loads = c.n/period*b + min(c.n%period, b)
+	} else {
+		s.check(c.n == 0, "cold-stream calls", c.n)
+	}
+	s.check(c.off == 32*loads, "cold-stream offset", c.off)
+	if c.depEvery <= 0 {
+		loads = 0
+	}
+	s.check(c.nDep == loads, "cold-stream dependent count", c.nDep)
 }
 
 func (k *streamKernel) save(s *kstate) {
@@ -207,11 +284,27 @@ func (k *streamKernel) save(s *kstate) {
 }
 
 func (k *streamKernel) load(s *kstate) {
-	k.blockBytes = s.get()
+	k.blockBytes = s.getLazy("stream block size", k.blockBytes, defaultBlockBytes)
 	k.offset = s.get()
 	k.blockBase = s.get()
-	k.pass = int(s.get())
+	pass := s.get()
+	k.pass = int(pass)
+	s.check(k.offset%k.elem == 0 && (k.offset == 0 || k.offset < k.blockBytes), "stream offset", k.offset)
+	checkPass(s, "stream", k.reuse, pass, k.blockBase, k.wsBytes)
 	k.cold.load(s)
+}
+
+// checkPass checks a blocked sweep's pass count and block base: both stay
+// zero on a stationary sweep (reuse < 1); otherwise the pass is below
+// reuse and the base inside the working set.
+func checkPass(s *kstate, kernel string, reuse int, pass, base, wsBytes uint64) {
+	if reuse < 1 {
+		s.check(pass == 0, kernel+" pass", pass)
+		s.check(base == 0, kernel+" block base", base)
+		return
+	}
+	s.check(pass < uint64(reuse), kernel+" pass", pass)
+	s.check(base < wsBytes, kernel+" block base", base)
 }
 
 func (k *stencilKernel) save(s *kstate) {
@@ -223,10 +316,13 @@ func (k *stencilKernel) save(s *kstate) {
 }
 
 func (k *stencilKernel) load(s *kstate) {
-	k.windowBytes = s.get()
+	k.windowBytes = s.getLazy("stencil window size", k.windowBytes, defaultWindowBytes)
 	k.offset = s.get()
 	k.winBase = s.get()
-	k.pass = int(s.get())
+	pass := s.get()
+	k.pass = int(pass)
+	s.check(k.offset%8 == 0 && (k.offset == 0 || k.offset < k.windowBytes), "stencil offset", k.offset)
+	checkPass(s, "stencil", k.reuse, pass, k.winBase, k.wsBytes)
 	k.cold.load(s)
 }
 
@@ -245,12 +341,25 @@ func (k *chaseKernel) save(s *kstate) {
 }
 
 func (k *chaseKernel) load(s *kstate) {
-	k.hotBytes = s.get()
+	k.hotBytes = s.getLazy("chase hot size", k.hotBytes, defaultChaseHotBytes)
 	k.hops = s.get()
 	pending := s.get()
 	for i := range k.pendingHome {
 		k.pendingHome[i] = pending&(1<<uint(i)) != 0
 	}
+	chains := uint64(k.nChains)
+	s.check(k.hops <= s.emitted && k.hops%chains == 0, "chase hops", k.hops)
+	// Chain c's last hop was number hops-chains+c; it left a reload
+	// pending when it stored the home slot.
+	var want uint64
+	if every := uint64(k.homeEvery); every > 0 && k.hops > 0 {
+		for c := range min(chains, uint64(len(k.pendingHome))) {
+			if (k.hops-chains+c)%every == every-1 {
+				want |= 1 << c
+			}
+		}
+	}
+	s.check(pending == want, "chase pending reloads", pending)
 }
 
 func (k *hashKernel) save(s *kstate) {
@@ -259,13 +368,16 @@ func (k *hashKernel) save(s *kstate) {
 }
 
 func (k *hashKernel) load(s *kstate) {
-	k.hotBytes = s.get()
+	k.hotBytes = s.getLazy("hash hot size", k.hotBytes, defaultTableHotBytes)
 	k.cold.load(s)
 }
 
 func (k *stackKernel) save(s *kstate) { s.put(k.depth) }
 
-func (k *stackKernel) load(s *kstate) { k.depth = s.get() }
+func (k *stackKernel) load(s *kstate) {
+	k.depth = s.get()
+	s.check(k.depth <= k.maxDepth, "stack depth", k.depth)
+}
 
 func (k *localKernel) save(s *kstate) {
 	s.put(k.hotBytes)
@@ -273,7 +385,7 @@ func (k *localKernel) save(s *kstate) {
 }
 
 func (k *localKernel) load(s *kstate) {
-	k.hotBytes = s.get()
+	k.hotBytes = s.getLazy("local hot size", k.hotBytes, defaultTableHotBytes)
 	k.cold.load(s)
 }
 
@@ -284,6 +396,7 @@ func (k *intStreamKernel) save(s *kstate) {
 
 func (k *intStreamKernel) load(s *kstate) {
 	k.offset = s.get()
+	s.check(k.offset%4 == 0 && k.offset/4 <= s.emitted, "int-stream offset", k.offset)
 	k.cold.load(s)
 }
 

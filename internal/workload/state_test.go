@@ -154,3 +154,89 @@ func TestRestoreRejectsOutOfRangeRecentPos(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreAcceptsEveryEmittedState: the range checks in each kernel's
+// load must accept every state emission reaches. Snapshots at many
+// positions, through both Next and Warmup, restore and resume identically.
+func TestRestoreAcceptsEveryEmittedState(t *testing.T) {
+	for _, p := range append(IntSuite(), FPSuite()...) {
+		g := p.New(5)
+		var in isa.Inst
+		for pos := 0; pos <= 3_000; pos++ {
+			if pos%97 == 0 || pos < 20 {
+				r := p.New(5)
+				if err := r.Restore(g.Snapshot()); err != nil {
+					t.Fatalf("%s at %d: %v", p.Name, pos, err)
+				}
+				sameStreams(t, p.Name, g, r, 50)
+			}
+			g.Next(&in)
+		}
+		g.Warmup(200_000, func(uint64) {})
+		if err := p.New(5).Restore(g.Snapshot()); err != nil {
+			t.Fatalf("%s after warm-up: %v", p.Name, err)
+		}
+	}
+}
+
+// TestRestoreRejectsOutOfRangeKernelWords sets each kernel-state word of
+// every benchmark, one at a time, to 2^62. Restore must refuse each: some
+// of these panicked (a zero modulus) or mis-simulated after a clean
+// restore.
+func TestRestoreRejectsOutOfRangeKernelWords(t *testing.T) {
+	for _, p := range append(IntSuite(), FPSuite()...) {
+		g := p.New(1)
+		g.Warmup(5_000, func(uint64) {})
+		st := g.Snapshot()
+		if err := p.New(1).Restore(st); err != nil {
+			t.Fatalf("%s: uncorrupted snapshot rejected: %v", p.Name, err)
+		}
+		for i := range st.Kernel {
+			bad := *st
+			bad.Kernel = append([]uint64(nil), st.Kernel...)
+			bad.Kernel[i] = 1 << 62
+			if err := p.New(1).Restore(&bad); err == nil {
+				t.Errorf("%s: restore accepted kernel word %d = 2^62", p.Name, i)
+			}
+		}
+	}
+}
+
+// TestRestoreRejectsBadQueuedInstruction: queued instructions are copied
+// into the committed stream, so each field must lie in the range an .elt
+// record decodes to. A destination register of 999 used to restore and
+// then index past the register file.
+func TestRestoreRejectsBadQueuedInstruction(t *testing.T) {
+	p, err := ByName("swim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := p.New(1)
+	var in isa.Inst
+	g.Next(&in) // leaves the rest of the first emission batch queued
+	st := g.Snapshot()
+	if len(st.Queue) == 0 {
+		t.Fatal("fixture: no queued instructions")
+	}
+	if err := p.New(1).Restore(st); err != nil {
+		t.Fatalf("uncorrupted snapshot rejected: %v", err)
+	}
+	for name, bad := range map[string]func(*isa.Inst){
+		"dst 999":         func(in *isa.Inst) { in.Dst = 999 },
+		"src1 -2":         func(in *isa.Inst) { in.Src1 = -2 },
+		"src2 NumRegs":    func(in *isa.Inst) { in.Src2 = isa.NumRegs },
+		"op class":        func(in *isa.Inst) { in.Op = isa.OpClass(isa.NumOpClasses) },
+		"wrong path":      func(in *isa.Inst) { in.WrongPath = true },
+		"load size 3":     func(in *isa.Inst) { in.Op, in.Addr, in.Size = isa.OpLoad, 64, 3 },
+		"store size 16":   func(in *isa.Inst) { in.Op, in.Addr, in.Size = isa.OpStore, 64, 16 },
+		"alu with a size": func(in *isa.Inst) { in.Op, in.Addr, in.Size = isa.OpIntAlu, 0, 8 },
+		"alu with addr":   func(in *isa.Inst) { in.Op, in.Addr, in.Size = isa.OpIntAlu, 64, 0 },
+	} {
+		c := *st
+		c.Queue = append([]isa.Inst(nil), st.Queue...)
+		bad(&c.Queue[len(c.Queue)-1])
+		if err := p.New(1).Restore(&c); err == nil {
+			t.Errorf("restore accepted a queued instruction with %s", name)
+		}
+	}
+}
