@@ -4,7 +4,9 @@ package trace
 //
 //	flags byte:  bits 0-2 op class, bit 3 taken, bit 4 mispred,
 //	             bits 5-6 log2(access size) for memory ops, bit 7 reserved
-//	uvarint:     dst+1, src1+1, src2+1  (register numbers; 0 encodes NoReg)
+//	3 bytes:     dst+1, src1+1, src2+1  (register numbers, 0..64; 0 encodes
+//	             NoReg). Each is the one-byte uvarint of its value, so a
+//	             byte with bit 7 set is an overlong encoding and rejected.
 //	zigzag varint (memory ops only): effective address delta from the
 //	             previous memory record of the same block
 //
@@ -17,15 +19,17 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
-	"hash"
 
 	"repro/internal/isa"
 )
 
-// maxRecordBytes bounds one encoded record: 1 flags byte, three 1-byte
-// register varints (registers are < 64) and a worst-case 10-byte address
-// delta. Block-size sanity checks in the parser derive from it.
+// maxRecordBytes bounds one encoded record: 1 flags byte, 3 register bytes
+// and a worst-case 10-byte address delta. Block-size sanity checks in the
+// parser derive from it.
 const maxRecordBytes = 1 + 3 + binary.MaxVarintLen64
+
+// canonicalLen is the size of a record's canonical form (appendCanonical).
+const canonicalLen = 17
 
 // sizeLog2 maps an access size (1, 2, 4, 8) to its 2-bit exponent.
 func sizeLog2(size uint8) (uint8, error) {
@@ -87,32 +91,18 @@ func appendRecord(buf []byte, in *isa.Inst, prevAddr uint64) ([]byte, uint64, er
 // left untouched; the caller owns positioning). It returns the remaining
 // buffer and the updated address-delta base.
 func decodeRecord(buf []byte, out *isa.Inst, prevAddr uint64) ([]byte, uint64, error) {
-	if len(buf) == 0 {
+	if len(buf) < 4 {
 		return nil, prevAddr, fmt.Errorf("trace: truncated record")
 	}
-	flags := buf[0]
-	buf = buf[1:]
+	flags, dst, src1, src2 := buf[0], buf[1], buf[2], buf[3]
+	if dst > isa.NumRegs || src1 > isa.NumRegs || src2 > isa.NumRegs {
+		return nil, prevAddr, fmt.Errorf("trace: bad register field")
+	}
+	buf = buf[4:]
 	out.Op = isa.OpClass(flags & 7)
 	out.Taken = flags&(1<<3) != 0
 	out.Mispred = flags&(1<<4) != 0
-	reg := func() (int16, error) {
-		v, n := binary.Uvarint(buf)
-		if n <= 0 || v > uint64(isa.NumRegs) {
-			return 0, fmt.Errorf("trace: bad register field")
-		}
-		buf = buf[n:]
-		return int16(v) - 1, nil
-	}
-	var err error
-	if out.Dst, err = reg(); err != nil {
-		return nil, prevAddr, err
-	}
-	if out.Src1, err = reg(); err != nil {
-		return nil, prevAddr, err
-	}
-	if out.Src2, err = reg(); err != nil {
-		return nil, prevAddr, err
-	}
+	out.Dst, out.Src1, out.Src2 = int16(dst)-1, int16(src1)-1, int16(src2)-1
 	if out.Op.IsMem() {
 		d, n := binary.Uvarint(buf)
 		if n <= 0 {
@@ -128,22 +118,22 @@ func decodeRecord(buf []byte, out *isa.Inst, prevAddr uint64) ([]byte, uint64, e
 	return buf, prevAddr, nil
 }
 
-// foldRecord feeds the record's canonical form into the content digest. The
-// canonical form is independent of block size and wire encoding, so the
-// digest identifies the instruction stream itself, not its storage layout.
-func foldRecord(h hash.Hash, in *isa.Inst) {
-	var b [17]byte
-	b[0] = uint8(in.Op)
-	b[1] = in.Size
+// appendCanonical appends the record's canonical form, canonicalLen bytes,
+// to dst. The content digest folds these forms a block at a time, in the
+// Recorder and in Verify alike. The canonical form is independent of block
+// size and wire encoding, so the digest identifies the instruction stream
+// itself, not its storage layout.
+func appendCanonical(dst []byte, in *isa.Inst) []byte {
+	var flags uint8
 	if in.Taken {
-		b[2] |= 1
+		flags |= 1
 	}
 	if in.Mispred {
-		b[2] |= 2
+		flags |= 2
 	}
-	binary.LittleEndian.PutUint16(b[3:], uint16(in.Dst))
-	binary.LittleEndian.PutUint16(b[5:], uint16(in.Src1))
-	binary.LittleEndian.PutUint16(b[7:], uint16(in.Src2))
-	binary.LittleEndian.PutUint64(b[9:], in.Addr)
-	h.Write(b[:])
+	dst = append(dst, uint8(in.Op), in.Size, flags)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(in.Dst))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(in.Src1))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(in.Src2))
+	return binary.LittleEndian.AppendUint64(dst, in.Addr)
 }

@@ -26,6 +26,7 @@ type Recorder struct {
 	w            io.Writer
 	blockRecords int
 	raw          []byte // current block's encoded payload
+	canon        []byte // current block's canonical forms, for the digest
 	blockCount   int    // records in the current block
 	prevAddr     uint64 // address-delta base (reset per block)
 	count        uint64 // records written overall
@@ -127,7 +128,7 @@ func (r *Recorder) record(in *isa.Inst) {
 	if r.err != nil {
 		return
 	}
-	foldRecord(r.digest, in)
+	r.canon = appendCanonical(r.canon, in)
 	r.count++
 	r.blockCount++
 	if r.blockCount == r.blockRecords {
@@ -135,11 +136,14 @@ func (r *Recorder) record(in *isa.Inst) {
 	}
 }
 
-// flushBlock compresses and writes the current block.
+// flushBlock folds the current block into the content digest, then
+// compresses and writes it.
 func (r *Recorder) flushBlock() error {
 	if r.blockCount == 0 {
 		return nil
 	}
+	r.digest.Write(r.canon)
+	r.canon = r.canon[:0]
 	r.comp.Reset()
 	if r.fw == nil {
 		fw, err := flate.NewWriter(&r.comp, flate.DefaultCompression)

@@ -40,9 +40,9 @@
 // count, so a record index maps to its block in O(1) and Restore seeks
 // without replay. Per-block digests localise corruption; the trailer's
 // content digest covers the header identity plus every record's canonical
-// form (see foldRecord) and is therefore independent of block size — it is
-// the digest config.Config.TraceDigest carries. See WORKLOADS.md for the
-// format specification with a worked hex example.
+// form (see appendCanonical) and is therefore independent of block size —
+// it is the digest config.Config.TraceDigest carries. See WORKLOADS.md for
+// the format specification with a worked hex example.
 package trace
 
 import (
@@ -55,6 +55,7 @@ import (
 	"hash"
 	"io"
 	"os"
+	"slices"
 	"sync"
 
 	"repro/internal/isa"
@@ -124,6 +125,10 @@ type Trace struct {
 	meta   Meta
 	data   []byte
 	blocks []blockInfo
+	// maxCount and maxRaw are the largest record count and raw length of
+	// any block: decode scratch is sized from them, never from the
+	// header's records-per-block, which may be far larger than any block.
+	maxCount, maxRaw int
 
 	verifyOnce sync.Once
 	verifyErr  error
@@ -138,8 +143,10 @@ type Trace struct {
 	// few blocks apart, while a full-trace cache would defeat the "never
 	// materialised" promise.
 	blockMu    sync.Mutex
+	blockDec   blockDecoder
 	blockCache map[int][]isa.Inst
-	blockFIFO  []int
+	blockFIFO  [blockCacheCap]int // resident block indices, a ring
+	blockNext  int                // blockFIFO slot of the next insertion
 	decodes    uint64
 }
 
@@ -155,7 +162,7 @@ func (t *Trace) Block(i int) ([]isa.Inst, error) {
 	if recs, ok := t.blockCache[i]; ok {
 		return recs, nil
 	}
-	recs, err := t.decodeBlock(i, make([]isa.Inst, 0, t.blocks[i].count))
+	recs, err := t.blockDec.decode(t, i, make([]isa.Inst, t.blocks[i].count))
 	if err != nil {
 		return nil, err
 	}
@@ -163,12 +170,13 @@ func (t *Trace) Block(i int) ([]isa.Inst, error) {
 	if t.blockCache == nil {
 		t.blockCache = make(map[int][]isa.Inst, blockCacheCap)
 	}
-	if len(t.blockFIFO) == blockCacheCap {
-		delete(t.blockCache, t.blockFIFO[0])
-		t.blockFIFO = t.blockFIFO[1:]
+	if len(t.blockCache) == blockCacheCap {
+		// Full: blockNext holds the oldest resident block.
+		delete(t.blockCache, t.blockFIFO[t.blockNext])
 	}
 	t.blockCache[i] = recs
-	t.blockFIFO = append(t.blockFIFO, i)
+	t.blockFIFO[t.blockNext] = i
+	t.blockNext = (t.blockNext + 1) % blockCacheCap
 	return recs, nil
 }
 
@@ -290,6 +298,8 @@ func New(data []byte) (*Trace, error) {
 			return nil, err
 		}
 		t.blocks = append(t.blocks, b)
+		t.maxCount = max(t.maxCount, count)
+		t.maxRaw = max(t.maxRaw, rawLen)
 		start += uint64(count)
 	}
 	for i, b := range t.blocks[:max(len(t.blocks)-1, 0)] {
@@ -322,38 +332,58 @@ func (t *Trace) blockFor(pos uint64) int {
 	return int(pos / uint64(t.meta.BlockRecords))
 }
 
-// decodeBlock decompresses and decodes block i, verifying its raw-payload
-// digest, and appends the records to dst (sequence numbers stamped).
-func (t *Trace) decodeBlock(i int, dst []isa.Inst) ([]isa.Inst, error) {
+// blockDecoder decompresses and decodes blocks through state it keeps
+// from one block to the next: a reader over the compressed payload, one
+// flate reader reset onto it, a raw buffer sized for the trace's largest
+// block and the one-byte end-of-stream probe. It is not safe for
+// concurrent use: Verify owns one, and Block another under blockMu.
+type blockDecoder struct {
+	br    bytes.Reader
+	fr    io.ReadCloser // flate reader over br, built on first use
+	raw   []byte
+	probe [1]byte
+}
+
+// decode decompresses and decodes block i of t, verifying its raw-payload
+// digest, and returns its records (sequence numbers stamped), written over
+// dst's backing array when it has the capacity. A failed decode leaves the
+// decoder ready for the next block.
+func (d *blockDecoder) decode(t *Trace, i int, dst []isa.Inst) ([]isa.Inst, error) {
 	b := t.blocks[i]
-	fr := flate.NewReader(bytes.NewReader(t.data[b.off : b.off+b.compLen]))
-	raw := make([]byte, b.rawLen)
-	if _, err := io.ReadFull(fr, raw); err != nil {
-		return dst, fmt.Errorf("trace: block %d: %w", i, err)
+	d.br.Reset(t.data[b.off : b.off+b.compLen])
+	if d.fr == nil {
+		d.fr = flate.NewReader(&d.br)
+		d.raw = make([]byte, t.maxRaw)
+	} else if err := d.fr.(flate.Resetter).Reset(&d.br, nil); err != nil {
+		return nil, fmt.Errorf("trace: block %d: %w", i, err)
+	}
+	raw := d.raw[:b.rawLen]
+	if _, err := io.ReadFull(d.fr, raw); err != nil {
+		return nil, fmt.Errorf("trace: block %d: %w", i, err)
 	}
 	// A well-formed stream ends exactly at rawLen.
-	if n, _ := fr.Read(make([]byte, 1)); n != 0 {
-		return dst, fmt.Errorf("trace: block %d decompresses past its raw length", i)
+	if n, _ := d.fr.Read(d.probe[:]); n != 0 {
+		return nil, fmt.Errorf("trace: block %d decompresses past its raw length", i)
 	}
 	sum := sha256.Sum256(raw)
 	if !bytes.Equal(sum[:8], b.digest[:]) {
-		return dst, fmt.Errorf("trace: block %d payload digest mismatch (corrupt file?)", i)
+		return nil, fmt.Errorf("trace: block %d payload digest mismatch (corrupt file?)", i)
 	}
+	recs := slices.Grow(dst[:0], b.count)[:b.count]
 	var prevAddr uint64
 	buf := raw
 	var err error
-	for j := 0; j < b.count; j++ {
-		var in isa.Inst
-		if buf, prevAddr, err = decodeRecord(buf, &in, prevAddr); err != nil {
-			return dst, fmt.Errorf("trace: block %d record %d: %w", i, j, err)
+	for j := range recs {
+		in := &recs[j]
+		if buf, prevAddr, err = decodeRecord(buf, in, prevAddr); err != nil {
+			return nil, fmt.Errorf("trace: block %d record %d: %w", i, j, err)
 		}
-		in.Seq = b.start + uint64(j)
-		dst = append(dst, in)
+		in.Seq, in.WrongPath = b.start+uint64(j), false
 	}
 	if len(buf) != 0 {
-		return dst, fmt.Errorf("trace: block %d has %d bytes after its last record", i, len(buf))
+		return nil, fmt.Errorf("trace: block %d has %d bytes after its last record", i, len(buf))
 	}
-	return dst, nil
+	return recs, nil
 }
 
 // Verify fully decodes the trace and checks every per-block digest plus the
@@ -361,25 +391,33 @@ func (t *Trace) decodeBlock(i int, dst []isa.Inst) ([]isa.Inst, error) {
 // construction calls it, so a corrupt trace fails before simulation rather
 // than mid-run.
 func (t *Trace) Verify() error {
-	t.verifyOnce.Do(func() {
-		h := sha256.New()
-		foldHeader(h, &t.meta)
-		buf := make([]isa.Inst, 0, t.meta.BlockRecords)
-		for i := range t.blocks {
-			var err error
-			if buf, err = t.decodeBlock(i, buf[:0]); err != nil {
-				t.verifyErr = err
-				return
-			}
-			for j := range buf {
-				foldRecord(h, &buf[j])
-			}
-		}
-		if got := hex.EncodeToString(h.Sum(nil)[:16]); got != t.meta.Digest {
-			t.verifyErr = fmt.Errorf("trace: content digest %s, trailer claims %s", got, t.meta.Digest)
-		}
-	})
+	t.verifyOnce.Do(func() { t.verifyErr = t.verify() })
 	return t.verifyErr
+}
+
+// verify is Verify's uncached body. It folds the content digest a block at
+// a time: each block's canonical forms reach sha256 in one Write.
+func (t *Trace) verify() error {
+	h := sha256.New()
+	foldHeader(h, &t.meta)
+	var d blockDecoder
+	recs := make([]isa.Inst, 0, t.maxCount)
+	canon := make([]byte, 0, t.maxCount*canonicalLen)
+	for i := range t.blocks {
+		var err error
+		if recs, err = d.decode(t, i, recs); err != nil {
+			return err
+		}
+		canon = canon[:0]
+		for j := range recs {
+			canon = appendCanonical(canon, &recs[j])
+		}
+		h.Write(canon)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)[:16]); got != t.meta.Digest {
+		return fmt.Errorf("trace: content digest %s, trailer claims %s", got, t.meta.Digest)
+	}
+	return nil
 }
 
 // foldHeader feeds the trace's identity into the content digest. The block
