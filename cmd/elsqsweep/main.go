@@ -20,8 +20,10 @@
 // Warm-up checkpointing: jobs whose warm-up identity matches — same cache
 // geometry, warm-up budget, benchmark and seed, i.e. every config axis the
 // paper sweeps — share one functional warm-up instead of paying one each,
-// with bit-identical results. -ckptdir persists the snapshots so later runs
-// (and cmd/elsqckpt pre-builds) skip even that single warm-up. The
+// with bit-identical results. -ckptdir persists the snapshots: the first
+// run builds them, later runs skip even that single warm-up. Both -cachedir
+// and -ckptdir hold digest-checked entries (internal/store); a damaged entry
+// is rebuilt, and either directory may be deleted at any time. The
 // sample.intervals and sample.bleed axes select SimPoint-style
 // multi-interval measurement (see internal/config).
 //
@@ -56,10 +58,9 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	outPath := flag.String("out", "", "write the JSON artifact to this file (- for stdout)")
 	csvPath := flag.String("csv", "", "write the CSV artifact to this file (- for stdout)")
-	cacheDir := flag.String("cachedir", "", "persistent result-cache directory (empty = in-memory only)")
+	cacheDir := flag.String("cachedir", "", "persistent result-cache directory (empty = no result cache)")
 	traceDir := flag.String("tracedir", "", "drive every job from the recorded trace <tracedir>/<bench>-s<seed>.elt (see elsqtrace record -suites) instead of live generation")
 	ckptDir := flag.String("ckptdir", "", "persistent checkpoint-store directory (empty = in-memory only)")
-	ckptMax := flag.String("ckpt-max-bytes", "2G", "checkpoint store size budget for -ckptdir (K/M/G suffixes; 0 = unbounded)")
 	quiet := flag.Bool("q", false, "suppress per-job progress lines")
 	fields := flag.Bool("fields", false, "list sweepable config fields and exit")
 	flag.Parse()
@@ -120,15 +121,9 @@ func main() {
 		if runner.Cache, err = sweep.NewDiskCache(*cacheDir); err != nil {
 			fatalf("%v", err)
 		}
-	} else {
-		runner.Cache = sweep.NewMemCache()
 	}
 	if *ckptDir != "" {
-		budget, err := config.ParseSize(*ckptMax)
-		if err != nil {
-			fatalf("bad -ckpt-max-bytes: %v", err)
-		}
-		if runner.Checkpoints, err = ckpt.NewDiskStore(*ckptDir, int64(budget)); err != nil {
+		if runner.Checkpoints, err = ckpt.NewDiskStore(*ckptDir); err != nil {
 			fatalf("%v", err)
 		}
 	}

@@ -1,6 +1,8 @@
 // Package ckpt is the checkpointed-sampling subsystem: versioned,
-// deterministic snapshots of all warm-up-dependent simulation state, plus a
-// content-addressed store for sharing them across runs and processes.
+// deterministic snapshots of all warm-up-dependent simulation state, keyed
+// by content so one snapshot serves every configuration that shares its
+// warm-up. Snapshots are kept in internal/store stores: in memory within a
+// process, or on disk (NewDiskStore) across processes.
 //
 // The paper evaluates Alpha SimPoints — short measured intervals resumed
 // from warmed architectural state — while a naive reproduction pays the
@@ -34,6 +36,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/mem"
+	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -132,4 +135,13 @@ func (s *Snapshot) NewSource() (*workload.Generator, error) {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}
 	return g, nil
+}
+
+// NewDiskStore opens a checkpoint store over dir (see internal/store for
+// the entry format). A snapshot of another format version, filed under
+// another key or missing its source or hierarchy image is a miss.
+func NewDiskStore(dir string) (*store.Disk[Snapshot], error) {
+	return store.NewDisk(dir, func(key string, s *Snapshot) bool {
+		return s.Version == FormatVersion && s.Key == key && s.Source != nil && s.Hier != nil
+	})
 }

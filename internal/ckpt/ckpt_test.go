@@ -1,17 +1,14 @@
 // External tests for the checkpoint subsystem. They live outside the package
 // so they can drive full simulations through internal/simrun — the only
-// component allowed to construct simulators — while still reaching the store
-// internals through export_test.go.
+// component allowed to construct simulators.
 package ckpt_test
 
 import (
-	"encoding/json"
 	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/config"
@@ -155,14 +152,15 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store, err := ckpt.NewDiskStore(t.TempDir(), 0)
+	dir := t.TempDir()
+	store, err := ckpt.NewDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := store.Get(snap.Key); ok {
 		t.Fatal("empty store returned a snapshot")
 	}
-	store.Put(snap)
+	store.Put(snap.Key, snap)
 	got, ok := store.Get(snap.Key)
 	if !ok {
 		t.Fatal("stored snapshot not found")
@@ -178,59 +176,11 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	}
 
 	// Corrupt entries are misses.
-	if err := os.WriteFile(filepath.Join(store.Dir(), snap.Key+ckpt.DiskSuffixForTest), []byte("{"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snap.Key+".json"), []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := store.Get(snap.Key); ok {
 		t.Error("corrupt snapshot served as a hit")
-	}
-}
-
-func TestDiskStoreSizeBudget(t *testing.T) {
-	cfg := testConfig(nil)
-	cfg.WarmupInsts = 5_000
-	var snaps []*ckpt.Snapshot
-	for _, bench := range []string{"gzip", "vpr", "gcc"} {
-		snap, err := ckpt.Build(&cfg, mustProfile(t, bench), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snaps = append(snaps, snap)
-	}
-
-	// An entry is its snapshot's JSON, whose size follows the valid-line
-	// count. Budget for the two entries the store must keep, plus less
-	// than the first: the third Put must evict the oldest.
-	size := func(snap *ckpt.Snapshot) int64 {
-		b, err := json.Marshal(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return int64(len(b))
-	}
-	store, err := ckpt.NewDiskStore(t.TempDir(), size(snaps[1])+size(snaps[2])+size(snaps[0])/2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.Put(snaps[0])
-	for i, snap := range snaps[1:] {
-		// Spread mtimes so "oldest" is well defined on coarse filesystems.
-		past := time.Now().Add(time.Duration(i-3) * time.Second)
-		os.Chtimes(filepath.Join(store.Dir(), snaps[i].Key+ckpt.DiskSuffixForTest), past, past)
-		store.Put(snap)
-	}
-	if _, ok := store.Get(snaps[0].Key); ok {
-		t.Error("size budget did not evict the oldest snapshot")
-	}
-	if _, ok := store.Get(snaps[2].Key); !ok {
-		t.Error("size budget evicted the just-written snapshot")
-	}
-	entries, err := store.Entries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 {
-		t.Errorf("store holds %d entries, want 2", len(entries))
 	}
 }
 
@@ -291,49 +241,5 @@ func TestResumeRejectsMismatch(t *testing.T) {
 	snap.Source = &src
 	if err := resume(cfg, "gzip"); err == nil {
 		t.Error("resume accepted a source position other than the warm-up budget")
-	}
-}
-
-// TestDiskStoreSweepsStaleTemps pins the crash-residue cleanup: temp files
-// old enough that their writer must be dead are removed on open, fresh ones
-// (a concurrent writer's in-flight Put) are left alone, and Has answers
-// existence without decoding.
-func TestDiskStoreSweepsStaleTemps(t *testing.T) {
-	dir := t.TempDir()
-	stale := filepath.Join(dir, "deadbeef.tmp-123")
-	fresh := filepath.Join(dir, "cafef00d.tmp-456")
-	for _, p := range []string{stale, fresh} {
-		if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	old := time.Now().Add(-2 * time.Hour)
-	if err := os.Chtimes(stale, old, old); err != nil {
-		t.Fatal(err)
-	}
-
-	store, err := ckpt.NewDiskStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Error("stale temp file survived store open")
-	}
-	if _, err := os.Stat(fresh); err != nil {
-		t.Error("fresh temp file (possible in-flight write) was removed")
-	}
-
-	if store.Has("nope") {
-		t.Error("Has reported a missing key")
-	}
-	cfg := testConfig(nil)
-	cfg.WarmupInsts = 5_000
-	snap, err := ckpt.Build(&cfg, mustProfile(t, "gzip"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.Put(snap)
-	if !store.Has(snap.Key) {
-		t.Error("Has missed a stored key")
 	}
 }

@@ -3,6 +3,8 @@ package doclint
 import (
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -106,6 +108,50 @@ var BareVar = 3
 	for sym := range got {
 		if !want[sym] {
 			t.Errorf("checker falsely flagged %q", sym)
+		}
+	}
+}
+
+// TestReadmeTablesMatchTree pins README's Commands table to the
+// directories under cmd/ and its Package map to those under internal/:
+// each directory has exactly one row, and no row names a directory that
+// is gone.
+func TestReadmeTablesMatchTree(t *testing.T) {
+	root := repoRoot(t)
+	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ heading, dir string }{
+		{"## Commands", "cmd"},
+		{"## Package map", "internal"},
+	} {
+		var rows []string
+		in := false
+		for _, line := range strings.Split(string(readme), "\n") {
+			if strings.HasPrefix(line, "## ") {
+				in = line == c.heading
+				continue
+			}
+			// A row's first cell is the directory in backquotes.
+			if first, ok := strings.CutPrefix(line, "| `"+c.dir+"/"); in && ok {
+				name, _, _ := strings.Cut(first, "`")
+				rows = append(rows, name)
+			}
+		}
+		des, err := os.ReadDir(filepath.Join(root, c.dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dirs []string
+		for _, de := range des {
+			if de.IsDir() {
+				dirs = append(dirs, de.Name())
+			}
+		}
+		slices.Sort(rows)
+		if !slices.Equal(rows, dirs) {
+			t.Errorf("README %q lists %s/ as %v; the tree holds %v", c.heading, c.dir, rows, dirs)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/config"
 	"repro/internal/cpu"
+	"repro/internal/store"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
@@ -55,14 +56,14 @@ type job struct {
 // reuse the completed simulations instead of re-running them. Keys include
 // the full config (with instruction budget), benchmark and seed, so runs at
 // different Options never alias.
-var resultCache = sweep.NewMemCache()
+var resultCache = store.NewMem[cpu.Result]()
 
 // ckptStore shares warm-up checkpoints the same way: every experiment
 // sweeps timing-only axes over the Table 1 cache geometry, so each
 // (benchmark, seed) pays its functional warm-up once per process instead of
 // once per configuration. Results are bit-identical either way (the ckpt
 // package's determinism contract).
-var ckptStore = ckpt.NewMemStore()
+var ckptStore = store.NewMem[ckpt.Snapshot]()
 
 // runAll executes the jobs on the sweep engine's bounded worker pool.
 // Results are written to each job's out slot, so callers keep a

@@ -29,6 +29,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/energy"
 	"repro/internal/oracle"
+	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -53,7 +54,7 @@ type Point struct {
 	Snapshot *ckpt.Snapshot
 	// Ckpt, when set, is consulted for a reusable warm-up checkpoint and
 	// receives newly built ones. Ignored when Snapshot is set.
-	Ckpt ckpt.Store
+	Ckpt store.Store[ckpt.Snapshot]
 	// Oracle attaches a fresh differential checker (oracle.New) to the
 	// committed memory-op stream; the checker is returned in the Outcome.
 	// Mutually exclusive with Observer.
@@ -235,13 +236,13 @@ type buildCall struct {
 	err  error
 }
 
-// warmSnapshot returns the warm-up image for (cfg, bench, seed): from store
-// when it holds one (store may be nil), otherwise from ckpt.Build behind a
+// warmSnapshot returns the warm-up image for (cfg, bench, seed): from ckpts
+// when it holds one (ckpts may be nil), otherwise from ckpt.Build behind a
 // per-key single-flight. built is true only for the one caller that ran the
 // build; callers that waited on it share its snapshot. The builder puts the
 // snapshot into its store before dropping the in-flight entry, so a caller
 // arriving later finds either the entry or the stored snapshot.
-func warmSnapshot(store ckpt.Store, cfg *config.Config, prof workload.Profile, seed uint64) (snap *ckpt.Snapshot, built bool, err error) {
+func warmSnapshot(ckpts store.Store[ckpt.Snapshot], cfg *config.Config, prof workload.Profile, seed uint64) (snap *ckpt.Snapshot, built bool, err error) {
 	key := ckpt.Key(cfg, prof.Name, seed)
 	builds.mu.Lock()
 	if builds.m == nil {
@@ -261,8 +262,8 @@ func warmSnapshot(store ckpt.Store, cfg *config.Config, prof workload.Profile, s
 		delete(builds.m, key)
 		builds.mu.Unlock()
 	}()
-	if store != nil {
-		if hit, ok := store.Get(key); ok {
+	if ckpts != nil {
+		if hit, ok := ckpts.Get(key); ok {
 			c.snap = hit
 			return hit, false, nil
 		}
@@ -271,8 +272,8 @@ func warmSnapshot(store ckpt.Store, cfg *config.Config, prof workload.Profile, s
 	if c.err != nil {
 		return nil, false, c.err
 	}
-	if store != nil {
-		store.Put(c.snap)
+	if ckpts != nil {
+		ckpts.Put(key, c.snap)
 	}
 	return c.snap, true, nil
 }

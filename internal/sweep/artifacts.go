@@ -16,8 +16,8 @@ import (
 // resultDigest returns the stable content digest of one simulation result:
 // sha256 of its canonical JSON encoding, truncated to 16 bytes of hex.
 // The encoding is deterministic (counter bags marshal as sorted maps), and
-// it is stable across a JSON round-trip, so a result served from a
-// DiskCache digests identically to the freshly simulated original.
+// it is stable across a JSON round-trip, so a result served from a disk
+// cache (NewDiskCache) digests identically to the freshly simulated original.
 func resultDigest(r *cpu.Result) string {
 	b, err := json.Marshal(r)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/cpu"
 	"repro/internal/simrun"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -78,7 +79,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 			}
 			wantBuilt := len(tc.grid.Benches) * len(tc.grid.Seeds)
 			run := func(workers int) []Outcome {
-				r := &Runner{Workers: workers, Checkpoints: ckpt.NewMemStore()}
+				r := &Runner{Workers: workers, Checkpoints: store.NewMem[ckpt.Snapshot]()}
 				out, stats, err := r.Run(jobs)
 				if err != nil {
 					t.Fatal(err)
@@ -220,7 +221,7 @@ func TestCheckpointedRunMatchesFull(t *testing.T) {
 		}
 	}
 
-	ckptd := &Runner{Workers: 4, Checkpoints: ckpt.NewMemStore()}
+	ckptd := &Runner{Workers: 4, Checkpoints: store.NewMem[ckpt.Snapshot]()}
 	gotOut, gotStats, err := ckptd.Run(jobs)
 	if err != nil {
 		t.Fatal(err)

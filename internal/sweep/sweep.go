@@ -29,6 +29,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/cpu"
 	"repro/internal/simrun"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -50,9 +51,20 @@ type Job struct {
 
 // cacheVersion is mixed into every job key. Bump it whenever a change to
 // the simulator or the workload generators alters results for an unchanged
-// (config, benchmark, seed), so persistent caches (DiskCache) from older
+// (config, benchmark, seed), so persistent caches (NewDiskCache) from older
 // builds miss instead of silently serving stale numbers.
 const cacheVersion = 4
+
+// NewDiskCache opens a persistent result cache over dir (cmd/elsqsweep
+// -cachedir; see internal/store for the entry format). An entry that
+// parses but cannot be a real simulation result (a stale schema, a foreign
+// file) is a miss: a miss re-simulates, a bad hit poisons artifacts.
+func NewDiskCache(dir string) (*store.Disk[cpu.Result], error) {
+	return store.NewDisk(dir, func(_ string, r *cpu.Result) bool {
+		return r.Counters != nil && r.LoadDist != nil && r.StoreDist != nil &&
+			r.Committed != 0 && r.Bench != ""
+	})
+}
 
 // Key returns the stable cache identity of the job: a digest of the cache
 // version, the canonical config encoding, the benchmark name, and the seed.
@@ -128,15 +140,15 @@ type Runner struct {
 	// Workers bounds concurrent simulations (0 = GOMAXPROCS).
 	Workers int
 	// Cache, if non-nil, is consulted before simulating and updated after.
-	Cache Cache
+	Cache store.Store[cpu.Result]
 	// Checkpoints shares warm-ups: jobs whose warm-up-relevant identity
 	// matches (ckpt.Key — same cache geometry, warm-up budget, benchmark
 	// and seed; almost every paper sweep) resume from one warm-state
 	// snapshot in the store. A persistent store carries the snapshots
-	// across runs and processes; nil means a fresh ckpt.NewMemStore for
+	// across runs and processes; nil means a fresh in-memory store for
 	// each Run. Results are bit-identical to full warm-up runs; only
 	// wall-clock changes.
-	Checkpoints ckpt.Store
+	Checkpoints store.Store[ckpt.Snapshot]
 	// OnProgress, if non-nil, is called after each unique job resolves.
 	// Calls are serialised; the callback must not call back into the
 	// Runner.
@@ -216,9 +228,9 @@ func (r *Runner) Run(jobs []Job) ([]Outcome, Stats, error) {
 	}
 	stats.Ran = len(pending)
 
-	store := r.Checkpoints
-	if store == nil {
-		store = ckpt.NewMemStore()
+	ckpts := r.Checkpoints
+	if ckpts == nil {
+		ckpts = store.NewMem[ckpt.Snapshot]()
 	}
 	var built, resumed atomic.Int64
 
@@ -236,7 +248,7 @@ func (r *Runner) Run(jobs []Job) ([]Outcome, Stats, error) {
 					return
 				}
 				s := pending[n]
-				p := simrun.Point{Config: s.job.Config, Bench: s.job.Bench.Name, Seed: s.job.Seed, Ckpt: store}
+				p := simrun.Point{Config: s.job.Config, Bench: s.job.Bench.Name, Seed: s.job.Seed, Ckpt: ckpts}
 				if out, err := p.Run(context.Background()); err != nil {
 					s.err = fmt.Errorf("%s/%s: %w", s.job.Config.Name(), s.job.Bench.Name, err)
 				} else {

@@ -2,7 +2,9 @@ package sweep
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/csv"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -11,6 +13,8 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/cpu"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -150,7 +154,7 @@ func TestRunnerCacheHitMiss(t *testing.T) {
 		{Config: tinyConfig(), Bench: bench(t, "gzip"), Seed: 2},
 		{Config: tinyConfig(), Bench: bench(t, "gzip"), Seed: 1}, // duplicate
 	}
-	cache := NewMemCache()
+	cache := store.NewMem[cpu.Result]()
 	r := Runner{Workers: 2, Cache: cache}
 
 	outcomes, stats, err := r.Run(jobs)
@@ -272,18 +276,15 @@ func TestDiskCache(t *testing.T) {
 		t.Error("disk round trip lost suite or histograms")
 	}
 
-	// Corrupt entries are misses, not failures.
-	if err := os.WriteFile(filepath.Join(dir, job.Key()+".json"), []byte("{broken"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Corrupt entries are misses, not failures. Each hand-made entry below
+	// carries a valid digest line, so it reaches the check it targets.
+	writeEntry(t, dir, job.Key(), "{broken")
 	if _, ok := cache2.Get(job.Key()); ok {
 		t.Error("corrupt cache entry served")
 	}
 	// Entries that parse but cannot be real results (stale schema, foreign
 	// JSON in the cache dir) are also misses.
-	if err := os.WriteFile(filepath.Join(dir, job.Key()+".json"), []byte(`{"Bench":"gzip"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeEntry(t, dir, job.Key(), `{"Bench":"gzip"}`)
 	if _, ok := cache2.Get(job.Key()); ok {
 		t.Error("implausible cache entry served")
 	}
@@ -296,12 +297,21 @@ func TestDiskCache(t *testing.T) {
 	}{{`{"ert":1}`, true}, {`{"cache":7,"ert":1}`, false}} {
 		entry := `{"Bench":"gzip","Committed":1,"Counters":` + c.counters +
 			`,"LoadDist":{"Width":30,"Counts":[0]},"StoreDist":{"Width":30,"Counts":[0]}}`
-		if err := os.WriteFile(filepath.Join(dir, job.Key()+".json"), []byte(entry), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeEntry(t, dir, job.Key(), entry)
 		if _, ok := cache2.Get(job.Key()); ok != c.hit {
 			t.Errorf("entry with counters %s: hit %v, want %v", c.counters, ok, c.hit)
 		}
+	}
+}
+
+// writeEntry writes body as the store entry for key in dir, under a valid
+// digest line (the internal/store entry format).
+func writeEntry(t *testing.T, dir, key, body string) {
+	t.Helper()
+	sum := sha256.Sum256([]byte(body))
+	entry := hex.EncodeToString(sum[:]) + "\n" + body
+	if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte(entry), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/cpu"
 	"repro/internal/simrun"
+	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -142,7 +143,7 @@ func TestTraceJobsShareCheckpoints(t *testing.T) {
 		full[i] = out.Result
 	}
 
-	r := Runner{Workers: 1, Checkpoints: ckpt.NewMemStore()}
+	r := Runner{Workers: 1, Checkpoints: store.NewMem[ckpt.Snapshot]()}
 	shared, stats, err := r.Run(jobs)
 	if err != nil {
 		t.Fatal(err)

@@ -37,6 +37,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/energy"
 	"repro/internal/simrun"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -184,11 +185,11 @@ func runMatrixResumed(t *testing.T, rows []matrixRow) []matrixResult {
 			}
 		}
 		for _, prof := range workload.SuiteOf(su) {
-			store := ckpt.NewMemStore()
+			ckpts := store.NewMem[ckpt.Snapshot]()
 			builds := 0
 			for _, i := range idx {
 				where := rows[i].name + "/" + prof.Name
-				o, err := simrun.Point{Config: rows[i].cfg, Bench: prof.Name, Seed: 1, Ckpt: store, Oracle: true}.Run(nil)
+				o, err := simrun.Point{Config: rows[i].cfg, Bench: prof.Name, Seed: 1, Ckpt: ckpts, Oracle: true}.Run(nil)
 				if err != nil {
 					t.Fatalf("%s: %v", where, err)
 				}
