@@ -8,6 +8,7 @@
 //	elsqsim -bench mcf -model fmc -lsq elsq -ert hash -sqm
 //	elsqsim -bench swim -model ooo -lsq conventional
 //	elsqsim -trace swim.elt -insts 30000 -warmup 400000
+//	elsqsim -bench mcf -cpuprofile cpu.out   # then: go tool pprof -top cpu.out
 //	elsqsim -list
 //
 // -model picks the base configuration: fmc (config.Default, Table 1) or ooo
@@ -22,6 +23,7 @@ import (
 	"os"
 
 	"repro/internal/config"
+	"repro/internal/exutil"
 	"repro/internal/simrun"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -50,6 +52,8 @@ func main() {
 	seed := flag.Uint64("seed", 1, "workload seed")
 	tracePath := flag.String("trace", "", "drive the run from this recorded .elt trace (overrides -bench/-seed with the trace's identity)")
 	list := flag.Bool("list", false, "list benchmarks and exit")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
+	memProfile := flag.String("memprofile", "", "write a heap profile (allocations and live heap) to `file` at exit")
 	flag.Parse()
 
 	if *list {
@@ -91,8 +95,15 @@ func main() {
 		cfg.TraceDigest = t.Meta().Digest
 		*bench, *seed = t.Meta().Bench, t.Meta().Seed
 	}
+	stopProfiles, err := exutil.Profile(*cpuProfile, *memProfile)
+	if err != nil {
+		fatalf("%v", err)
+	}
 	out, err := simrun.Point{Config: cfg, Bench: *bench, Seed: *seed}.Run(nil)
 	if err != nil {
+		fatalf("%v", err)
+	}
+	if err := stopProfiles(); err != nil {
 		fatalf("%v", err)
 	}
 	r := out.Result

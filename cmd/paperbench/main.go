@@ -5,6 +5,7 @@
 //	paperbench -exp fig7                 # one experiment
 //	paperbench -exp all                  # everything, paper order
 //	paperbench -exp table2 -insts 200000 # bigger simulation points
+//	paperbench -exp all -memprofile m.out # then: go tool pprof -sample_index=alloc_space -top m.out
 //
 // Each experiment prints rows in the layout of the corresponding paper
 // artefact together with the paper's reference shape, so measured-vs-paper
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/exutil"
 )
 
 func main() {
@@ -26,7 +28,14 @@ func main() {
 	warmup := flag.Uint64("warmup", 2_500_000, "functional warm-up instructions per benchmark")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	workers := flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
+	memProfile := flag.String("memprofile", "", "write a heap profile (allocations and live heap) to `file` at exit")
 	flag.Parse()
+	stopProfiles, err := exutil.Profile(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	opt := experiments.Options{
 		MaxInsts:    *insts,
@@ -56,5 +65,9 @@ func main() {
 		}
 		fmt.Print(out)
 		fmt.Printf("[%s completed in %v]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+	}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }

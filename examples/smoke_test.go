@@ -6,6 +6,7 @@ package examples
 
 import (
 	"bytes"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
@@ -15,15 +16,8 @@ import (
 // record→info→verify -live round trip, so the trace CLI (and the recorded
 // format behind it) stays exercised in CI alongside the examples.
 func TestElsqtraceRecordVerify(t *testing.T) {
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "elsqtrace")
-	build := exec.Command("go", "build", "-o", bin, "repro/cmd/elsqtrace")
-	build.Dir = "."
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build cmd/elsqtrace failed: %v\n%s", err, out)
-	}
-
-	tracePath := filepath.Join(dir, "gzip.elt")
+	bin := buildCmd(t, "elsqtrace")
+	tracePath := filepath.Join(t.TempDir(), "gzip.elt")
 	for _, step := range [][]string{
 		{"record", "-bench", "gzip", "-seed", "1", "-n", "4000", "-out", tracePath},
 		{"info", tracePath},
@@ -46,14 +40,10 @@ func TestElsqtraceRecordVerify(t *testing.T) {
 // TestElsqsimFlags builds cmd/elsqsim once and checks that its config flags
 // go through the config field registry: README's two command lines and a
 // bare -model ooo run, while a misspelt value exits 2 instead of silently
-// running some default.
+// running some default. -cpuprofile and -memprofile must each write a
+// profile.
 func TestElsqsimFlags(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "elsqsim")
-	build := exec.Command("go", "build", "-o", bin, "repro/cmd/elsqsim")
-	build.Dir = "."
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build cmd/elsqsim failed: %v\n%s", err, out)
-	}
+	bin := buildCmd(t, "elsqsim")
 	for _, tc := range []struct {
 		args []string
 		exit int
@@ -64,20 +54,64 @@ func TestElsqsimFlags(t *testing.T) {
 		{[]string{"-ert", "lien"}, 2},
 		{[]string{"-lsq", "svw", "-svw", "bogus"}, 2},
 		{[]string{"-model", "bogus"}, 2},
+		{[]string{"-bench", "mcf", "-cpuprofile"}, 0},
+		{[]string{"-bench", "mcf", "-memprofile"}, 0},
 	} {
-		var stderr bytes.Buffer
-		run := exec.Command(bin, append(tc.args, "-insts", "1500", "-warmup", "4000")...)
-		run.Stderr = &stderr
-		err := run.Run()
-		exit := 0
-		if ee, ok := err.(*exec.ExitError); ok {
-			exit = ee.ExitCode()
-		} else if err != nil {
-			t.Fatalf("elsqsim %v: %v", tc.args, err)
-		}
-		if exit != tc.exit {
-			t.Errorf("elsqsim %v exited %d, want %d\nstderr: %s", tc.args, exit, tc.exit, stderr.String())
-		}
+		runCmd(t, bin, append([]string{"-insts", "1500", "-warmup", "4000"}, tc.args...), tc.exit)
+	}
+}
+
+// TestPaperbenchProfileFlags checks that paperbench's -cpuprofile and
+// -memprofile each write a profile.
+func TestPaperbenchProfileFlags(t *testing.T) {
+	bin := buildCmd(t, "paperbench")
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		runCmd(t, bin, []string{"-exp", "fig1", "-insts", "1500", "-warmup", "4000", "-workers", "1", flag}, 0)
+	}
+}
+
+// buildCmd builds repro/cmd/<name> into a temporary directory and returns
+// the binary's path.
+func buildCmd(t *testing.T, name string) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), name)
+	build := exec.Command("go", "build", "-o", bin, "repro/cmd/"+name)
+	build.Dir = "."
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build cmd/%s failed: %v\n%s", name, err, out)
+	}
+	return bin
+}
+
+// runCmd runs bin with args and checks its exit code. When the last
+// argument is -cpuprofile or -memprofile, runCmd appends a file name to it
+// and checks that the run wrote a non-empty gzip file there, which is what
+// runtime/pprof writes.
+func runCmd(t *testing.T, bin string, args []string, wantExit int) {
+	t.Helper()
+	var profile string
+	if last := args[len(args)-1]; last == "-cpuprofile" || last == "-memprofile" {
+		profile = filepath.Join(t.TempDir(), "prof.out")
+		args = append(args, profile)
+	}
+	var stderr bytes.Buffer
+	run := exec.Command(bin, args...)
+	run.Stderr = &stderr
+	err := run.Run()
+	exit := 0
+	if ee, ok := err.(*exec.ExitError); ok {
+		exit = ee.ExitCode()
+	} else if err != nil {
+		t.Fatalf("%s %v: %v", filepath.Base(bin), args, err)
+	}
+	if exit != wantExit {
+		t.Errorf("%s %v exited %d, want %d\nstderr: %s", filepath.Base(bin), args, exit, wantExit, stderr.String())
+	}
+	if profile == "" {
+		return
+	}
+	if b, err := os.ReadFile(profile); err != nil || !bytes.HasPrefix(b, []byte{0x1f, 0x8b}) {
+		t.Errorf("%s %v wrote no gzip profile (%v)", filepath.Base(bin), args, err)
 	}
 }
 

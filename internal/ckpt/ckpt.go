@@ -91,6 +91,8 @@ func Build(cfg *config.Config, prof workload.Profile, seed uint64) (*Snapshot, e
 	}
 	h := mem.NewHierarchy(cfg)
 	src.Warmup(cfg.WarmupInsts, func(addr uint64) { h.Access(addr) })
+	hs := h.State()
+	h.Free() // the image is a copy; the next build reuses the lines
 	return &Snapshot{
 		Version:     FormatVersion,
 		Key:         Key(cfg, prof.Name, seed),
@@ -98,7 +100,7 @@ func Build(cfg *config.Config, prof workload.Profile, seed uint64) (*Snapshot, e
 		Seed:        seed,
 		WarmupInsts: cfg.WarmupInsts,
 		Source:      src.Snapshot(),
-		Hier:        h.State(),
+		Hier:        hs,
 	}, nil
 }
 

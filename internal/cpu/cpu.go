@@ -35,16 +35,13 @@ import (
 	"repro/internal/workload"
 )
 
-// calHorizon bounds the spread of reservation times within one calendar.
-const calHorizon = 1 << 14
-
-// calHorizonFor returns the calendar horizon for cfg: the default, widened
-// until it comfortably covers the in-flight window for large epoch counts
-// (the engine-scaling sweeps). The horizon only arms the calendar's
+// calHorizonFor returns the calendar horizon for cfg: sched's default,
+// widened until it comfortably covers the in-flight window for large epoch
+// counts (the engine-scaling sweeps). The horizon only arms the calendar's
 // anti-aliasing guard — it never changes where a reservation lands — so
 // widening is result-neutral.
 func calHorizonFor(cfg *config.Config) int {
-	h := calHorizon
+	h := sched.DefaultHorizon
 	for h < 4*cfg.WindowSize() {
 		h <<= 1
 	}
@@ -130,6 +127,11 @@ type Sim struct {
 
 	regReady [isa.NumRegs]int64
 
+	// cals lists every calendar the simulator owns — its own six, the
+	// memory engines' and the contended fabric's links — so run can free
+	// them all.
+	cals []*sched.Calendar
+
 	fetchCal   *sched.Calendar // fetch/decode slots
 	cpIssueCal *sched.Calendar // CP issue width
 	portsCal   *sched.Calendar // L1 data ports
@@ -214,14 +216,20 @@ func New(cfg config.Config, gen workload.Source) (*Sim, error) {
 		loadDist:  stats.NewHistogram(30, 50),
 		storeDist: stats.NewHistogram(30, 50),
 	}
+	// Every calendar the simulator owns is built here, at one horizon, and
+	// recorded for run to free.
+	hor := calHorizonFor(&cfg)
+	newCal := func(width int) *sched.Calendar {
+		c := sched.NewCalendar(width, hor)
+		s.cals = append(s.cals, c)
+		return c
+	}
 	// Interconnect fabric: analytic (the paper's contention-free model) or
 	// contended, whose link calendars share the pipeline calendars'
 	// horizon.
 	w, h := meshDims(cfg.NumEpochs)
-	hor := calHorizonFor(&cfg)
 	if cfg.NoC == config.NoCContended {
-		s.fab = noc.NewContended(w, h, cfg.MeshHop, cfg.BusOneWay, cfg.NoCLinkWidth,
-			func(width int) *sched.Calendar { return sched.NewCalendar(width, hor) })
+		s.fab = noc.NewContended(w, h, cfg.MeshHop, cfg.BusOneWay, cfg.NoCLinkWidth, newCal)
 	} else {
 		s.fab = noc.NewAnalytic(w, h, cfg.MeshHop, cfg.BusOneWay)
 	}
@@ -229,7 +237,7 @@ func New(cfg config.Config, gen workload.Source) (*Sim, error) {
 	// The epoch manager must exist before the scheme: the ELSQ resolves
 	// virtual epochs to banks through the manager's placement record.
 	if cfg.Model == config.ModelFMC {
-		s.epochs = fmc.NewEpochs(&cfg, fmc.PlacerFor(&cfg, s.fab), s.fab, hor)
+		s.epochs = fmc.NewEpochs(&cfg, fmc.PlacerFor(&cfg, s.fab), s.fab, newCal)
 		s.wrongPathCap = 3 * cfg.ROBSize
 	} else {
 		s.wrongPathCap = cfg.ROBSize
@@ -265,12 +273,12 @@ func New(cfg config.Config, gen workload.Source) (*Sim, error) {
 	// (the no-unresolved-store filter input).
 	s.storeIx.TuneLateSlack(cfg.FetchWidth)
 
-	s.fetchCal = sched.NewCalendar(cfg.FetchWidth, hor)
-	s.cpIssueCal = sched.NewCalendar(cfg.FetchWidth, hor)
-	s.portsCal = sched.NewCalendar(cfg.CachePorts, hor)
-	s.llPortsCal = sched.NewCalendar(cfg.CachePorts, hor)
-	s.commitCal = sched.NewCalendar(cfg.CommitWidth, hor)
-	s.migCal = sched.NewCalendar(cfg.FetchWidth, hor)
+	s.fetchCal = newCal(cfg.FetchWidth)
+	s.cpIssueCal = newCal(cfg.FetchWidth)
+	s.portsCal = newCal(cfg.CachePorts)
+	s.llPortsCal = newCal(cfg.CachePorts)
+	s.commitCal = newCal(cfg.CommitWidth)
+	s.migCal = newCal(cfg.FetchWidth)
 
 	// Occupancy rings; a non-positive capacity is unlimited. The global
 	// in-flight cap exists only under FMC. High-locality queue entries live
@@ -381,8 +389,11 @@ func (s *Sim) warm(n uint64, access func(addr uint64), done <-chan struct{}) boo
 // (skipped after RestoreWarmState), then each sampling interval, every one
 // after the first preceded by its functional bleed, stepped in cancelChunk
 // pieces. It reports ok=false (and a nil result) if done fired before the
-// measured phase completed.
+// measured phase completed. A Sim runs once: whichever way run returns, it
+// frees the simulator's calendars and caches for the next simulator to
+// reuse, so a second Run panics.
 func (s *Sim) run(done <-chan struct{}) (res *Result, ok bool) {
+	defer s.free()
 	access := func(addr uint64) { s.hier.Access(addr) }
 	if !s.warmed && !s.warm(s.cfg.WarmupInsts, access, done) {
 		return nil, false
@@ -412,6 +423,16 @@ func (s *Sim) run(done <-chan struct{}) (res *Result, ok bool) {
 		}
 	}
 	return s.finish(fabAtMeasure), true
+}
+
+// free hands the simulator's calendar rings and cache lines to the next
+// simulator (sched.Calendar.Free, mem.Hierarchy.Free).
+func (s *Sim) free() {
+	for _, c := range s.cals {
+		c.Free()
+	}
+	s.cals = nil
+	s.hier.Free()
 }
 
 // finish closes out the measured phase and assembles the Result; fabStart

@@ -2,12 +2,17 @@
 // example takes the same -insts/-warmup budget flags (so the smoke test can
 // shrink them) and runs simulations through the simrun point API, so the
 // examples demonstrate the supported entry point instead of hand-wiring
-// simulator internals.
+// simulator internals. It also writes the host profiles behind the
+// commands' -cpuprofile and -memprofile flags.
 package exutil
 
 import (
 	"flag"
+	"fmt"
 	"log"
+	"os"
+	"runtime"
+	"runtime/pprof"
 
 	"repro/internal/config"
 	"repro/internal/cpu"
@@ -59,4 +64,43 @@ func (b Budget) MustCertify(cfg config.Config, bench string) (*cpu.Result, *orac
 		log.Fatal(err)
 	}
 	return out.Result, out.Oracle
+}
+
+// Profile starts a CPU profile into cpuPath when it is set, and returns the
+// function that stops it and, when memPath is set, writes a heap profile
+// there: every allocation since the process started, sampled, and the heap
+// live at the end. Both are runtime/pprof's gzipped protobuf, read with
+// go tool pprof.
+func Profile(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("cpu profile: %w", err)
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // the heap profile reports as of the last collection
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return fmt.Errorf("heap profile: %w", err)
+		}
+		return f.Close()
+	}, nil
 }

@@ -22,7 +22,7 @@ func TestBankReuseStallsSmallBanks(t *testing.T) {
 		cfg := config.Default()
 		cfg.NumEpochs = n
 		cfg.EpochMaxInsts = 1
-		e := NewEpochs(&cfg, nil, nil, 0)
+		e := NewEpochs(&cfg, nil, nil, nil)
 		var seq uint64
 		// Fill every bank once; each epoch lands on a never-used bank, so
 		// none may stall.
@@ -59,7 +59,7 @@ func TestActiveCycleSumSurvivesCloseAll(t *testing.T) {
 	cfg := config.Default()
 	cfg.NumEpochs = 2
 	cfg.EpochMaxInsts = 1
-	e := NewEpochs(&cfg, nil, nil, 0)
+	e := NewEpochs(&cfg, nil, nil, nil)
 	v0, enter0, _ := e.Assign(true, false, false, 1, 10)
 	e.Committed(v0, 1, 500)
 	v1, enter1, _ := e.Assign(true, false, false, 2, 20)
@@ -103,7 +103,7 @@ func TestEnterAtRespectsBankFree(t *testing.T) {
 			cfg.NumEpochs = 4
 			cfg.EpochMaxInsts = 1
 			fab := analyticFab(4, 1)
-			e := NewEpochs(&cfg, pol.mk(fab), fab, 0)
+			e := NewEpochs(&cfg, pol.mk(fab), fab, nil)
 			r := xrand.New(7)
 			shadow := make([]int64, 4) // bank -> commit time of its last occupant
 			var seq uint64
@@ -135,7 +135,7 @@ func TestModNNeverSteals(t *testing.T) {
 	cfg := config.Default()
 	cfg.EpochMaxInsts = 1
 	fab := analyticFab(4, 4)
-	e := NewEpochs(&cfg, ModN{}, fab, 0)
+	e := NewEpochs(&cfg, ModN{}, fab, nil)
 	r := xrand.New(3)
 	var seq uint64
 	now := int64(0)
@@ -163,7 +163,7 @@ func TestStealChargesMigration(t *testing.T) {
 	cfg.NumEpochs = 2
 	cfg.EpochMaxInsts = 1
 	fab := analyticFab(2, 1)
-	e := NewEpochs(&cfg, &Steal{Fab: fab}, fab, 0)
+	e := NewEpochs(&cfg, &Steal{Fab: fab}, fab, nil)
 	// Epoch 0 on home bank 0, busy until 1000.
 	v0, _, _ := e.Assign(true, false, false, 1, 0)
 	e.Committed(v0, 1, 1000)

@@ -7,6 +7,7 @@ package mem
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"repro/internal/config"
 )
@@ -50,7 +51,9 @@ type Cache struct {
 }
 
 // NewCache builds a cache from its geometry. It panics on degenerate
-// geometry; validate configs with config.Validate first.
+// geometry; validate configs with config.Validate first. The line array is
+// one a freed cache with as many lines returned, cleared, when there is
+// one.
 func NewCache(cfg config.CacheConfig) *Cache {
 	nsets := cfg.Sets()
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
@@ -59,15 +62,51 @@ func NewCache(cfg config.CacheConfig) *Cache {
 	if cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		panic(fmt.Sprintf("mem: line size %d must be a power of two", cfg.LineBytes))
 	}
+	n := nsets * cfg.Ways
+	var lines []line
+	if p, ok := linePool(n).Get().(*[]line); ok {
+		lines = *p
+		clear(lines)
+	} else {
+		lines = make([]line, n)
+	}
 	setShift := uint(bits.TrailingZeros(uint(cfg.LineBytes)))
 	return &Cache{
 		cfg:      cfg,
-		lines:    make([]line, nsets*cfg.Ways),
+		lines:    lines,
 		ways:     cfg.Ways,
 		setShift: setShift,
 		tagShift: setShift + uint(bits.TrailingZeros(uint(nsets))),
 		setMask:  uint64(nsets - 1),
 	}
+}
+
+// Free hands the cache's line array to the next NewCache with as many
+// lines. The cache keeps no lines, so any lookup, access or fill after Free
+// panics instead of touching another cache's lines; a second Free does
+// nothing.
+func (c *Cache) Free() {
+	if c.lines == nil {
+		return
+	}
+	lines := c.lines
+	c.lines = nil
+	linePool(len(lines)).Put(&lines)
+}
+
+// lineArrays keeps freed line arrays, a *sync.Pool of *[]line per array
+// length: each simulator and each warm-up checkpoint build owns an L2 of
+// 1-4 MiB of lines, so reuse saves allocating and zeroing them per sweep
+// point.
+var lineArrays sync.Map
+
+// linePool returns the pool of freed line arrays of length n.
+func linePool(n int) *sync.Pool {
+	p, ok := lineArrays.Load(n)
+	if !ok {
+		p, _ = lineArrays.LoadOrStore(n, new(sync.Pool))
+	}
+	return p.(*sync.Pool)
 }
 
 // Config returns the cache geometry.

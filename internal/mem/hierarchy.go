@@ -50,6 +50,13 @@ func NewHierarchy(cfg *config.Config) *Hierarchy {
 	}
 }
 
+// Free hands both caches' line arrays to later hierarchies (Cache.Free);
+// the hierarchy must not be used again.
+func (h *Hierarchy) Free() {
+	h.L1.Free()
+	h.L2.Free()
+}
+
 // Access simulates a load or store reference to addr. It returns the level
 // that satisfied it and the access latency in cycles. Lines are allocated in
 // both levels on miss (write-allocate, inclusive).

@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math/bits"
+	"reflect"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/xrand"
 )
 
 func testGeom() config.CacheConfig {
@@ -293,4 +295,67 @@ func TestRenormalisePreservesOrderProperty(t *testing.T) {
 			t.Fatalf("line %d rank %d not compacted below ways", i, c.lines[i].use)
 		}
 	}
+}
+
+// TestReusedLinesBehaveLikeFreshOnes builds a cache on the line array a
+// freed, warm cache handed on — every line valid and locked — and drives
+// it and a cache on a new array with the same random address stream,
+// once from empty and once restored from an image. Both must end in the
+// same State: a reused array is cleared, not just handed over. sync.Pool
+// may drop what it is given (a quarter at random under -race), so the
+// reuse is retried until the array comes back.
+func TestReusedLinesBehaveLikeFreshOnes(t *testing.T) {
+	g := testGeom()
+	img := warmCache(g, 10_000).State()
+	for _, restore := range []bool{false, true} {
+		var reused *Cache
+		for try := 0; try < 50 && reused == nil; try++ {
+			dirty := warmCache(g, 30_000)
+			for i := range dirty.lines {
+				dirty.lines[i].locks = 1
+			}
+			array := &dirty.lines[0]
+			dirty.Free()
+			if c := NewCache(g); &c.lines[0] == array {
+				reused = c
+			}
+		}
+		if reused == nil {
+			t.Fatal("NewCache never reused a freed line array of its length")
+		}
+		fresh := NewCache(g)
+		fresh.lines = make([]line, len(fresh.lines))
+		for _, c := range []*Cache{reused, fresh} {
+			if restore {
+				if err := c.SetState(img); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rng := xrand.New(3)
+			for i := 0; i < 20_000; i++ {
+				addr := rng.Uint64n(96 << 10)
+				if _, hit := c.Access(addr); !hit {
+					c.allocateMissed(addr)
+				}
+			}
+		}
+		if got, want := reused.State(), fresh.State(); !reflect.DeepEqual(got, want) {
+			t.Errorf("restore=%v: the cache on a reused array ended in another state than one on a new array", restore)
+		}
+	}
+}
+
+// TestAccessAfterFreePanics pins that a freed cache cannot touch the line
+// array it handed on.
+func TestAccessAfterFreePanics(t *testing.T) {
+	c := NewCache(testGeom())
+	c.Access(64)
+	c.Free()
+	c.Free()
+	defer func() {
+		if recover() == nil {
+			t.Error("Access after Free did not panic")
+		}
+	}()
+	c.Access(64)
 }

@@ -2,11 +2,6 @@ package noc
 
 import "repro/internal/sched"
 
-// defaultHorizon bounds the spread of link reservations when a contended
-// fabric allocates its own calendars (a caller with a wider reservation
-// spread passes its own allocator and horizon instead).
-const defaultHorizon = 1 << 14
-
 // Traffic is a fabric's cumulative message accounting. The analytic model
 // fills only the contention-free columns (hops and bus trips); the contended
 // model additionally reports the cycles messages spent queued on busy links
@@ -99,14 +94,15 @@ type Contended struct {
 // given per-hop and bus one-way latencies. linkWidth is the number of
 // messages each link (and each bus direction) accepts per cycle. alloc
 // builds each reservation calendar — the pipeline model passes one at its
-// own calendar horizon; nil uses defaultHorizon. It panics on an empty
-// mesh, a negative latency or a non-positive link width.
+// own calendar horizon that also records the calendar for freeing; nil
+// uses sched.DefaultHorizon. It panics on an empty mesh, a negative
+// latency or a non-positive link width.
 func NewContended(w, h, hopCost, oneWay, linkWidth int, alloc func(width int) *sched.Calendar) *Contended {
 	if w <= 0 || h <= 0 || hopCost < 0 || oneWay < 0 || linkWidth <= 0 {
 		panic("noc: invalid contended fabric geometry")
 	}
 	if alloc == nil {
-		alloc = func(width int) *sched.Calendar { return sched.NewCalendar(width, defaultHorizon) }
+		alloc = func(width int) *sched.Calendar { return sched.NewCalendar(width, sched.DefaultHorizon) }
 	}
 	f := &Contended{w: w, h: h, hopCost: hopCost, oneWay: oneWay}
 	f.busOut = alloc(linkWidth)

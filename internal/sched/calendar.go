@@ -4,7 +4,17 @@
 // ports, commit slots, migration bandwidth).
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
+
+// DefaultHorizon is the ring length a calendar gets unless its owner needs
+// a wider one. The spread it must cover — the newest cycle a calendar has
+// booked minus the cycle asked for — peaked at 4,764 cycles (the cache
+// ports) over the INT suite, the FP suite on the contended fabric and
+// paper-all, a 3.4x margin.
+const DefaultHorizon = 1 << 14
 
 // Calendar reserves up to width events per cycle. Slots are tracked in a
 // ring keyed by cycle; entries are cleared lazily when a new cycle maps
@@ -28,7 +38,9 @@ const calUsedBits = 8
 // given horizon (rounded up to a power of two). The horizon must exceed the
 // maximum spread between in-flight reservation times; the pipeline model's
 // spread is bounded by the instruction window lifetime. Width is capped at
-// 255 by the packed slot layout — far above any modelled issue width.
+// 255 by the packed slot layout — far above any modelled issue width. The
+// ring is one a freed calendar of the same length returned, cleared, when
+// there is one.
 func NewCalendar(width, horizon int) *Calendar {
 	if width <= 0 || horizon <= 0 || width > 1<<calUsedBits-1 {
 		panic("sched: invalid calendar geometry")
@@ -37,11 +49,46 @@ func NewCalendar(width, horizon int) *Calendar {
 	for n < horizon {
 		n <<= 1
 	}
+	var slots []uint64
+	if p, ok := ringPool(n).Get().(*[]uint64); ok {
+		slots = *p
+		clear(slots)
+	} else {
+		slots = make([]uint64, n)
+	}
 	return &Calendar{
 		width: uint64(width),
-		slots: make([]uint64, n),
+		slots: slots,
 		mask:  int64(n - 1),
 	}
+}
+
+// Free hands the calendar's ring to the next NewCalendar of the same
+// horizon. The calendar keeps no ring, so any Reserve after Free panics
+// instead of booking into another calendar's slots; a second Free does
+// nothing.
+func (c *Calendar) Free() {
+	if c.slots == nil {
+		return
+	}
+	slots := c.slots
+	c.slots = nil
+	ringPool(len(slots)).Put(&slots)
+}
+
+// rings keeps freed calendar rings, a *sync.Pool of *[]uint64 per ring
+// length: a simulator owns a score of 128 KiB rings and a sweep builds one
+// simulator per point, so reuse saves allocating and zeroing megabytes per
+// point.
+var rings sync.Map
+
+// ringPool returns the pool of freed rings of length n.
+func ringPool(n int) *sync.Pool {
+	p, ok := rings.Load(n)
+	if !ok {
+		p, _ = rings.LoadOrStore(n, new(sync.Pool))
+	}
+	return p.(*sync.Pool)
 }
 
 // Reserve books one slot at the earliest cycle >= t and returns it.

@@ -3,6 +3,8 @@ package sched
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/xrand"
 )
 
 func TestCalendarWidth(t *testing.T) {
@@ -153,4 +155,55 @@ func TestCalendarStaleSlotsStillClear(t *testing.T) {
 	if got := c.Reserve(horizon + 3); got != horizon+3 {
 		t.Errorf("Reserve(%d) = %d after slot went stale", horizon+3, got)
 	}
+}
+
+// TestFreedRingIsReusedLikeAFreshOne frees a calendar whose ring holds
+// bookings up to about cycle 10^6 in every slot, builds a new calendar of
+// the same length on that ring, and checks that over a random reservation
+// stream it answers exactly as a calendar on a new ring does: the reused
+// ring is cleared, not just handed over. sync.Pool may drop what it is
+// given (a quarter at random under -race), so the reuse is retried until
+// the ring comes back.
+func TestFreedRingIsReusedLikeAFreshOne(t *testing.T) {
+	const width = 2
+	var reused *Calendar
+	for try := 0; try < 50 && reused == nil; try++ {
+		dirty := NewCalendar(width, DefaultHorizon)
+		for cyc := int64(0); cyc < 1_000_000; cyc += 7 {
+			dirty.Reserve(cyc)
+		}
+		ring := &dirty.slots[0]
+		dirty.Free()
+		if c := NewCalendar(width, DefaultHorizon); &c.slots[0] == ring {
+			reused = c
+		}
+	}
+	if reused == nil {
+		t.Fatal("NewCalendar never reused a freed ring of its length")
+	}
+	fresh := &Calendar{width: width, slots: make([]uint64, DefaultHorizon), mask: DefaultHorizon - 1}
+	rng := xrand.New(7)
+	var base int64
+	for i := 0; i < 200_000; i++ {
+		base += int64(rng.Intn(3))
+		at := base + int64(rng.Intn(3000))
+		if got, want := reused.Reserve(at), fresh.Reserve(at); got != want {
+			t.Fatalf("reservation %d at cycle %d: reused ring booked %d, fresh ring %d", i, at, got, want)
+		}
+	}
+}
+
+// TestReserveAfterFreePanics pins that a freed calendar cannot book into
+// the ring it handed on, and that a second Free does not hand it on twice.
+func TestReserveAfterFreePanics(t *testing.T) {
+	c := NewCalendar(1, 64)
+	c.Reserve(3)
+	c.Free()
+	c.Free()
+	defer func() {
+		if recover() == nil {
+			t.Error("Reserve after Free did not panic")
+		}
+	}()
+	c.Reserve(4)
 }

@@ -22,6 +22,7 @@ package simrun
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 
 	"repro/internal/ckpt"
@@ -120,11 +121,22 @@ func (p Point) Run(ctx context.Context) (*Outcome, error) {
 		return nil, err
 	}
 	out := &Outcome{}
-	snap, err := p.resolveSnapshot(&cfg, prof, out)
+	snap, err := p.resolveSnapshot(&cfg, prof, out, nil)
 	if err != nil {
 		return nil, err
 	}
 	sim, err := buildSim(cfg, snap, prof, p.Bench, p.Seed)
+	if err != nil && snap != nil && p.Snapshot == nil && !out.CkptBuilt {
+		// The store served a snapshot that passed its digest check but
+		// that Check or the restore rejects (an entry edited under a
+		// matching digest, or one written by a build with a restore bug).
+		// It is a miss like any damaged entry: rebuilt, and stored over
+		// the bad one.
+		if snap, err = p.resolveSnapshot(&cfg, prof, out, snap); err != nil {
+			return nil, err
+		}
+		sim, err = buildSim(cfg, snap, prof, p.Bench, p.Seed)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -158,10 +170,11 @@ func (p *Point) attach(sim *cpu.Sim, out *Outcome) {
 }
 
 // resolveSnapshot picks the warm-start image for a run: the explicit
-// Snapshot if set, otherwise the store's snapshot (built on a miss),
-// otherwise nothing (the run warms functionally — a run only builds a
-// checkpoint when a store is there to keep it).
-func (p *Point) resolveSnapshot(cfg *config.Config, prof workload.Profile, out *Outcome) (*ckpt.Snapshot, error) {
+// Snapshot if set, otherwise the store's snapshot (built on a miss, or
+// when the store holds nothing but bad, a snapshot it served that did not
+// resume), otherwise nothing (the run warms functionally — a run only
+// builds a checkpoint when a store is there to keep it).
+func (p *Point) resolveSnapshot(cfg *config.Config, prof workload.Profile, out *Outcome, bad *ckpt.Snapshot) (*ckpt.Snapshot, error) {
 	if p.Snapshot != nil {
 		out.Resumed = true
 		return p.Snapshot, nil
@@ -169,7 +182,7 @@ func (p *Point) resolveSnapshot(cfg *config.Config, prof workload.Profile, out *
 	if p.Ckpt == nil || cfg.WarmupInsts == 0 {
 		return nil, nil
 	}
-	snap, built, err := warmSnapshot(p.Ckpt, cfg, prof, p.Seed)
+	snap, built, err := warmSnapshot(p.Ckpt, cfg, prof, p.Seed, bad)
 	if err != nil {
 		return nil, err
 	}
@@ -242,28 +255,39 @@ type buildCall struct {
 // build; callers that waited on it share its snapshot. The builder puts the
 // snapshot into its store before dropping the in-flight entry, so a caller
 // arriving later finds either the entry or the stored snapshot.
-func warmSnapshot(ckpts store.Store[ckpt.Snapshot], cfg *config.Config, prof workload.Profile, seed uint64) (snap *ckpt.Snapshot, built bool, err error) {
+//
+// bad, when non-nil, is a snapshot the store served that its caller could
+// not resume. A stored snapshot equal to it is a miss, so the build
+// replaces the entry; one that differs was rebuilt by another caller
+// meanwhile and is served. Rebuilds run under a single-flight entry of
+// their own, so a rebuilding caller never waits on a plain lookup that
+// would hand it the same bad snapshot again.
+func warmSnapshot(ckpts store.Store[ckpt.Snapshot], cfg *config.Config, prof workload.Profile, seed uint64, bad *ckpt.Snapshot) (snap *ckpt.Snapshot, built bool, err error) {
 	key := ckpt.Key(cfg, prof.Name, seed)
+	flight := key
+	if bad != nil {
+		flight += "/rebuild"
+	}
 	builds.mu.Lock()
 	if builds.m == nil {
 		builds.m = make(map[string]*buildCall)
 	}
-	if c, ok := builds.m[key]; ok {
+	if c, ok := builds.m[flight]; ok {
 		builds.mu.Unlock()
 		<-c.done
 		return c.snap, false, c.err
 	}
 	c := &buildCall{done: make(chan struct{})}
-	builds.m[key] = c
+	builds.m[flight] = c
 	builds.mu.Unlock()
 	defer func() {
 		close(c.done)
 		builds.mu.Lock()
-		delete(builds.m, key)
+		delete(builds.m, flight)
 		builds.mu.Unlock()
 	}()
 	if ckpts != nil {
-		if hit, ok := ckpts.Get(key); ok {
+		if hit, ok := ckpts.Get(key); ok && (bad == nil || !reflect.DeepEqual(hit, bad)) {
 			c.snap = hit
 			return hit, false, nil
 		}

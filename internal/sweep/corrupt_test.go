@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"os"
@@ -18,9 +20,10 @@ import (
 // TestCorruptStoredEntryIsAMiss runs mcf and gzip over a checkpoint store
 // and a result cache on disk, wired the way cmd/elsqsweep wires -ckptdir
 // and -cachedir, then edits one stored file in place under its old digest
-// line. The next Run must rebuild or re-simulate what the entry described,
-// reproduce the clean run's outcomes and rewrite the entry, so a third Run
-// is served from the stores again.
+// line, or under a digest line rewritten to match. The next Run must
+// rebuild or re-simulate what the entry described, reproduce the clean
+// run's outcomes and rewrite the entry, so a third Run is served from the
+// stores again.
 func TestCorruptStoredEntryIsAMiss(t *testing.T) {
 	cfg := tinyConfig()
 	jobs := []Job{
@@ -80,6 +83,9 @@ func TestCorruptStoredEntryIsAMiss(t *testing.T) {
 		// file is the edited entry, under the ckpt or cache directory.
 		dir, file string
 		edit      func(t *testing.T, body []byte) []byte
+		// redigest rewrites the digest line to match the edited body, so
+		// the store serves the entry and the restore must reject it.
+		redigest bool
 		// freshCache gives every Run an empty result cache, so the jobs
 		// reach the checkpoint store (cmd/elsqsweep with a new -cachedir).
 		freshCache         bool
@@ -93,6 +99,12 @@ func TestCorruptStoredEntryIsAMiss(t *testing.T) {
 		{
 			name: "snapshot use clock out of range", dir: "ckpt", file: gzipSnap, freshCache: true,
 			edit:      editSnap(func(s *ckpt.Snapshot) { s.Hier.L1.UseClock = math.MaxUint32 }),
+			wantBuilt: 1, wantRan: 2,
+		},
+		{
+			name: "snapshot use clock out of range, digest matching", dir: "ckpt", file: gzipSnap, freshCache: true,
+			edit:      editSnap(func(s *ckpt.Snapshot) { s.Hier.L1.UseClock = math.MaxUint32 }),
+			redigest:  true,
 			wantBuilt: 1, wantRan: 2,
 		},
 		{
@@ -128,7 +140,12 @@ func TestCorruptStoredEntryIsAMiss(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s has no digest line", c.file)
 			}
-			edited := slices.Concat(digest, []byte{'\n'}, c.edit(t, body))
+			body = c.edit(t, body)
+			if c.redigest {
+				sum := sha256.Sum256(body)
+				digest = []byte(hex.EncodeToString(sum[:]))
+			}
+			edited := slices.Concat(digest, []byte{'\n'}, body)
 			if err := os.WriteFile(path, edited, 0o644); err != nil {
 				t.Fatal(err)
 			}

@@ -61,23 +61,31 @@ func detGrid(t *testing.T, benches string, seeds, insts, warmup uint64, axes ...
 // contended fabric's calendar booking and every placement policy; the
 // classifier grid pins the table-based prediction policies. Both sweep
 // timing-only axes, so all their points share one warm-up per benchmark.
+// The storage grid varies both cache geometries (4 warm-ups per benchmark)
+// and, through 32 engines, the calendar horizon, so freed calendar rings
+// and line arrays of several lengths pass between workers.
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		grid Grid
+		// warmKeys is the number of distinct warm-ups per benchmark and
+		// seed the grid's axes make.
+		warmKeys int
 	}{
-		{"default", detGrid(t, "gzip,swim,mcf", 2, 2_000, 10_000, "ert=line,hash")},
+		{"default", detGrid(t, "gzip,swim,mcf", 2, 2_000, 10_000, "ert=line,hash"), 1},
 		{"scaling", detGrid(t, "mcf,swim", 1, 5_000, 20_000,
-			"epochs=8,32", "place.policy=modn,leastloaded,steal", "noc.model=analytic,contended")},
+			"epochs=8,32", "place.policy=modn,leastloaded,steal", "noc.model=analytic,contended"), 1},
 		{"classifier", detGrid(t, "mcf,swim", 1, 5_000, 20_000,
-			"class.policy=reactive,cachelevel,delaytrack", "class.bits=8,10")},
+			"class.policy=reactive,cachelevel,delaytrack", "class.bits=8,10"), 1},
+		{"storage", detGrid(t, "mcf,swim", 1, 5_000, 20_000,
+			"l1.ways=1,4", "l2.size=1M,8M", "epochs=16,32", "noc.model=analytic,contended"), 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			jobs, err := tc.grid.Expand()
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantBuilt := len(tc.grid.Benches) * len(tc.grid.Seeds)
+			wantBuilt := len(tc.grid.Benches) * len(tc.grid.Seeds) * tc.warmKeys
 			run := func(workers int) []Outcome {
 				r := &Runner{Workers: workers, Checkpoints: store.NewMem[ckpt.Snapshot]()}
 				out, stats, err := r.Run(jobs)
@@ -85,7 +93,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 					t.Fatal(err)
 				}
 				if stats.CheckpointsBuilt != wantBuilt {
-					t.Errorf("Workers=%d built %d checkpoints, want %d (one per benchmark and seed)",
+					t.Errorf("Workers=%d built %d checkpoints, want %d (one per warm-up, benchmark and seed)",
 						workers, stats.CheckpointsBuilt, wantBuilt)
 				}
 				return out
