@@ -30,8 +30,10 @@
 // Trace-driven sweeps: -axis trace=a.elt,b.elt sweeps over recorded .elt
 // files directly (the named benchmarks/seeds must match each recording),
 // while -tracedir binds every job to <dir>/<bench>-s<seed>.elt, the layout
-// elsqtrace record -suites writes. Either way jobs are content-addressed by
-// the trace digest, and replay is bit-identical to live generation.
+// elsqtrace record -suites writes; giving both is an error. Either way jobs
+// are content-addressed by the trace digest, and replay is bit-identical to
+// live generation. Two -axis flags over one field are an error too: list
+// every value in one.
 package main
 
 import (
@@ -96,6 +98,13 @@ func main() {
 	}
 	if grid.Seeds, err = sweep.ParseSeeds(*seeds); err != nil {
 		fatalf("%v", err)
+	}
+	if *traceDir != "" {
+		for _, a := range axes {
+			if a.Field == "trace" {
+				fatalf("-tracedir and a trace axis both set every job's trace; give one of them")
+			}
+		}
 	}
 
 	jobs, err := grid.Expand()

@@ -61,6 +61,36 @@ func TestElsqsimFlags(t *testing.T) {
 	}
 }
 
+// TestElsqsweepFlags checks that elsqsweep refuses command lines that
+// would drop sweep points it was asked to run: two axes over one field
+// (only the later one's values would run), and -tracedir together with a
+// trace axis (every job would replay <tracedir>/<bench>-s<seed>.elt while
+// its row names the axis value). Both recordings exist, so only the flag
+// check can refuse the second.
+func TestElsqsweepFlags(t *testing.T) {
+	dir := t.TempDir()
+	rec := buildCmd(t, "elsqtrace")
+	for _, sub := range []string{"a", "b"} {
+		out := filepath.Join(dir, sub, "mcf-s1.elt")
+		if err := os.Mkdir(filepath.Dir(out), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		runCmd(t, rec, []string{"record", "-bench", "mcf", "-n", "2000", "-out", out}, 0)
+	}
+	bin := buildCmd(t, "elsqsweep")
+	for _, tc := range []struct {
+		args []string
+		exit int
+	}{
+		{[]string{"-axis", "ert=line,hash"}, 0},
+		{[]string{"-axis", "ert=line", "-axis", "ert=hash"}, 2},
+		{[]string{"-axis", "trace=" + filepath.Join(dir, "a", "mcf-s1.elt")}, 0},
+		{[]string{"-axis", "trace=" + filepath.Join(dir, "a", "mcf-s1.elt"), "-tracedir", filepath.Join(dir, "b")}, 2},
+	} {
+		runCmd(t, bin, append([]string{"-benches", "mcf", "-insts", "100", "-warmup", "0", "-q", "-out", os.DevNull}, tc.args...), tc.exit)
+	}
+}
+
 // TestPaperbenchProfileFlags checks that paperbench's -cpuprofile and
 // -memprofile each write a profile.
 func TestPaperbenchProfileFlags(t *testing.T) {

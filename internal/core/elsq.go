@@ -67,11 +67,11 @@ type ELSQ struct {
 	releaseAt []int64
 
 	// lockedSlots records, per physical bank, the L1 slots this epoch
-	// locked (line-based ERT), released on epoch commit or squash.
+	// locked (line-based ERT), released on epoch commit.
 	lockedSlots [][]mem.LineSlot
 
 	// noLQ removes the associative load queues (SVW composition): stores
-	// perform no violation searches and the Load-ERT is absent.
+	// perform no load-queue searches and the Load-ERT is absent.
 	noLQ bool
 
 	// bypassed has bank p's bit set while the live bank's ERT state is
@@ -80,8 +80,7 @@ type ELSQ struct {
 	// locked lines (the line may be evicted, losing the line-indexed filter
 	// entry). Searches must conservatively visit such banks regardless of
 	// the mask, or a load could miss the youngest matching store and
-	// silently read stale data. Cleared when the bank is reclaimed or
-	// squashed.
+	// silently read stale data. Cleared when the bank is reclaimed.
 	bypassed filter.EpochMask
 
 	// ev is the simulation's event tally the queue searches, filter probes and
@@ -98,22 +97,14 @@ type ELSQ struct {
 	matchV     []int64
 	matchOp    []*lsq.MemOp
 	candEpochs []int64
-
-	// Per-StoreAddrReady scratch for the local/remote younger-load split.
-	scratchLocal, scratchRemote []*lsq.MemOp
 }
-
-// Option configures optional ELSQ behaviour.
-type Option func(*ELSQ)
-
-// WithoutLoadQueue removes the associative load queue (used when composing
-// with SVW re-execution, Section 3.5).
-func WithoutLoadQueue() Option { return func(e *ELSQ) { e.noLQ = true } }
 
 // New builds the ELSQ for the given configuration over the FMC interconnect
 // fabric, (for the line-based ERT) the L1 cache, and the virtual-epoch bank
 // mapping (nil = mod-N over NumEpochs banks), counting its events into ev.
-func New(cfg *config.Config, fab noc.Fabric, l1 *mem.Cache, banks fmc.BankMap, ev *stats.Tally, opts ...Option) *ELSQ {
+// noLQ removes the associative load queue, as when composing with SVW
+// re-execution (Section 3.5).
+func New(cfg *config.Config, fab noc.Fabric, l1 *mem.Cache, banks fmc.BankMap, noLQ bool, ev *stats.Tally) *ELSQ {
 	if banks == nil {
 		banks = fmc.HomeBanks(cfg.NumEpochs)
 	}
@@ -132,6 +123,7 @@ func New(cfg *config.Config, fab noc.Fabric, l1 *mem.Cache, banks fmc.BankMap, e
 		activeVirtual: make([]int64, cfg.NumEpochs),
 		releaseAt:     make([]int64, cfg.NumEpochs),
 		lockedSlots:   make([][]mem.LineSlot, cfg.NumEpochs),
+		noLQ:          noLQ,
 		ev:            ev,
 		matchV:        make([]int64, cfg.NumEpochs),
 		matchOp:       make([]*lsq.MemOp, cfg.NumEpochs),
@@ -139,14 +131,8 @@ func New(cfg *config.Config, fab noc.Fabric, l1 *mem.Cache, banks fmc.BankMap, e
 	for i := range e.activeVirtual {
 		e.activeVirtual[i] = -1
 	}
-	for _, o := range opts {
-		o(e)
-	}
 	return e
 }
-
-// Name implements lsq.Scheme.
-func (e *ELSQ) Name() string { return e.cfg.Name() }
 
 // physical returns the bank holding virtual epoch v.
 func (e *ELSQ) physical(v int64) int { return e.banks.Bank(v) }
@@ -334,23 +320,6 @@ func (e *ELSQ) EpochCommitted(epoch int, t int64) {
 	e.lockedSlots[phys] = e.lockedSlots[phys][:0]
 }
 
-// EpochSquashed implements lsq.Scheme: discard the epoch's filter state
-// immediately.
-func (e *ELSQ) EpochSquashed(epoch int) {
-	phys := e.physical(int64(epoch))
-	if e.activeVirtual[phys] != int64(epoch) {
-		return
-	}
-	e.ert.ClearEpoch(phys)
-	for _, s := range e.lockedSlots[phys] {
-		e.l1.Unlock(s)
-	}
-	e.lockedSlots[phys] = e.lockedSlots[phys][:0]
-	e.activeVirtual[phys] = -1
-	e.releaseAt[phys] = 0
-	e.bypassed.Clear(phys)
-}
-
 // epochMatch returns the youngest candidate store of virtual epoch v seen
 // by the current LoadIssue pass, or nil.
 func (e *ELSQ) epochMatch(v int64) *lsq.MemOp {
@@ -499,8 +468,8 @@ func (e *ELSQ) candidateEpochs(mask filter.EpochMask, ld *lsq.MemOp, t int64) []
 				// Displaced occupant with an in-flight candidate store at
 				// t: banks are reused only after their occupant fully
 				// commits, so the scratch epoch is the bank's owner as of
-				// cycle t. A squashed bank (activeVirtual < 0) stays dead —
-				// its state was discarded, not displaced.
+				// cycle t. A bank never claimed (activeVirtual < 0) has no
+				// occupant to displace.
 				v = e.matchV[phys]
 			} else {
 				if !mask.Has(phys) && !e.bypassed.Has(phys) {
@@ -531,40 +500,27 @@ func (e *ELSQ) candidateEpochs(mask filter.EpochMask, ld *lsq.MemOp, t int64) []
 	return out
 }
 
-// StoreAddrReady implements lsq.Scheme: violation detection at store
-// address resolution.
-func (e *ELSQ) StoreAddrReady(st *lsq.MemOp, younger []*lsq.MemOp, t int64) lsq.StoreResult {
+// StoreAddrReady implements lsq.Scheme: it counts the searches a store
+// performs at address resolution to find younger loads that already issued.
+// The searches find nothing here: cpu.execLoad detects ordering violations
+// on the load side.
+func (e *ELSQ) StoreAddrReady(st *lsq.MemOp, t int64) {
 	if e.noLQ {
-		return lsq.StoreResult{} // SVW: re-execution catches violations
+		return // SVW: re-execution catches violations
 	}
 	if st.MigrateAt == 0 || st.AddrReady <= st.MigrateAt {
 		// The store's address resolved while it was still in the HL-LSQ
-		// (or it never migrates): the violation check is a plain HL-LQ
-		// search at issue — every younger issued load was high-locality at
-		// that point. This is the common case Figure 1 predicts: store
-		// addresses rarely depend on misses.
+		// (or it never migrates): the check is a plain HL-LQ search at
+		// issue — every younger issued load was high-locality at that
+		// point. This is the common case Figure 1 predicts: store addresses
+		// rarely depend on misses.
 		e.ev[stats.HLLQ]++
-		if ld := lsq.FindViolation(st, younger, t); ld != nil {
-			return lsq.StoreResult{Violation: true, ViolatingLoad: ld}
-		}
-		return lsq.StoreResult{}
+		return
 	}
 	// Low-locality store (full disambiguation or RLAC): local epoch search,
 	// then Load-ERT guarded searches of younger epochs, then the HL-LQ.
 	// Under RSAC stores never reach the LL-LSQ, so this path never runs.
 	e.ev[stats.LLLQ]++
-	e.scratchLocal = e.scratchLocal[:0]
-	e.scratchRemote = e.scratchRemote[:0]
-	for _, ld := range younger {
-		if ld.Epoch == st.Epoch {
-			e.scratchLocal = append(e.scratchLocal, ld)
-		} else {
-			e.scratchRemote = append(e.scratchRemote, ld)
-		}
-	}
-	if ld := lsq.FindViolation(st, e.scratchLocal, t); ld != nil {
-		return lsq.StoreResult{Violation: true, ViolatingLoad: ld}
-	}
 	e.ev[stats.ERT]++
 	idx, present := e.ertIndex(st.Addr)
 	if present {
@@ -586,8 +542,4 @@ func (e *ELSQ) StoreAddrReady(st *lsq.MemOp, younger []*lsq.MemOp, t int64) lsq.
 	// own completion and delays nothing the timing model observes.
 	e.ev[stats.HLLQ]++
 	e.ev[stats.RoundTrip]++
-	if ld := lsq.FindViolation(st, e.scratchRemote, t); ld != nil {
-		return lsq.StoreResult{Violation: true, ViolatingLoad: ld}
-	}
-	return lsq.StoreResult{}
 }

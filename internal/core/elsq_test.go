@@ -29,7 +29,7 @@ func newRig(t *testing.T, mut func(*config.Config)) *rig {
 	l1 := mem.NewCache(cfg.L1)
 	fab := noc.NewAnalytic(4, 4, cfg.MeshHop, cfg.BusOneWay)
 	ev := new(stats.Tally)
-	return &rig{e: New(&cfg, fab, l1, nil, ev), ev: ev, l1: l1, cfg: cfg}
+	return &rig{e: New(&cfg, fab, l1, nil, false, ev), ev: ev, l1: l1, cfg: cfg}
 }
 
 func mkStore(seq uint64, addr uint64, addrReady, dataReady int64) *lsq.MemOp {
@@ -210,19 +210,6 @@ func TestBankReclaimClearsBits(t *testing.T) {
 	}
 }
 
-func TestEpochSquashClearsImmediately(t *testing.T) {
-	r := newRig(t, nil)
-	ix := lsq.NewStoreIndex()
-	st := mkStore(1, 0x100, 5, 6)
-	ix.Add(st)
-	r.migrateStore(st, 0, 10)
-	r.e.EpochSquashed(0)
-	res := r.e.LoadIssue(mkLoad(9, 0x100), ix, 50)
-	if res.Forwarded {
-		t.Fatal("squashed epoch still forwarded")
-	}
-}
-
 func TestLineERTLocksLines(t *testing.T) {
 	r := newRig(t, func(c *config.Config) { c.ERT = config.ERTLine })
 	ix := lsq.NewStoreIndex()
@@ -308,10 +295,7 @@ func TestRSACRemovesLoadERT(t *testing.T) {
 	st := mkStore(5, 0x100, 60, 60)
 	st.Epoch = 1
 	st.MigrateAt = 20
-	res := r.e.StoreAddrReady(st, nil, 60)
-	if res.Violation {
-		t.Error("violation from empty younger set")
-	}
+	r.e.StoreAddrReady(st, 60)
 	// ll_lq: 1 insertion (the load) + 1 local search; no ERT-guided
 	// remote searches because the Load-ERT was never populated.
 	if got := r.ev[stats.LLLQ]; got != 2 {
@@ -322,10 +306,7 @@ func TestRSACRemovesLoadERT(t *testing.T) {
 func TestStoreAddrReadyCountsHL(t *testing.T) {
 	r := newRig(t, nil)
 	st := mkStore(5, 0x100, 60, 60)
-	res := r.e.StoreAddrReady(st, []*lsq.MemOp{{Seq: 7, Addr: 0x100, Size: 8, Issued: 30}}, 60)
-	if !res.Violation {
-		t.Error("HL violation not detected")
-	}
+	r.e.StoreAddrReady(st, 60)
 	if r.ev[stats.HLLQ] != 1 {
 		t.Error("HL-LQ search not counted")
 	}
@@ -335,21 +316,11 @@ func TestWithoutLoadQueue(t *testing.T) {
 	cfg := config.Default()
 	l1 := mem.NewCache(cfg.L1)
 	var ev stats.Tally
-	e := New(&cfg, noc.NewAnalytic(4, 4, 1, 4), l1, nil, &ev, WithoutLoadQueue())
+	e := New(&cfg, noc.NewAnalytic(4, 4, 1, 4), l1, nil, true, &ev)
 	st := mkStore(5, 0x100, 60, 60)
-	res := e.StoreAddrReady(st, []*lsq.MemOp{{Seq: 7, Addr: 0x100, Size: 8, Issued: 30}}, 60)
-	if res.Violation {
-		t.Error("NoLQ ELSQ performed a violation search")
-	}
+	e.StoreAddrReady(st, 60)
 	if ev[stats.HLLQ] != 0 {
 		t.Error("NoLQ ELSQ counted an LQ search")
-	}
-}
-
-func TestName(t *testing.T) {
-	r := newRig(t, nil)
-	if r.e.Name() != "FMC-Hash+SQM" {
-		t.Errorf("Name = %q", r.e.Name())
 	}
 }
 

@@ -236,17 +236,14 @@ func New(cfg config.Config, gen workload.Source) (*Sim, error) {
 
 	// The epoch manager must exist before the scheme: the ELSQ resolves
 	// virtual epochs to banks through the manager's placement record.
+	// Validate admits the ELSQ only under FMC, so s.epochs is set wherever
+	// core.New runs.
 	if cfg.Model == config.ModelFMC {
 		s.epochs = fmc.NewEpochs(&cfg, fmc.PlacerFor(&cfg, s.fab), s.fab, newCal)
 		s.wrongPathCap = 3 * cfg.ROBSize
 	} else {
 		s.wrongPathCap = cfg.ROBSize
 	}
-	var banks fmc.BankMap = fmc.HomeBanks(cfg.NumEpochs)
-	if s.epochs != nil {
-		banks = s.epochs
-	}
-
 	switch {
 	case cfg.LSQ == config.LSQCentral:
 		s.scheme = lsq.NewCentral(s.fab, &s.ev)
@@ -256,11 +253,11 @@ func New(cfg config.Config, gen workload.Source) (*Sim, error) {
 		s.scheme = lsq.NewConventional(true, &s.ev)
 		s.svwEng = svw.New(cfg.SSBFBits, cfg.SVW, &s.ev)
 	case cfg.LSQ == config.LSQSVW:
-		s.scheme = core.New(&cfg, s.fab, s.hier.L1, banks, &s.ev, core.WithoutLoadQueue())
+		s.scheme = core.New(&cfg, s.fab, s.hier.L1, s.epochs, true, &s.ev)
 		s.svwEng = svw.New(cfg.SSBFBits, cfg.SVW, &s.ev)
 		s.storesMigrate = true
 	case cfg.LSQ == config.LSQELSQ:
-		s.scheme = core.New(&cfg, s.fab, s.hier.L1, banks, &s.ev)
+		s.scheme = core.New(&cfg, s.fab, s.hier.L1, s.epochs, false, &s.ev)
 		s.storesMigrate = true
 	default:
 		return nil, fmt.Errorf("cpu: unsupported scheme %v on %v", cfg.LSQ, cfg.Model)
@@ -779,11 +776,6 @@ func (s *Sim) execLoad(op *lsq.MemOp, llExec bool, epochV int64, migT int64) (do
 		// only at commit, so the index is as LoadIssue saw it.
 		op.UnresolvedOlderStore = s.storeIx.Unresolved(op, issue)
 	}
-	if res.Squash {
-		s.ev[stats.LLSquash]++
-		s.nextFetchMin = max64(s.nextFetchMin, issue+int64(s.cfg.MispredictPenalty))
-	}
-
 	level, lat := s.hier.Access(op.Addr)
 	s.ev[levelLoad[level]]++
 	s.ev[levelAccess[level]]++
@@ -879,7 +871,7 @@ func (s *Sim) execStore(op *lsq.MemOp, llExec bool, epochV int64, migT int64) (d
 		issue = s.cpIssueCal.Reserve(op.AddrReady)
 	}
 	op.Issued = issue
-	s.scheme.StoreAddrReady(op, nil, issue)
+	s.scheme.StoreAddrReady(op, issue)
 	done = max64(issue, op.DataReady)
 	return done, issue
 }
@@ -922,7 +914,7 @@ func (s *Sim) injectWrongPath(start, resolve int64) {
 				Dispatch: d, AddrReady: d + 1, DataReady: d + 1,
 				Epoch: lsq.HLEpoch, Issued: d + 1,
 			}
-			s.scheme.StoreAddrReady(wp, nil, d+1)
+			s.scheme.StoreAddrReady(wp, d+1)
 			s.ev[stats.WrongPathStore]++
 		default:
 			s.ev[stats.WrongPathOther]++

@@ -1,8 +1,7 @@
 // Package filter implements the search filters of the paper: the Epoch
 // Resolution Table (ERT) in both its hash-indexed and cache-line-indexed
-// forms (Section 3.4), a plain Bloom bitset, and the Store Sequence Bloom
-// Filter (SSBF) used by the Store Vulnerability Window re-execution baseline
-// (Section 5.6).
+// forms (Section 3.4) and the Store Sequence Bloom Filter (SSBF) used by the
+// Store Vulnerability Window re-execution baseline (Section 5.6).
 package filter
 
 import (
@@ -118,7 +117,6 @@ type EpochBitTable struct {
 	loads, stores []EpochMask
 	touchedLd     [][]int32
 	touchedSt     [][]int32
-	numEpochs     int
 }
 
 // NewEpochBitTable returns a table with the given entry count and epoch
@@ -132,16 +130,9 @@ func NewEpochBitTable(entries, numEpochs int) *EpochBitTable {
 		stores:    make([]EpochMask, entries),
 		touchedLd: make([][]int32, numEpochs),
 		touchedSt: make([][]int32, numEpochs),
-		numEpochs: numEpochs,
 	}
 	return t
 }
-
-// Entries returns the number of table entries.
-func (t *EpochBitTable) Entries() int { return len(t.loads) }
-
-// NumEpochs returns the epoch-column count.
-func (t *EpochBitTable) NumEpochs() int { return t.numEpochs }
 
 // SetLoad marks a low-locality load with the given index in epoch e.
 func (t *EpochBitTable) SetLoad(idx, e int) {
@@ -188,40 +179,6 @@ func EpochsOf(mask EpochMask) []int {
 		out = append(out, 64+bits.TrailingZeros64(m))
 	}
 	return out
-}
-
-// Bloom is a plain single-hash Bloom bitset (Bloom, CACM 1970), the
-// primitive behind the hash-based ERT.
-type Bloom struct {
-	bitsN int
-	words []uint64
-}
-
-// NewBloom returns a Bloom bitset indexed by nbits address bits.
-func NewBloom(nbits int) *Bloom {
-	if nbits < 1 || nbits > 30 {
-		panic("filter: bloom bits out of range")
-	}
-	return &Bloom{bitsN: nbits, words: make([]uint64, ((1<<uint(nbits))+63)/64)}
-}
-
-// Set marks addr.
-func (b *Bloom) Set(addr uint64) {
-	i := HashIndex(addr, b.bitsN)
-	b.words[i/64] |= 1 << uint(i%64)
-}
-
-// Test reports whether addr may have been set (no false negatives).
-func (b *Bloom) Test(addr uint64) bool {
-	i := HashIndex(addr, b.bitsN)
-	return b.words[i/64]&(1<<uint(i%64)) != 0
-}
-
-// Reset clears the filter.
-func (b *Bloom) Reset() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
 }
 
 // ssbfEntry is one SSBF slot: the youngest committed store that hashed here,

@@ -133,39 +133,6 @@ func TestEpochBitTableGeometryPanics(t *testing.T) {
 	}
 }
 
-func TestBloomBasics(t *testing.T) {
-	b := NewBloom(10)
-	if b.Test(0x1234) {
-		t.Error("empty bloom tested positive")
-	}
-	b.Set(0x1234)
-	if !b.Test(0x1234) {
-		t.Error("set address tested negative")
-	}
-	b.Reset()
-	if b.Test(0x1234) {
-		t.Error("reset did not clear")
-	}
-}
-
-func TestBloomNoFalseNegatives(t *testing.T) {
-	f := func(addrs []uint64) bool {
-		b := NewBloom(8)
-		for _, a := range addrs {
-			b.Set(a)
-		}
-		for _, a := range addrs {
-			if !b.Test(a) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSSBF(t *testing.T) {
 	s := NewSSBF(10)
 	if _, _, ok := s.LastStore(0x40); ok {
@@ -207,8 +174,6 @@ func TestSSBFAliasing(t *testing.T) {
 
 func TestConstructorPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewBloom(0) },
-		func() { NewBloom(31) },
 		func() { NewSSBF(0) },
 		func() { NewSSBF(25) },
 	} {

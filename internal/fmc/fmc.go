@@ -155,9 +155,6 @@ func (e *Epochs) Bank(v int64) int {
 	return int(e.bankOf[i])
 }
 
-// Banks returns the number of physical banks (memory engines).
-func (e *Epochs) Banks() int { return e.cfg.NumEpochs }
-
 // BankActive returns the per-bank busy-cycle accounting: BankActive()[b] is
 // the total cycles bank b spent with an epoch open (the complement of the
 // Figure 11 power-down residency). The slice is live; callers must not

@@ -19,8 +19,6 @@ const EpochStateFlits = 8
 // Implementations must be deterministic: placement feeds timing, and timing
 // feeds the golden/digest gates.
 type Placer interface {
-	// Name identifies the policy in logs and counters.
-	Name() string
 	// Place picks the bank for virtual epoch v.
 	Place(v, t int64, prev int, bankFree []int64) int
 }
@@ -28,9 +26,6 @@ type Placer interface {
 // ModN is the paper's interleaved placement: virtual epoch v occupies bank
 // v mod NumEpochs. The default, and bit-identical to the pre-Placer code.
 type ModN struct{}
-
-// Name implements Placer.
-func (ModN) Name() string { return "modn" }
 
 // Place implements Placer.
 func (ModN) Place(v, _ int64, _ int, bankFree []int64) int {
@@ -46,9 +41,6 @@ type LeastLoaded struct {
 	// locality).
 	Fab noc.Fabric
 }
-
-// Name implements Placer.
-func (*LeastLoaded) Name() string { return "leastloaded" }
 
 // Place implements Placer.
 func (p *LeastLoaded) Place(_ int64, t int64, prev int, bankFree []int64) int {
@@ -81,9 +73,6 @@ type Steal struct {
 	// lowest-index free bank).
 	Fab noc.Fabric
 }
-
-// Name implements Placer.
-func (*Steal) Name() string { return "steal" }
 
 // Place implements Placer.
 func (p *Steal) Place(v, t int64, prev int, bankFree []int64) int {

@@ -1,6 +1,7 @@
 package fmc
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -231,21 +232,21 @@ func TestStealPlace(t *testing.T) {
 	}
 }
 
-// TestPlacerFor maps every config value to its policy.
+// TestPlacerFor maps every config value to its policy, wired to the fabric.
 func TestPlacerFor(t *testing.T) {
 	cfg := config.Default()
 	fab := analyticFab(4, 4)
 	for _, tt := range []struct {
 		pol  config.PlacePolicy
-		want string
+		want Placer
 	}{
-		{config.PlaceModN, "modn"},
-		{config.PlaceLeastLoaded, "leastloaded"},
-		{config.PlaceSteal, "steal"},
+		{config.PlaceModN, ModN{}},
+		{config.PlaceLeastLoaded, &LeastLoaded{Fab: fab}},
+		{config.PlaceSteal, &Steal{Fab: fab}},
 	} {
 		cfg.Place = tt.pol
-		if got := PlacerFor(&cfg, fab).Name(); got != tt.want {
-			t.Errorf("PlacerFor(%v) = %q, want %q", tt.pol, got, tt.want)
+		if got := PlacerFor(&cfg, fab); !reflect.DeepEqual(got, tt.want) {
+			t.Errorf("PlacerFor(%v) = %T %+v, want %T %+v", tt.pol, got, got, tt.want, tt.want)
 		}
 	}
 }

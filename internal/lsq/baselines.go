@@ -21,9 +21,6 @@ func NewCentral(fab noc.Fabric, ev *stats.Tally) *Central {
 	return &Central{fab: fab, ev: ev}
 }
 
-// Name implements Scheme.
-func (s *Central) Name() string { return "central" }
-
 // LoadIssue implements Scheme: one single-cycle search of the whole window;
 // MP-resident loads pay a bus round trip.
 func (s *Central) LoadIssue(ld *MemOp, ix *StoreIndex, t int64) LoadResult {
@@ -33,22 +30,18 @@ func (s *Central) LoadIssue(ld *MemOp, ix *StoreIndex, t int64) LoadResult {
 		extra = s.fab.BusRoundTrip(t) - t
 		s.ev[stats.RoundTrip]++
 	}
-	match, _ := FindForward(ld, ix.Candidates(ld, t), t)
-	res := Resolve(ld, match, t+extra)
+	res := Resolve(ld, FindForward(ld, ix.Candidates(ld, t), t), t+extra)
 	res.ExtraLatency = extra
 	return res
 }
 
-// StoreAddrReady implements Scheme.
-func (s *Central) StoreAddrReady(st *MemOp, younger []*MemOp, t int64) StoreResult {
+// StoreAddrReady implements Scheme: one search of the central queue, plus
+// a counted CP<->MP round trip for an MP-resident store.
+func (s *Central) StoreAddrReady(st *MemOp, t int64) {
 	s.ev[stats.HLLQ]++
 	if st.LowLoc {
 		s.ev[stats.RoundTrip]++
 	}
-	if ld := FindViolation(st, younger, t); ld != nil {
-		return StoreResult{Violation: true, ViolatingLoad: ld}
-	}
-	return StoreResult{}
 }
 
 // Migrate implements Scheme (no structure to maintain).
@@ -59,9 +52,6 @@ func (s *Central) AddrKnownInLL(op *MemOp, t int64) bool { return false }
 
 // EpochCommitted implements Scheme.
 func (s *Central) EpochCommitted(epoch int, t int64) {}
-
-// EpochSquashed implements Scheme.
-func (s *Central) EpochSquashed(epoch int) {}
 
 // Conventional is the finite age-indexed CAM LSQ of the OoO-64 baseline:
 // every load searches the store queue, every store searches the load queue,
@@ -81,31 +71,18 @@ func NewConventional(noLQ bool, ev *stats.Tally) *Conventional {
 	return &Conventional{NoLQ: noLQ, ev: ev}
 }
 
-// Name implements Scheme.
-func (s *Conventional) Name() string {
-	if s.NoLQ {
-		return "conventional-svw"
-	}
-	return "conventional"
-}
-
 // LoadIssue implements Scheme.
 func (s *Conventional) LoadIssue(ld *MemOp, ix *StoreIndex, t int64) LoadResult {
 	s.ev[stats.HLSQ]++
-	match, _ := FindForward(ld, ix.Candidates(ld, t), t)
-	return Resolve(ld, match, t)
+	return Resolve(ld, FindForward(ld, ix.Candidates(ld, t), t), t)
 }
 
-// StoreAddrReady implements Scheme.
-func (s *Conventional) StoreAddrReady(st *MemOp, younger []*MemOp, t int64) StoreResult {
-	if s.NoLQ {
-		return StoreResult{} // violations caught by commit-time re-execution
+// StoreAddrReady implements Scheme: one load-queue search, none without a
+// load queue (commit-time re-execution catches violations instead).
+func (s *Conventional) StoreAddrReady(st *MemOp, t int64) {
+	if !s.NoLQ {
+		s.ev[stats.HLLQ]++
 	}
-	s.ev[stats.HLLQ]++
-	if ld := FindViolation(st, younger, t); ld != nil {
-		return StoreResult{Violation: true, ViolatingLoad: ld}
-	}
-	return StoreResult{}
 }
 
 // Migrate implements Scheme.
@@ -116,6 +93,3 @@ func (s *Conventional) AddrKnownInLL(op *MemOp, t int64) bool { return false }
 
 // EpochCommitted implements Scheme.
 func (s *Conventional) EpochCommitted(epoch int, t int64) {}
-
-// EpochSquashed implements Scheme.
-func (s *Conventional) EpochSquashed(epoch int) {}

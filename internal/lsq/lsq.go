@@ -110,20 +110,6 @@ type LoadResult struct {
 	Partial bool
 	// PartialStore is the matching store for the partial case.
 	PartialStore *MemOp
-	// Squash means the search could not proceed legally (line-based ERT
-	// lock overflow for an LL-issued address) and the window must be
-	// squashed from this load.
-	Squash bool
-}
-
-// StoreResult is the outcome of a store's violation check at address
-// resolution.
-type StoreResult struct {
-	// Violation means a younger load with an overlapping address already
-	// issued and consumed stale data; the window squashes from that load.
-	Violation bool
-	// ViolatingLoad is the oldest such load.
-	ViolatingLoad *MemOp
 }
 
 // Scheme is the LSQ organisation under test. The pipeline model invokes the
@@ -131,9 +117,6 @@ type StoreResult struct {
 // and count every search into the simulation's stats.Tally under the Table 2
 // column events (stats.HLLQ, HLSQ, LLLQ, LLSQ, ERT, RoundTrip).
 type Scheme interface {
-	// Name identifies the scheme for reports.
-	Name() string
-
 	// LoadIssue is called when a load searches for older matching stores.
 	// ix indexes every older store still potentially in flight. It does not
 	// fill ld.UnresolvedOlderStore: the caller does, with ix.Unresolved at
@@ -141,12 +124,12 @@ type Scheme interface {
 	// will read it (the index is unchanged in between).
 	LoadIssue(ld *MemOp, ix *StoreIndex, t int64) LoadResult
 
-	// StoreAddrReady is called when a store's address resolves and it
-	// checks younger already-issued loads for ordering violations.
-	// youngerLoads is ascending by age (may be empty: the pipeline model
-	// detects actual violations on the load side; this hook accounts the
-	// searches the hardware performs).
-	StoreAddrReady(st *MemOp, youngerLoads []*MemOp, t int64) StoreResult
+	// StoreAddrReady is called when a store's address resolves at cycle t.
+	// It counts the load-queue and Load-ERT searches the hardware performs
+	// to find younger loads that already issued; it finds no violation
+	// itself. The pipeline model detects ordering violations on the load
+	// side, when the load issues.
+	StoreAddrReady(st *MemOp, t int64)
 
 	// Migrate is called when the op moves to low-locality epoch op.Epoch at
 	// cycle t (FMC only). It returns an additional stall in cycles (e.g.
@@ -162,42 +145,19 @@ type Scheme interface {
 	// committed (at cycle t); the scheme releases the epoch's filter state
 	// from cycle t onward.
 	EpochCommitted(epoch int, t int64)
-
-	// EpochSquashed is called when an epoch's state is discarded on
-	// recovery.
-	EpochSquashed(epoch int)
 }
 
 // FindForward scans olderStores (ascending age) for the youngest store with
-// a known address at t that overlaps ld. It also reports whether any older
-// in-flight store's address was still unknown at t. This is the reference
-// CAM search semantics every scheme builds on.
-func FindForward(ld *MemOp, olderStores []*MemOp, t int64) (match *MemOp, unresolved bool) {
+// a known address at t that overlaps ld. This is the reference CAM search
+// semantics every scheme builds on.
+func FindForward(ld *MemOp, olderStores []*MemOp, t int64) *MemOp {
+	var match *MemOp
 	for _, st := range olderStores {
-		if !st.InFlightAt(t) {
-			continue
-		}
-		if st.AddrReady > t {
-			unresolved = true
-			continue
-		}
-		if st.Overlaps(ld) {
+		if st.InFlightAt(t) && st.AddrReady <= t && st.Overlaps(ld) {
 			match = st // keep scanning: youngest match wins
 		}
 	}
-	return match, unresolved
-}
-
-// FindViolation scans youngerLoads (ascending age) for the oldest load that
-// already issued (before t) with an address overlapping st — a store→load
-// ordering violation.
-func FindViolation(st *MemOp, youngerLoads []*MemOp, t int64) *MemOp {
-	for _, ld := range youngerLoads {
-		if ld.Issued != 0 && ld.Issued < t && ld.Overlaps(st) {
-			return ld
-		}
-	}
-	return nil
+	return match
 }
 
 // Resolve converts a forwarding match into a LoadResult, handling the

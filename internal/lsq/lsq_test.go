@@ -48,12 +48,9 @@ func TestFindForwardYoungestWins(t *testing.T) {
 		st(2, 200, 8, 5, 5, 0), // different address
 		st(3, 100, 8, 6, 9, 0), // youngest match
 	}
-	m, unresolved := FindForward(l, older, 50)
+	m := FindForward(l, older, 50)
 	if m == nil || m.Seq != 3 {
 		t.Fatalf("match = %+v, want seq 3", m)
-	}
-	if unresolved {
-		t.Error("unresolved flagged with all addresses known")
 	}
 }
 
@@ -63,27 +60,8 @@ func TestFindForwardSkipsCommittedAndUnknown(t *testing.T) {
 		st(1, 100, 8, 5, 5, 40),  // committed before t=50
 		st(2, 100, 8, 90, 90, 0), // address unknown at t=50
 	}
-	m, unresolved := FindForward(l, older, 50)
-	if m != nil {
+	if m := FindForward(l, older, 50); m != nil {
 		t.Errorf("matched ineligible store %+v", m)
-	}
-	if !unresolved {
-		t.Error("unknown-address store not flagged")
-	}
-}
-
-func TestFindViolation(t *testing.T) {
-	s := st(5, 100, 8, 60, 60, 0)
-	younger := []*MemOp{
-		{Seq: 7, Addr: 100, Size: 8, Issued: 30}, // issued before store resolved
-		{Seq: 8, Addr: 100, Size: 8, Issued: 70}, // issued after: safe
-	}
-	v := FindViolation(s, younger, 60)
-	if v == nil || v.Seq != 7 {
-		t.Fatalf("violation = %+v, want seq 7", v)
-	}
-	if FindViolation(s, younger[1:], 60) != nil {
-		t.Error("late-issuing load flagged")
 	}
 }
 
@@ -233,9 +211,6 @@ func TestStoreIndexCandidatesProperty(t *testing.T) {
 func TestCentralScheme(t *testing.T) {
 	var ev stats.Tally
 	s := NewCentral(noc.NewAnalytic(4, 4, 1, 4), &ev)
-	if s.Name() != "central" {
-		t.Error("name wrong")
-	}
 	ix := NewStoreIndex()
 	ix.Add(st(1, 100, 8, 5, 8, 0))
 	// High-locality load: no round trip, single-cycle search.
@@ -262,32 +237,19 @@ func TestCentralScheme(t *testing.T) {
 		t.Error("central structural hooks not inert")
 	}
 	s.EpochCommitted(1, 5)
-	s.EpochSquashed(1)
 }
 
 func TestConventionalScheme(t *testing.T) {
 	var ev, nolqEv stats.Tally
 	s := NewConventional(false, &ev)
-	ix := NewStoreIndex()
 	stv := st(5, 100, 8, 60, 60, 0)
-	ix.Add(stv)
-	viol := []*MemOp{{Seq: 7, Addr: 100, Size: 8, Issued: 30}}
-	r := s.StoreAddrReady(stv, viol, 60)
-	if !r.Violation || r.ViolatingLoad.Seq != 7 {
-		t.Errorf("violation missed: %+v", r)
-	}
+	s.StoreAddrReady(stv, 60)
 	if ev[stats.HLLQ] != 1 {
 		t.Error("LQ search not counted")
 	}
 	// The SVW composition removes the load queue.
 	nolq := NewConventional(true, &nolqEv)
-	if nolq.Name() != "conventional-svw" {
-		t.Error("name wrong")
-	}
-	r = nolq.StoreAddrReady(stv, viol, 60)
-	if r.Violation {
-		t.Error("NoLQ scheme performed a violation search")
-	}
+	nolq.StoreAddrReady(stv, 60)
 	if nolqEv[stats.HLLQ] != 0 {
 		t.Error("NoLQ counted an LQ search")
 	}

@@ -79,7 +79,7 @@ func schemesUnderTest() []schemeUnderTest {
 				mut(&cfg)
 			}
 			l1 := mem.NewCache(cfg.L1)
-			return core.New(&cfg, noc.NewAnalytic(4, 4, cfg.MeshHop, cfg.BusOneWay), l1, nil, new(stats.Tally))
+			return core.New(&cfg, noc.NewAnalytic(4, 4, cfg.MeshHop, cfg.BusOneWay), l1, nil, false, new(stats.Tally))
 		}
 	}
 	return []schemeUnderTest{

@@ -109,9 +109,6 @@ func linePool(n int) *sync.Pool {
 	return p.(*sync.Pool)
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() config.CacheConfig { return c.cfg }
-
 // setIndex returns the set holding addr.
 func (c *Cache) setIndex(addr uint64) uint64 { return (addr >> c.setShift) & c.setMask }
 

@@ -41,8 +41,6 @@ func (t Traffic) Sub(old Traffic) Traffic {
 // contended implementation can compose queueing delay with propagation
 // latency while the analytic implementation degenerates to fixed adds.
 type Fabric interface {
-	// Size returns the number of mesh nodes (memory engines).
-	Size() int
 	// Distance returns the Manhattan hop count between engines a and b
 	// without sending a message (placement policies use it for locality).
 	Distance(a, b int) int
@@ -113,9 +111,6 @@ func NewContended(w, h, hopCost, oneWay, linkWidth int, alloc func(width int) *s
 	}
 	return f
 }
-
-// Size implements Fabric.
-func (f *Contended) Size() int { return f.w * f.h }
 
 // Distance implements Fabric.
 func (f *Contended) Distance(a, b int) int { return distance(f.w, a, b) }

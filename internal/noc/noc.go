@@ -29,7 +29,7 @@ func distance(w, a, b int) int {
 // indexed 0..w*h-1 in row-major order, at a fixed per-hop latency. Traffic
 // is counted for the Table 2 RoundTrips column.
 type Analytic struct {
-	w, h      int
+	w         int
 	hopCost   int
 	busOneWay int
 
@@ -44,11 +44,8 @@ func NewAnalytic(w, h, hopCost, busOneWay int) *Analytic {
 	if w <= 0 || h <= 0 || hopCost < 0 || busOneWay < 0 {
 		panic("noc: invalid analytic fabric geometry")
 	}
-	return &Analytic{w: w, h: h, hopCost: hopCost, busOneWay: busOneWay}
+	return &Analytic{w: w, hopCost: hopCost, busOneWay: busOneWay}
 }
-
-// Size implements Fabric.
-func (f *Analytic) Size() int { return f.w * f.h }
 
 // Distance implements Fabric.
 func (f *Analytic) Distance(a, b int) int { return distance(f.w, a, b) }

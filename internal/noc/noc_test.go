@@ -48,9 +48,6 @@ func TestMeshDistanceProperties(t *testing.T) {
 func TestMeshEdgeGeometries(t *testing.T) {
 	t.Run("1xN row", func(t *testing.T) {
 		f := NewAnalytic(8, 1, 1, 4)
-		if f.Size() != 8 {
-			t.Fatalf("Size = %d, want 8", f.Size())
-		}
 		for a := 0; a < 8; a++ {
 			for b := 0; b < 8; b++ {
 				want := a - b
@@ -68,9 +65,6 @@ func TestMeshEdgeGeometries(t *testing.T) {
 	})
 	t.Run("Nx1 column", func(t *testing.T) {
 		f := NewAnalytic(1, 8, 1, 4)
-		if f.Size() != 8 {
-			t.Fatalf("Size = %d, want 8", f.Size())
-		}
 		// With width 1 every index is a row: distance is pure vertical hops.
 		for a := 0; a < 8; a++ {
 			for b := 0; b < 8; b++ {
@@ -86,7 +80,7 @@ func TestMeshEdgeGeometries(t *testing.T) {
 	})
 	t.Run("single node", func(t *testing.T) {
 		f := NewAnalytic(1, 1, 5, 4)
-		if f.Size() != 1 || f.Distance(0, 0) != 0 || f.Route(0, 0, 7) != 7 {
+		if f.Distance(0, 0) != 0 || f.Route(0, 0, 7) != 7 {
 			t.Error("1x1 mesh is not free to traverse")
 		}
 		if hops := f.Traffic().Hops; hops != 0 {
@@ -101,7 +95,7 @@ func TestMeshEdgeGeometries(t *testing.T) {
 			{16, 1, 15}, // degenerate row
 		} {
 			f := NewAnalytic(g.w, g.h, 1, 4)
-			last := f.Size() - 1
+			last := g.w*g.h - 1
 			if got := f.Distance(0, last); got != g.want {
 				t.Errorf("%dx%d corner distance = %d, want %d", g.w, g.h, got, g.want)
 			}
@@ -144,9 +138,6 @@ func TestMeshTraverse(t *testing.T) {
 	}
 	if hops := f.Traffic().Hops; hops != 6 {
 		t.Errorf("Hops = %d, want 6", hops)
-	}
-	if f.Size() != 16 {
-		t.Errorf("Size = %d", f.Size())
 	}
 }
 

@@ -10,7 +10,9 @@ import (
 // FuzzSim is the native fuzz target behind cmd/elsqfuzz: a 64-bit seed
 // deterministically derives a configuration point (geometry axes via the
 // config.Fields registry), a benchmark and a workload seed; the simulation
-// must pass differential-oracle certification. Run continuously with
+// must pass differential-oracle certification, and its energy report must
+// keep the accounting identity elsqfuzz checks (energy.Report.Check) under
+// whichever energy.table the point drew. Run continuously with
 //
 //	go test -fuzz=FuzzSim ./internal/oracle
 //
@@ -31,6 +33,9 @@ func FuzzSim(f *testing.F) {
 		}
 		if out.Oracle.Loads() == 0 {
 			t.Errorf("%s: certified no loads", p.Label())
+		}
+		if err := out.Energy.Check(); err != nil {
+			t.Errorf("%s: %v", p.Label(), err)
 		}
 	})
 }

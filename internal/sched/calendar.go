@@ -121,9 +121,6 @@ func (c *Calendar) Reserve(t int64) int64 {
 	}
 }
 
-// Width returns the per-cycle capacity.
-func (c *Calendar) Width() int { return int(c.width) }
-
 // Ring is a fixed-capacity FIFO of release times used to model occupancy
 // constraints (ROB, issue queues, LSQ entries): dispatching the i-th entry
 // requires the (i-capacity)-th entry's release time to have passed.

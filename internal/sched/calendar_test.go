@@ -9,9 +9,6 @@ import (
 
 func TestCalendarWidth(t *testing.T) {
 	c := NewCalendar(2, 64)
-	if c.Width() != 2 {
-		t.Fatalf("Width = %d", c.Width())
-	}
 	// Two reservations fit in cycle 5; the third spills to 6.
 	if got := c.Reserve(5); got != 5 {
 		t.Errorf("first = %d", got)

@@ -103,17 +103,24 @@ func (g Grid) Size() int {
 // Expand enumerates the grid into jobs: the cartesian product of every axis
 // (first axis slowest, last fastest), crossed with benchmarks and seeds.
 // Every expanded configuration is validated, so a bad axis value fails here
-// with the offending combination named rather than mid-run.
+// with the offending combination named rather than mid-run. Two axes over
+// one field are an error: the later would overwrite the earlier at every
+// point, so the earlier's values would never run.
 func (g Grid) Expand() ([]Job, error) {
 	if len(g.Benches) == 0 {
 		return nil, fmt.Errorf("sweep: grid has no benchmarks")
 	}
-	for _, a := range g.Axes {
+	for i, a := range g.Axes {
 		if len(a.Values) == 0 {
 			return nil, fmt.Errorf("sweep: axis %q has no values", a.Field)
 		}
 		if _, err := config.FieldByName(a.Field); err != nil {
 			return nil, err
+		}
+		for _, b := range g.Axes[:i] {
+			if b.Field == a.Field {
+				return nil, fmt.Errorf("sweep: field %q is swept by two axes (give all its values in one axis)", a.Field)
+			}
 		}
 	}
 	seeds := g.Seeds

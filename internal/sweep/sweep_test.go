@@ -101,6 +101,13 @@ func TestGridExpandEdgeCases(t *testing.T) {
 		t.Errorf("empty axis: err = %v", err)
 	}
 
+	// Two axes over one field are an error: the later would overwrite the
+	// earlier at every point.
+	_, err = (Grid{Base: base, Axes: []Axis{{Field: "ert", Values: []string{"line"}}, {Field: "ert", Values: []string{"hash"}}}, Benches: gz}).Expand()
+	if err == nil || !strings.Contains(err.Error(), `"ert"`) {
+		t.Errorf("duplicate axis field: err = %v", err)
+	}
+
 	// No benchmarks is an error.
 	if _, err := (Grid{Base: base}).Expand(); err == nil {
 		t.Error("benchless grid accepted")

@@ -54,20 +54,6 @@ func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Geometric returns a geometrically distributed int >= 1 with mean
-// approximately mean (mean must be >= 1).
-func (r *RNG) Geometric(mean float64) int {
-	if mean <= 1 {
-		return 1
-	}
-	p := 1.0 / mean
-	n := 1
-	for !r.Bool(p) && n < int(mean*20) {
-		n++
-	}
-	return n
-}
-
 // Fork returns a new generator whose stream is independent of (but
 // deterministically derived from) the parent's current state.
 func (r *RNG) Fork() *RNG {

@@ -88,22 +88,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	r := New(5)
-	var sum float64
-	const n = 50000
-	for i := 0; i < n; i++ {
-		sum += float64(r.Geometric(8))
-	}
-	mean := sum / n
-	if mean < 7 || mean > 9 {
-		t.Errorf("Geometric(8) sample mean = %v, want ~8", mean)
-	}
-	if g := r.Geometric(0.5); g != 1 {
-		t.Errorf("Geometric(<1) = %d, want 1", g)
-	}
-}
-
 func TestForkIndependence(t *testing.T) {
 	parent := New(9)
 	child := parent.Fork()

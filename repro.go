@@ -2,7 +2,7 @@
 // Queue Based on Execution Locality" (Pericàs et al., ISCA 2008): the
 // Epoch-based Load/Store Queue (ELSQ) and every substrate it needs — a
 // cycle-level FMC (Cache Processor + memory engines) timing model, cache
-// hierarchy with line locking, ERT/Bloom/SSBF filters, the SVW re-execution
+// hierarchy with line locking, ERT/SSBF filters, the SVW re-execution
 // and central/conventional LSQ baselines, and synthetic SPEC CPU 2000-like
 // workloads.
 //
