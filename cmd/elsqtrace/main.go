@@ -5,6 +5,7 @@
 // Usage:
 //
 //	elsqtrace record -bench swim -seed 1 -n 430000 -out swim.elt
+//	elsqtrace record -bench swim -outdir traces/
 //	elsqtrace record -suites int,fp -seeds 1 -outdir traces/
 //	elsqtrace info swim.elt
 //	elsqtrace verify -live swim.elt
@@ -78,12 +79,15 @@ func cmdRecord(args []string) {
 	seed := fs.Uint64("seed", 1, "workload seed for -bench")
 	seeds := fs.String("seeds", "1", "workload seeds for -suites: range lo..hi or comma list")
 	n := fs.Uint64("n", defaultBudget, "committed instructions to record per trace")
-	out := fs.String("out", "", "output file for -bench (default <bench>-s<seed>.elt)")
-	outDir := fs.String("outdir", ".", "output directory for -suites recordings")
+	out := fs.String("out", "", "output file for -bench (default <outdir>/<bench>-s<seed>.elt)")
+	outDir := fs.String("outdir", ".", "output directory for -suites recordings, and for -bench without -out")
 	fs.Parse(args)
 
 	if *n == 0 {
 		fatalf("-n must be positive")
+	}
+	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+		fatalf("%v", err)
 	}
 	switch {
 	case *bench != "":
@@ -93,7 +97,7 @@ func cmdRecord(args []string) {
 		}
 		path := *out
 		if path == "" {
-			path = trace.BenchPath(".", prof.Name, *seed)
+			path = trace.BenchPath(*outDir, prof.Name, *seed)
 		}
 		recordOne(prof, *seed, *n, path)
 	case *suites != "":
@@ -103,9 +107,6 @@ func cmdRecord(args []string) {
 		}
 		profs, err := sweep.SuiteBenches(*suites)
 		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			fatalf("%v", err)
 		}
 		for _, prof := range profs {

@@ -37,6 +37,23 @@ func TestElsqtraceRecordVerify(t *testing.T) {
 	}
 }
 
+// TestElsqtraceRecordOutdir checks that record -bench without -out writes
+// <outdir>/<bench>-s<seed>.elt, where elsqsweep -tracedir looks for it. The
+// binary runs in a temporary directory, so a recording that ignored -outdir
+// would land there and not in the source tree.
+func TestElsqtraceRecordOutdir(t *testing.T) {
+	bin := buildCmd(t, "elsqtrace")
+	dir := t.TempDir()
+	run := exec.Command(bin, "record", "-bench", "gzip", "-n", "2000", "-outdir", "traces")
+	run.Dir = dir
+	if out, err := run.CombinedOutput(); err != nil {
+		t.Fatalf("elsqtrace record exited with %v\n%s", err, out)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "traces", "gzip-s1.elt")); err != nil {
+		t.Errorf("record -bench gzip -outdir traces wrote no traces/gzip-s1.elt: %v", err)
+	}
+}
+
 // TestElsqsimFlags builds cmd/elsqsim once and checks that its config flags
 // go through the config field registry: README's two command lines and a
 // bare -model ooo run, while a misspelt value exits 2 instead of silently
@@ -66,7 +83,9 @@ func TestElsqsimFlags(t *testing.T) {
 // (only the later one's values would run), and -tracedir together with a
 // trace axis (every job would replay <tracedir>/<bench>-s<seed>.elt while
 // its row names the axis value). Both recordings exist, so only the flag
-// check can refuse the second.
+// check can refuse the second. A job that reads more instructions than its
+// 2,000-instruction recording holds is refused too, instead of running
+// past the recording.
 func TestElsqsweepFlags(t *testing.T) {
 	dir := t.TempDir()
 	rec := buildCmd(t, "elsqtrace")
@@ -86,6 +105,8 @@ func TestElsqsweepFlags(t *testing.T) {
 		{[]string{"-axis", "ert=line", "-axis", "ert=hash"}, 2},
 		{[]string{"-axis", "trace=" + filepath.Join(dir, "a", "mcf-s1.elt")}, 0},
 		{[]string{"-axis", "trace=" + filepath.Join(dir, "a", "mcf-s1.elt"), "-tracedir", filepath.Join(dir, "b")}, 2},
+		{[]string{"-tracedir", filepath.Join(dir, "a")}, 0},
+		{[]string{"-insts", "3000", "-tracedir", filepath.Join(dir, "a")}, 2},
 	} {
 		runCmd(t, bin, append([]string{"-benches", "mcf", "-insts", "100", "-warmup", "0", "-q", "-out", os.DevNull}, tc.args...), tc.exit)
 	}

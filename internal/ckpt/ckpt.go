@@ -20,7 +20,7 @@
 //   - the workload source position (workload.SourceState: committed-path
 //     RNG, kernel interior state, wrong-path synthesiser, queue surplus),
 //   - the memory hierarchy image (mem.HierarchyState: both cache levels'
-//     valid lines, LRU clocks and counters).
+//     valid lines and LRU clocks).
 //
 // Determinism contract: a simulation resumed from a Snapshot produces
 // results bit-identical to a fresh run of the same (config, benchmark,
@@ -77,12 +77,15 @@ func Key(cfg *config.Config, bench string, seed uint64) string {
 // Build runs the functional warm-up for (cfg, prof, seed) and captures the
 // resulting snapshot. It performs exactly the warm-up a fresh cpu.Sim.Run
 // would: the same source — the live generator, or a trace replay when cfg
-// is trace-driven — the same access sequence, the same hierarchy counters.
-// Trace-built snapshots carry a replay-position source state instead of
-// generator kernel state; cfg.WarmKey() folds the trace identity into the
-// store key, so the two kinds can never be confused.
+// is trace-driven — and the same access sequence. A trace shorter than the
+// warm-up is refused. Trace-built snapshots carry a replay-position source
+// state instead of generator kernel state; cfg.WarmKey() folds the trace
+// identity into the store key, so the two kinds can never be confused.
 func Build(cfg *config.Config, prof workload.Profile, seed uint64) (*Snapshot, error) {
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := trace.CheckLength(cfg, cfg.WarmupInsts); err != nil {
 		return nil, err
 	}
 	src, err := trace.SourceFor(cfg, prof, seed)

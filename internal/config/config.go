@@ -630,6 +630,9 @@ func (c *Config) baseName() string {
 	case LSQCentral:
 		return "FMC-Central"
 	case LSQSVW:
+		if c.ERT == ERTLine {
+			return "FMC-Line-SVW"
+		}
 		return "FMC-Hash-SVW"
 	case LSQELSQ:
 		name := "FMC-Line"

@@ -153,6 +153,7 @@ func TestNames(t *testing.T) {
 		{func(c *Config) { c.Model = ModelOoO; c.LSQ = LSQSVW }, "OoO-64-SVW"},
 		{func(c *Config) { c.LSQ = LSQCentral }, "FMC-Central"},
 		{func(c *Config) { c.LSQ = LSQSVW }, "FMC-Hash-SVW"},
+		{func(c *Config) { c.LSQ = LSQSVW; c.ERT = ERTLine }, "FMC-Line-SVW"},
 		{func(c *Config) { c.ERT = ERTHash; c.SQM = false }, "FMC-Hash"},
 		{func(c *Config) { c.ERT = ERTLine; c.SQM = false }, "FMC-Line"},
 		{func(c *Config) { c.ERT = ERTHash; c.SQM = true }, "FMC-Hash+SQM"},

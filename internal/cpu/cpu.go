@@ -18,7 +18,6 @@
 package cpu
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/config"
@@ -128,7 +127,7 @@ type Sim struct {
 	regReady [isa.NumRegs]int64
 
 	// cals lists every calendar the simulator owns — its own six, the
-	// memory engines' and the contended fabric's links — so run can free
+	// memory engines' and the contended fabric's links — so Run can free
 	// them all.
 	cals []*sched.Calendar
 
@@ -190,8 +189,9 @@ type Sim struct {
 	loadOp, wpOp lsq.MemOp
 	in, wpIn     isa.Inst
 
-	// ev counts every event of the run: the scheme and the SVW engine count
-	// into it too, and finish adds the totals other layers keep.
+	// ev counts every event of the run: the scheme, the SVW engine and the
+	// epoch manager count into it too, and finish adds the totals the
+	// fabric and the classifier keep.
 	ev stats.Tally
 }
 
@@ -217,7 +217,7 @@ func New(cfg config.Config, gen workload.Source) (*Sim, error) {
 		storeDist: stats.NewHistogram(30, 50),
 	}
 	// Every calendar the simulator owns is built here, at one horizon, and
-	// recorded for run to free.
+	// recorded for Run to free.
 	hor := calHorizonFor(&cfg)
 	newCal := func(width int) *sched.Calendar {
 		c := sched.NewCalendar(width, hor)
@@ -239,7 +239,7 @@ func New(cfg config.Config, gen workload.Source) (*Sim, error) {
 	// Validate admits the ELSQ only under FMC, so s.epochs is set wherever
 	// core.New runs.
 	if cfg.Model == config.ModelFMC {
-		s.epochs = fmc.NewEpochs(&cfg, fmc.PlacerFor(&cfg, s.fab), s.fab, newCal)
+		s.epochs = fmc.NewEpochs(&cfg, fmc.PlacerFor(&cfg, s.fab), s.fab, newCal, &s.ev)
 		s.wrongPathCap = 3 * cfg.ROBSize
 	} else {
 		s.wrongPathCap = cfg.ROBSize
@@ -324,76 +324,14 @@ func (s *Sim) RestoreWarmState(hs *mem.HierarchyState) error {
 // committed instructions with full timing, and returns the result. With
 // SampleIntervals > 1 the measured instructions are split into that many
 // intervals separated by SampleBleedInsts of functional fast-forward, so
-// the measurement spans several program phases.
+// the measurement spans several program phases. A Sim runs once: Run frees
+// the simulator's calendars and caches for the next simulator to reuse, so
+// a second Run panics.
 func (s *Sim) Run() *Result {
-	res, _ := s.run(nil)
-	return res
-}
-
-// RunContext runs like Run but aborts promptly when ctx is cancelled,
-// returning ctx's error and no result. Cancellation is checked between
-// bounded instruction chunks (cancelChunk) during both the functional
-// warm-up and the measured phase, so even a multi-million-instruction job
-// frees its worker within a fraction of a second of cancellation. A run
-// that completes is bit-identical to one produced by Run: the chunking
-// only changes where the simulator looks at the clock, never what it
-// simulates (Source.Warmup is contractually equivalent to the same number
-// of Next calls regardless of how the count is split).
-func (s *Sim) RunContext(ctx context.Context) (*Result, error) {
-	res, ok := s.run(ctx.Done())
-	if !ok {
-		return nil, ctx.Err()
-	}
-	return res, nil
-}
-
-// cancelChunk is the number of instructions simulated between cancellation
-// checks in RunContext. Large enough that the check is free relative to the
-// work, small enough that cancellation latency stays in the milliseconds.
-const cancelChunk = 1 << 16
-
-// canceled reports whether done (a context's Done channel, possibly nil)
-// has fired.
-func canceled(done <-chan struct{}) bool {
-	if done == nil {
-		return false
-	}
-	select {
-	case <-done:
-		return true
-	default:
-		return false
-	}
-}
-
-// warm advances the committed path n instructions functionally. With a
-// cancellation channel the advance is split into cancelChunk pieces —
-// equivalent by the Source.Warmup contract — so a long warm-up can abort.
-// It reports false if cancellation fired.
-func (s *Sim) warm(n uint64, access func(addr uint64), done <-chan struct{}) bool {
-	for done != nil && n > cancelChunk {
-		s.gen.Warmup(cancelChunk, access)
-		n -= cancelChunk
-		if canceled(done) {
-			return false
-		}
-	}
-	s.gen.Warmup(n, access)
-	return !canceled(done)
-}
-
-// run is the shared body of Run and RunContext: the functional warm-up
-// (skipped after RestoreWarmState), then each sampling interval, every one
-// after the first preceded by its functional bleed, stepped in cancelChunk
-// pieces. It reports ok=false (and a nil result) if done fired before the
-// measured phase completed. A Sim runs once: whichever way run returns, it
-// frees the simulator's calendars and caches for the next simulator to
-// reuse, so a second Run panics.
-func (s *Sim) run(done <-chan struct{}) (res *Result, ok bool) {
 	defer s.free()
 	access := func(addr uint64) { s.hier.Access(addr) }
-	if !s.warmed && !s.warm(s.cfg.WarmupInsts, access, done) {
-		return nil, false
+	if !s.warmed {
+		s.gen.Warmup(s.cfg.WarmupInsts, access)
 	}
 	// Measurement starts here: finish reports only the fabric traffic
 	// after this snapshot (the warm-up is functional, so today it is zero).
@@ -403,23 +341,15 @@ func (s *Sim) run(done <-chan struct{}) (res *Result, ok bool) {
 	target := s.cfg.MaxInsts - per*(intervals-1) // the first interval absorbs the remainder
 	for k := uint64(0); k < intervals; k++ {
 		if k > 0 {
-			if !s.warm(s.cfg.SampleBleedInsts, access, done) {
-				return nil, false
-			}
+			s.gen.Warmup(s.cfg.SampleBleedInsts, access)
 			target += per
 		}
 		for s.committed < target {
-			limit := min(target, s.committed+cancelChunk)
-			for s.committed < limit {
-				s.gen.Next(&s.in)
-				s.step(&s.in)
-			}
-			if canceled(done) {
-				return nil, false
-			}
+			s.gen.Next(&s.in)
+			s.step(&s.in)
 		}
 	}
-	return s.finish(fabAtMeasure), true
+	return s.finish(fabAtMeasure)
 }
 
 // free hands the simulator's calendar rings and cache lines to the next
@@ -458,8 +388,9 @@ func (s *Sim) finish(fabStart noc.Traffic) *Result {
 		StoreDist: s.storeDist,
 		Activity:  new(stats.Counters),
 	}
-	// The fabric, the epoch manager and the SSBF keep their own totals;
-	// copy them into the tally alongside the events counted in place.
+	// The fabric and the classifier keep their own totals; copy them into
+	// the tally alongside the events counted in place. place_steals is a
+	// second name for epoch_steal.
 	ev := &s.ev
 	fs := s.fab.Traffic().Sub(fabStart)
 	ev[stats.NoCHops] = fs.Hops
@@ -468,16 +399,8 @@ func (s *Sim) finish(fabStart noc.Traffic) *Result {
 	ev[stats.NoCMigrateFlit] = fs.MigrateFlits
 	ev[stats.NoCLinkWait] = fs.LinkWaitCycles
 	ev[stats.NoCBusWait] = fs.BusWaitCycles
-	if s.svwEng != nil {
-		ev[stats.SSBFRead] = s.svwEng.SSBFReads()
-		ev[stats.SSBFWrite] = s.svwEng.SSBFWrites()
-	}
+	ev[stats.PlaceSteals] = ev[stats.EpochSteal]
 	if s.cfg.Model == config.ModelFMC {
-		ev[stats.EpochOpen] = s.epochs.Opened
-		ev[stats.EpochSteal] = s.epochs.Steals
-		ev[stats.EpochRelease] = s.epochs.Releases
-		ev[stats.MEIssue] = s.epochs.Issues
-		ev[stats.PlaceSteals] = s.epochs.Steals
 		res.LLIdleFrac = float64(s.llIdle) / float64(cycles)
 		// Mean allocated epochs over the cycles the MP is active (the
 		// paper's "when the Memory Processor is active, not necessarily

@@ -9,7 +9,7 @@ import (
 )
 
 // TestWarmupTrafficExcludedFromCounters is the regression test for the
-// fabric snapshot in Sim.run: traffic that flows before measurement
+// fabric snapshot in Sim.Run: traffic that flows before measurement
 // starts (historically the never-reset Mesh.Hops leaked warm-up hops into
 // results) must not appear in the reported interconnect counters. We inject
 // synthetic pre-measurement traffic directly on a fresh Sim's fabric and

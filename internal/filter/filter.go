@@ -200,8 +200,6 @@ type ssbfEntry struct {
 type SSBF struct {
 	bitsN   int
 	entries []ssbfEntry
-	// Writes and Reads count accesses for the Table 2 "SSBF" column.
-	Writes, Reads uint64
 }
 
 // NewSSBF returns an SSBF with 2^nbits entries.
@@ -217,14 +215,12 @@ func NewSSBF(nbits int) *SSBF {
 // so the zero value means "never written".
 func (s *SSBF) CommitStore(addr uint64, seq uint64, commit int64) {
 	AssertCommittedPath(seq, "ssbf commit-store")
-	s.Writes++
 	s.entries[HashIndex(addr, s.bitsN)] = ssbfEntry{seq: seq + 1, commit: commit}
 }
 
 // LastStore returns the sequence number and commit cycle of the youngest
 // committed store that hashes with addr, and whether any exists.
 func (s *SSBF) LastStore(addr uint64) (seq uint64, commit int64, ok bool) {
-	s.Reads++
 	e := s.entries[HashIndex(addr, s.bitsN)]
 	if e.seq == 0 {
 		return 0, 0, false

@@ -148,9 +148,6 @@ func TestSSBF(t *testing.T) {
 	if seq != 99 || commit != 123 {
 		t.Errorf("LastStore = %d@%d, want 99@123", seq, commit)
 	}
-	if s.Writes != 2 || s.Reads != 3 {
-		t.Errorf("counters = %d/%d", s.Writes, s.Reads)
-	}
 	if s.Entries() != 1024 {
 		t.Errorf("Entries = %d", s.Entries())
 	}

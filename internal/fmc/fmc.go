@@ -12,6 +12,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/noc"
 	"repro/internal/sched"
+	"repro/internal/stats"
 )
 
 // epochInfo tracks one virtual epoch from open to release.
@@ -83,15 +84,9 @@ type Epochs struct {
 	// bankActive accumulates the same per bank, for the Figure 11
 	// per-engine residency / power-down claim.
 	bankActive []int64
-	// Steals counts epochs placed off their mod-N home bank.
-	Steals uint64
-	// Opened counts epochs ever opened.
-	Opened uint64
-	// Releases counts epochs released (fully committed or force-closed) and
-	// Issues counts engine issue-slot reservations; both feed the energy
-	// model's epoch-lifecycle and engine-activity actions.
-	Releases uint64
-	Issues   uint64
+	// ev counts every epoch opened, stolen (placed off its mod-N home bank)
+	// and released, and every engine issue-slot reservation.
+	ev *stats.Tally
 	// lastReleased is the most recently released virtual epoch (-1 before
 	// the first release). Epochs are age-partitioned, so releases must be
 	// strictly monotonic in the virtual id; release asserts this.
@@ -103,8 +98,9 @@ type Epochs struct {
 // charges epoch-state migration when the pick is off the home bank (nil =
 // free moves). alloc builds each engine's issue calendar — the pipeline
 // model passes one at its own calendar horizon that also records the
-// calendar for freeing; nil uses sched.DefaultHorizon.
-func NewEpochs(cfg *config.Config, placer Placer, fab noc.Fabric, alloc func(width int) *sched.Calendar) *Epochs {
+// calendar for freeing; nil uses sched.DefaultHorizon. The manager counts
+// its events into ev.
+func NewEpochs(cfg *config.Config, placer Placer, fab noc.Fabric, alloc func(width int) *sched.Calendar, ev *stats.Tally) *Epochs {
 	if placer == nil {
 		placer = ModN{}
 	}
@@ -128,6 +124,7 @@ func NewEpochs(cfg *config.Config, placer Placer, fab noc.Fabric, alloc func(wid
 		prevBank:     -1,
 		bankActive:   make([]int64, cfg.NumEpochs),
 		lastReleased: -1,
+		ev:           ev,
 	}
 	for i := range e.cal {
 		e.cal[i] = alloc(cfg.MEIssueWidth)
@@ -189,7 +186,7 @@ func (e *Epochs) Assign(exec, load, store bool, seq uint64, t int64) (v int64, e
 		if home := e.Physical(v); p != home {
 			// Stolen: the epoch's state block must travel from its home
 			// bank to the host, charging real mesh bandwidth.
-			e.Steals++
+			e.ev[stats.EpochSteal]++
 			if e.fab != nil {
 				enterAt = e.fab.MigrateState(home, p, EpochStateFlits, enterAt)
 			}
@@ -200,7 +197,7 @@ func (e *Epochs) Assign(exec, load, store bool, seq uint64, t int64) (v int64, e
 		e.curr = v
 		e.execs, e.loads, e.stores = 0, 0, 0
 		e.currInfo = epochInfo{open: enterAt}
-		e.Opened++
+		e.ev[stats.EpochOpen]++
 	} else {
 		v = e.curr
 	}
@@ -230,7 +227,7 @@ func (e *Epochs) release(v int64) Release {
 	e.bankFree[p] = inf.lastCommit
 	e.ActiveCycleSum += inf.lastCommit - inf.open
 	e.bankActive[p] += inf.lastCommit - inf.open
-	e.Releases++
+	e.ev[stats.EpochRelease]++
 	e.curr = -1
 	return Release{V: v, At: inf.lastCommit, OK: true}
 }
@@ -238,7 +235,7 @@ func (e *Epochs) release(v int64) Release {
 // Issue reserves an issue slot on epoch v's engine at the earliest cycle >=
 // ready respecting the engine's issue width.
 func (e *Epochs) Issue(v int64, ready int64) int64 {
-	e.Issues++
+	e.ev[stats.MEIssue]++
 	return e.cal[e.Bank(v)].Reserve(ready)
 }
 

@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/stats"
 )
 
 func newEpochs(t *testing.T) *Epochs {
 	t.Helper()
 	cfg := config.Default()
-	return NewEpochs(&cfg, nil, nil, nil)
+	return NewEpochs(&cfg, nil, nil, nil, new(stats.Tally))
 }
 
 func TestAssignFillsEpochByExecBudget(t *testing.T) {
@@ -69,7 +70,7 @@ func TestBankReuseWaitsForCommit(t *testing.T) {
 	cfg := config.Default()
 	cfg.NumEpochs = 2
 	cfg.EpochMaxInsts = 1
-	e := NewEpochs(&cfg, nil, nil, nil)
+	e := NewEpochs(&cfg, nil, nil, nil, new(stats.Tally))
 	// Epoch 0: one inst, committed at t=1000.
 	v0, _, _ := e.Assign(true, false, false, 1, 0)
 	e.Committed(v0, 1, 1000)
@@ -104,7 +105,8 @@ func TestIssueWidth(t *testing.T) {
 func TestActiveCycleAccounting(t *testing.T) {
 	cfg := config.Default()
 	cfg.EpochMaxInsts = 2
-	e := NewEpochs(&cfg, nil, nil, nil)
+	var ev stats.Tally
+	e := NewEpochs(&cfg, nil, nil, nil, &ev)
 	v, enter, _ := e.Assign(true, false, false, 1, 10)
 	if enter != 10 {
 		t.Fatalf("enter = %d", enter)
@@ -120,8 +122,8 @@ func TestActiveCycleAccounting(t *testing.T) {
 	if e.ActiveCycleSum != 50 { // 60 - 10
 		t.Errorf("ActiveCycleSum = %d, want 50", e.ActiveCycleSum)
 	}
-	if e.Opened != 2 {
-		t.Errorf("Opened = %d", e.Opened)
+	if ev[stats.EpochOpen] != 2 || ev[stats.EpochRelease] != 1 {
+		t.Errorf("epoch_open %d, epoch_release %d, want 2 and 1", ev[stats.EpochOpen], ev[stats.EpochRelease])
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/noc"
+	"repro/internal/stats"
 	"repro/internal/xrand"
 )
 
@@ -23,7 +24,7 @@ func TestBankReuseStallsSmallBanks(t *testing.T) {
 		cfg := config.Default()
 		cfg.NumEpochs = n
 		cfg.EpochMaxInsts = 1
-		e := NewEpochs(&cfg, nil, nil, nil)
+		e := NewEpochs(&cfg, nil, nil, nil, new(stats.Tally))
 		var seq uint64
 		// Fill every bank once; each epoch lands on a never-used bank, so
 		// none may stall.
@@ -60,7 +61,7 @@ func TestActiveCycleSumSurvivesCloseAll(t *testing.T) {
 	cfg := config.Default()
 	cfg.NumEpochs = 2
 	cfg.EpochMaxInsts = 1
-	e := NewEpochs(&cfg, nil, nil, nil)
+	e := NewEpochs(&cfg, nil, nil, nil, new(stats.Tally))
 	v0, enter0, _ := e.Assign(true, false, false, 1, 10)
 	e.Committed(v0, 1, 500)
 	v1, enter1, _ := e.Assign(true, false, false, 2, 20)
@@ -104,7 +105,7 @@ func TestEnterAtRespectsBankFree(t *testing.T) {
 			cfg.NumEpochs = 4
 			cfg.EpochMaxInsts = 1
 			fab := analyticFab(4, 1)
-			e := NewEpochs(&cfg, pol.mk(fab), fab, nil)
+			e := NewEpochs(&cfg, pol.mk(fab), fab, nil, new(stats.Tally))
 			r := xrand.New(7)
 			shadow := make([]int64, 4) // bank -> commit time of its last occupant
 			var seq uint64
@@ -136,7 +137,8 @@ func TestModNNeverSteals(t *testing.T) {
 	cfg := config.Default()
 	cfg.EpochMaxInsts = 1
 	fab := analyticFab(4, 4)
-	e := NewEpochs(&cfg, ModN{}, fab, nil)
+	var ev stats.Tally
+	e := NewEpochs(&cfg, ModN{}, fab, nil, &ev)
 	r := xrand.New(3)
 	var seq uint64
 	now := int64(0)
@@ -149,8 +151,8 @@ func TestModNNeverSteals(t *testing.T) {
 		}
 		e.Committed(v, seq, enterAt+int64(1+r.Intn(100)))
 	}
-	if e.Steals != 0 {
-		t.Fatalf("mod-N stole %d times", e.Steals)
+	if ev[stats.EpochSteal] != 0 || ev[stats.EpochOpen] != 200 {
+		t.Fatalf("mod-N stole %d of %d epochs", ev[stats.EpochSteal], ev[stats.EpochOpen])
 	}
 	if tr := fab.Traffic(); tr.MigrateFlits != 0 || tr.Hops != 0 {
 		t.Fatalf("mod-N charged migration traffic: %+v", tr)
@@ -164,7 +166,8 @@ func TestStealChargesMigration(t *testing.T) {
 	cfg.NumEpochs = 2
 	cfg.EpochMaxInsts = 1
 	fab := analyticFab(2, 1)
-	e := NewEpochs(&cfg, &Steal{Fab: fab}, fab, nil)
+	var ev stats.Tally
+	e := NewEpochs(&cfg, &Steal{Fab: fab}, fab, nil, &ev)
 	// Epoch 0 on home bank 0, busy until 1000.
 	v0, _, _ := e.Assign(true, false, false, 1, 0)
 	e.Committed(v0, 1, 1000)
@@ -176,8 +179,8 @@ func TestStealChargesMigration(t *testing.T) {
 	if b := e.Bank(v2); b != 1 {
 		t.Fatalf("epoch 2 placed on bank %d, want stolen bank 1", b)
 	}
-	if e.Steals != 1 {
-		t.Fatalf("Steals = %d, want 1", e.Steals)
+	if ev[stats.EpochSteal] != 1 {
+		t.Fatalf("epoch_steal = %d, want 1", ev[stats.EpochSteal])
 	}
 	// Analytic migration of 8 flits over 1 hop at cost 1: 20 + 1 + 7 = 28.
 	if enterAt != 28 {

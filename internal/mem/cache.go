@@ -46,8 +46,6 @@ type Cache struct {
 	// replacement order exactly — victims are only ever chosen within a
 	// set, so cross-set rank collisions are harmless.
 	useClock uint32
-	// Accesses and Misses count every lookup and every miss.
-	Accesses, Misses uint64
 }
 
 // NewCache builds a cache from its geometry. It panics on degenerate
@@ -144,7 +142,6 @@ func (c *Cache) Lookup(addr uint64) (LineSlot, bool) {
 // does NOT allocate; callers use Allocate so fills from the next level are
 // explicit.
 func (c *Cache) Access(addr uint64) (LineSlot, bool) {
-	c.Accesses++
 	c.tick()
 	set := int(c.setIndex(addr))
 	tagv := mkTagv(c.tagOf(addr))
@@ -157,7 +154,6 @@ func (c *Cache) Access(addr uint64) (LineSlot, bool) {
 			return LineSlot{Set: set, Way: w}, true
 		}
 	}
-	c.Misses++
 	return LineSlot{}, false
 }
 
@@ -277,12 +273,4 @@ func (c *Cache) LockedInSet(addr uint64) int {
 		}
 	}
 	return n
-}
-
-// MissRate returns Misses/Accesses (0 when idle).
-func (c *Cache) MissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
 }

@@ -34,9 +34,6 @@ type Hierarchy struct {
 	L1, L2 *Cache
 	// Latencies per level.
 	l1Lat, l2Lat, memLat int
-	// L1Accesses counts data-cache accesses for the paper's Table 2 "Cache"
-	// column (loads issued + stores committed + re-executions).
-	L1Accesses uint64
 }
 
 // NewHierarchy builds the hierarchy from a full processor configuration.
@@ -61,7 +58,6 @@ func (h *Hierarchy) Free() {
 // that satisfied it and the access latency in cycles. Lines are allocated in
 // both levels on miss (write-allocate, inclusive).
 func (h *Hierarchy) Access(addr uint64) (Level, int) {
-	h.L1Accesses++
 	if _, hit := h.L1.Access(addr); hit {
 		return LevelL1, h.l1Lat
 	}
@@ -74,8 +70,9 @@ func (h *Hierarchy) Access(addr uint64) (Level, int) {
 	return LevelMem, h.memLat
 }
 
-// Probe reports which level currently holds addr without perturbing LRU or
-// counters. Used by the workload calibration tests.
+// Probe reports which level currently holds addr without perturbing LRU.
+// The pipeline's SVW re-execution uses it to price a commit-time re-read,
+// and the workload calibration tests to classify references.
 func (h *Hierarchy) Probe(addr uint64) Level {
 	if _, hit := h.L1.Lookup(addr); hit {
 		return LevelL1

@@ -4,8 +4,10 @@ package mem
 // serialisable images of the warm memory state a functional warm-up leaves
 // behind. Restoring them onto a freshly built hierarchy of identical
 // geometry is bit-equivalent to replaying the warm-up's access sequence —
-// lines, LRU ticks, the use clock and the hit/miss counters all carry over,
-// so a resumed simulation observes exactly the caches a fresh run would.
+// lines, LRU ticks and the use clock all carry over, so a resumed
+// simulation observes exactly the caches a fresh run would. The caches
+// count no events (the pipeline counts into the simulation's tally), so
+// an image holds no counters; older images' counter fields are ignored.
 //
 // An image lists valid lines only. That loses nothing: only fill and
 // SetState write a line, so a filled line never becomes invalid again, and
@@ -34,9 +36,6 @@ type CacheState struct {
 	LineBytes int `json:"line_bytes"`
 	// UseClock is the LRU clock.
 	UseClock uint32 `json:"use_clock"`
-	// Accesses and Misses are the lookup/miss counters.
-	Accesses uint64 `json:"accesses"`
-	Misses   uint64 `json:"misses"`
 	// Valid is the validity bitmap, one bit per line slot in set-major
 	// order: slot i is bit i%8 of byte i/8. Bits past the last slot are
 	// zero.
@@ -65,8 +64,6 @@ func (c *Cache) State() *CacheState {
 		Ways:      c.ways,
 		LineBytes: c.cfg.LineBytes,
 		UseClock:  c.useClock,
-		Accesses:  c.Accesses,
-		Misses:    c.Misses,
 		Valid:     make([]byte, validBytes(len(c.lines))),
 		Lines:     make([]byte, 0, n*lineStateBytes),
 	}
@@ -138,8 +135,6 @@ func (c *Cache) SetState(st *CacheState) error {
 		}
 	}
 	c.useClock = st.UseClock
-	c.Accesses = st.Accesses
-	c.Misses = st.Misses
 	return nil
 }
 
@@ -147,16 +142,14 @@ func (c *Cache) SetState(st *CacheState) error {
 type HierarchyState struct {
 	L1 *CacheState `json:"l1"`
 	L2 *CacheState `json:"l2"`
-	// L1Accesses is the hierarchy-level data-cache access counter.
-	L1Accesses uint64 `json:"l1_accesses"`
 }
 
-// State captures both cache levels and the hierarchy counters.
+// State captures both cache levels.
 func (h *Hierarchy) State() *HierarchyState {
-	return &HierarchyState{L1: h.L1.State(), L2: h.L2.State(), L1Accesses: h.L1Accesses}
+	return &HierarchyState{L1: h.L1.State(), L2: h.L2.State()}
 }
 
-// SetState restores both cache levels and the hierarchy counters.
+// SetState restores both cache levels.
 func (h *Hierarchy) SetState(st *HierarchyState) error {
 	if st == nil || st.L1 == nil || st.L2 == nil {
 		return fmt.Errorf("mem: incomplete hierarchy state")
@@ -167,6 +160,5 @@ func (h *Hierarchy) SetState(st *HierarchyState) error {
 	if err := h.L2.SetState(st.L2); err != nil {
 		return fmt.Errorf("L2: %w", err)
 	}
-	h.L1Accesses = st.L1Accesses
 	return nil
 }

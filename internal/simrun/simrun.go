@@ -84,8 +84,12 @@ type Outcome struct {
 	CkptBuilt bool
 }
 
-// effectiveConfig folds the point's overrides into its config and resolves
-// the trace digest, returning the exact configuration the simulator runs.
+// effectiveConfig folds the point's overrides into its config, resolves
+// the trace digest and checks the point, returning the exact configuration
+// the simulator runs. A trace must hold the warm-up, the measured
+// instructions and the sample bleeds; checking before any snapshot is
+// resolved keeps a point that outruns its recording from failing a shared
+// warm-up build that other points wait on.
 func (p *Point) effectiveConfig() (config.Config, error) {
 	cfg := p.Config
 	if p.Bench == "" {
@@ -103,15 +107,23 @@ func (p *Point) effectiveConfig() (config.Config, error) {
 	if err := cfg.Validate(); err != nil {
 		return cfg, err
 	}
+	need := cfg.WarmupInsts + cfg.MaxInsts + uint64(cfg.SampleIntervals-1)*cfg.SampleBleedInsts
+	if err := trace.CheckLength(&cfg, need); err != nil {
+		return cfg, err
+	}
 	if p.Oracle && p.Observer != nil {
 		return cfg, fmt.Errorf("simrun: Oracle and Observer are mutually exclusive")
 	}
 	return cfg, nil
 }
 
-// Run executes the point to completion. A nil ctx disables cancellation;
-// on cancellation Run returns ctx's error and no outcome.
+// Run executes the point to completion. A non-nil ctx that is already done
+// fails the point before any work starts; a simulation that has started
+// runs to the end.
 func (p Point) Run(ctx context.Context) (*Outcome, error) {
+	if ctx != nil && ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
 	cfg, err := p.effectiveConfig()
 	if err != nil {
 		return nil, err
@@ -141,15 +153,7 @@ func (p Point) Run(ctx context.Context) (*Outcome, error) {
 		return nil, err
 	}
 	p.attach(sim, out)
-	if ctx == nil {
-		out.Result = sim.Run()
-	} else {
-		res, err := sim.RunContext(ctx)
-		if err != nil {
-			return nil, err
-		}
-		out.Result = res
-	}
+	out.Result = sim.Run()
 	if out.Energy, err = energy.Compute(&cfg, out.Result); err != nil {
 		return nil, err
 	}

@@ -27,8 +27,8 @@ type Engine struct {
 	ev      *stats.Tally
 }
 
-// New builds an SVW engine with a 2^bits-entry SSBF, counting its
-// re-execution decisions into ev.
+// New builds an SVW engine with a 2^bits-entry SSBF, counting its SSBF
+// reads and writes and its re-execution decisions into ev.
 func New(bits int, variant config.SVWVariant, ev *stats.Tally) *Engine {
 	return &Engine{ssbf: filter.NewSSBF(bits), variant: variant, ev: ev}
 }
@@ -36,18 +36,12 @@ func New(bits int, variant config.SVWVariant, ev *stats.Tally) *Engine {
 // Variant returns the configured filtering variant.
 func (e *Engine) Variant() config.SVWVariant { return e.variant }
 
-// SSBFReads returns the filter's read (vulnerability-test) count; the
-// energy model prices reads and writes separately.
-func (e *Engine) SSBFReads() uint64 { return e.ssbf.Reads }
-
-// SSBFWrites returns the filter's write (store-commit update) count.
-func (e *Engine) SSBFWrites() uint64 { return e.ssbf.Writes }
-
 // StoreCommitted records a store's commit: its program-order sequence
 // number and commit cycle are written into its SSBF entry atomically, so
 // the vulnerability test always compares a single store's sequence number
 // against that same store's commit cycle.
 func (e *Engine) StoreCommitted(addr uint64, seq uint64, commitCycle int64) {
+	e.ev[stats.SSBFWrite]++
 	e.ssbf.CommitStore(addr, seq, commitCycle)
 }
 
@@ -65,6 +59,7 @@ func (e *Engine) StoreCommitted(addr uint64, seq uint64, commitCycle int64) {
 func (e *Engine) LoadCommitting(ld *lsq.MemOp) bool {
 	filter.AssertIndexable(ld.Addr, ld.Size, "svw load commit")
 	filter.AssertCommittedPath(ld.Seq, "svw load commit")
+	e.ev[stats.SSBFRead]++
 	seq, commit, ok := e.ssbf.LastStore(ld.Addr)
 	if !ok {
 		return false

@@ -171,12 +171,13 @@ func TestEntryPairsSeqWithItsOwnCommitCycle(t *testing.T) {
 }
 
 func TestSSBFAccessCounting(t *testing.T) {
-	e := New(10, config.SVWCheckStores, new(stats.Tally))
+	var ev stats.Tally
+	e := New(10, config.SVWCheckStores, &ev)
 	e.StoreCommitted(0x40, 5, 5)
 	ld := &lsq.MemOp{Seq: 3, Addr: 0x40, Size: 8, Issued: 1, UnresolvedOlderStore: true}
 	e.LoadCommitting(ld)
-	if e.SSBFReads() != 1 || e.SSBFWrites() != 1 {
-		t.Errorf("SSBF reads %d, writes %d, want 1 each", e.SSBFReads(), e.SSBFWrites())
+	if ev[stats.SSBFRead] != 1 || ev[stats.SSBFWrite] != 1 {
+		t.Errorf("SSBF reads %d, writes %d, want 1 each", ev[stats.SSBFRead], ev[stats.SSBFWrite])
 	}
 	if e.Variant() != config.SVWCheckStores {
 		t.Error("variant lost")

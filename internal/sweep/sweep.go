@@ -16,7 +16,6 @@
 package sweep
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -249,7 +248,7 @@ func (r *Runner) Run(jobs []Job) ([]Outcome, Stats, error) {
 				}
 				s := pending[n]
 				p := simrun.Point{Config: s.job.Config, Bench: s.job.Bench.Name, Seed: s.job.Seed, Ckpt: ckpts}
-				if out, err := p.Run(context.Background()); err != nil {
+				if out, err := p.Run(nil); err != nil {
 					s.err = fmt.Errorf("%s/%s: %w", s.job.Config.Name(), s.job.Bench.Name, err)
 				} else {
 					s.res = out.Result

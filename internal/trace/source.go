@@ -18,10 +18,9 @@ import (
 // Replay is bit-identical to the live source the trace was recorded from:
 // the committed path is the recorded stream, and the wrong-path
 // synthesiser starts from the recorded initial state and observes the same
-// committed memory references. A Source that runs past the recording falls
-// back to live generation of the same (benchmark, seed) — correct, but it
-// pays a one-time fast-forward over the recorded prefix and requires the
-// benchmark to exist in this build.
+// committed memory references. A run never reads past its recording
+// (CheckLength refuses a trace shorter than the run), so reading past it
+// panics.
 type Source struct {
 	t  *Trace
 	wp *workload.WrongPathSynth
@@ -29,8 +28,6 @@ type Source struct {
 	pos      uint64     // next record index (== instructions consumed)
 	buf      []isa.Inst // current block, shared via Trace.Block — never written
 	bufStart uint64     // record index of buf[0]; len(buf) == 0 means no block loaded
-	// over generates instructions past the recording (lazily built).
-	over *workload.Generator
 }
 
 // Source returns a fresh replay cursor at the start of the trace. The
@@ -56,8 +53,13 @@ func (s *Source) Suite() workload.Suite { return s.t.meta.Suite }
 // The trace was fully verified at Source construction and the file image is
 // immutable in memory, so a decode failure here is unreachable short of
 // memory corruption — it panics rather than returning an error the Source
-// interface has no channel for.
+// interface has no channel for. So does a read past the recording, which
+// CheckLength keeps out of every run.
 func (s *Source) loadBlock(pos uint64) {
+	if pos >= s.t.meta.Records {
+		panic(fmt.Sprintf("trace: read of instruction %d past the %d-instruction recording of %s",
+			pos, s.t.meta.Records, s.t.meta.Bench))
+	}
 	i := s.t.blockFor(pos)
 	buf, err := s.t.Block(i)
 	if err != nil {
@@ -72,20 +74,13 @@ func (s *Source) inBuf(pos uint64) bool {
 	return len(s.buf) > 0 && pos >= s.bufStart && pos < s.bufStart+uint64(len(s.buf))
 }
 
-// Next implements workload.Source.
+// Next implements workload.Source. It panics past the recording.
 func (s *Source) Next(out *isa.Inst) {
-	if s.pos < s.t.meta.Records {
-		if !s.inBuf(s.pos) {
-			s.loadBlock(s.pos)
-		}
-		*out = s.buf[s.pos-s.bufStart]
-		s.pos++
-		if out.IsMem() {
-			s.wp.NoteMem(out.Addr)
-		}
-		return
+	if !s.inBuf(s.pos) {
+		s.loadBlock(s.pos)
 	}
-	s.overflow().Next(out)
+	*out = s.buf[s.pos-s.bufStart]
+	s.pos++
 	if out.IsMem() {
 		s.wp.NoteMem(out.Addr)
 	}
@@ -97,8 +92,9 @@ func (s *Source) WrongPath(out *isa.Inst) { s.wp.WrongPath(out) }
 // Warmup implements workload.Source in count mode: records are walked in
 // the block buffer — counted, memory references fed to access and the
 // wrong-path ring — without being copied out one instruction at a time.
+// It panics past the recording.
 func (s *Source) Warmup(n uint64, access func(addr uint64)) {
-	for n > 0 && s.pos < s.t.meta.Records {
+	for n > 0 {
 		if !s.inBuf(s.pos) {
 			s.loadBlock(s.pos)
 		}
@@ -117,45 +113,11 @@ func (s *Source) Warmup(n uint64, access func(addr uint64)) {
 		s.pos += span
 		n -= span
 	}
-	if n > 0 {
-		var in isa.Inst
-		for i := uint64(0); i < n; i++ {
-			s.Next(&in)
-			if in.IsMem() {
-				access(in.Addr)
-			}
-		}
-	}
 }
 
-// overflow returns the past-the-recording generator, building it on first
-// use: the benchmark is reconstructed live and fast-forwarded over the
-// recorded prefix.
-func (s *Source) overflow() *workload.Generator {
-	if s.over == nil {
-		prof, err := workload.ByName(s.t.meta.Bench)
-		if err != nil {
-			panic(fmt.Sprintf("trace: %d-instruction recording of %q exhausted and the benchmark is not in this build: %v",
-				s.t.meta.Records, s.t.meta.Bench, err))
-		}
-		s.over = prof.New(s.t.meta.Seed)
-		var tmp isa.Inst
-		for i := uint64(0); i < s.t.meta.Records; i++ {
-			s.over.Next(&tmp)
-		}
-	}
-	return s.over
-}
-
-// Snapshot implements workload.Snapshottable. Within the recording the
-// state is the position plus the wrong-path synthesiser; past it, the
-// overflow generator's state is complete.
+// Snapshot implements workload.Snapshottable: the position plus the
+// wrong-path synthesiser.
 func (s *Source) Snapshot() *workload.SourceState {
-	if s.over != nil {
-		st := s.over.Snapshot()
-		s.wp.CaptureTo(st)
-		return st
-	}
 	st := &workload.SourceState{
 		Version:  workload.StateVersion,
 		Bench:    s.t.meta.Bench,
@@ -166,10 +128,8 @@ func (s *Source) Snapshot() *workload.SourceState {
 	return st
 }
 
-// Restore implements workload.Snapshottable. Snapshots within the recording
-// restore by an O(1) seek (one block decode on the next read); snapshots
-// past it restore onto the overflow generator using the snapshot's kernel
-// state.
+// Restore implements workload.Snapshottable by an O(1) seek (one block
+// decode on the next read). A position past the recording is refused.
 func (s *Source) Restore(st *workload.SourceState) error {
 	switch {
 	case st.Version != workload.StateVersion:
@@ -178,29 +138,14 @@ func (s *Source) Restore(st *workload.SourceState) error {
 		return fmt.Errorf("trace: snapshot of %q cannot restore trace of %q", st.Bench, s.t.meta.Bench)
 	case st.Seed != s.t.meta.Seed:
 		return fmt.Errorf("trace: snapshot of %s seed %d cannot restore seed %d", st.Bench, st.Seed, s.t.meta.Seed)
+	case st.Consumed > s.t.meta.Records:
+		return fmt.Errorf("trace: snapshot of %s at instruction %d is past the %d-instruction recording",
+			st.Bench, st.Consumed, s.t.meta.Records)
 	}
 	if err := s.wp.RestoreFrom(st); err != nil {
 		return err
 	}
-	if st.Consumed <= s.t.meta.Records {
-		s.pos = st.Consumed
-		s.over = nil
-		return nil
-	}
-	if st.Kernel == nil {
-		return fmt.Errorf("trace: snapshot of %s at %d exceeds the %d-instruction recording and has no kernel state",
-			st.Bench, st.Consumed, s.t.meta.Records)
-	}
-	prof, err := workload.ByName(s.t.meta.Bench)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	over := prof.New(s.t.meta.Seed)
-	if err := over.Restore(st); err != nil {
-		return err
-	}
-	s.pos = s.t.meta.Records
-	s.over = over
+	s.pos = st.Consumed
 	return nil
 }
 
@@ -240,6 +185,22 @@ func SourceFor(cfg *config.Config, prof workload.Profile, seed uint64) (workload
 			cfg.TracePath, m.Digest, cfg.TraceDigest)
 	}
 	return t.Source()
+}
+
+// CheckLength returns an error when cfg is trace-driven and its recording
+// holds fewer than the n instructions the caller reads from it.
+func CheckLength(cfg *config.Config, n uint64) error {
+	if cfg.TracePath == "" {
+		return nil
+	}
+	t, err := Cached(cfg.TracePath)
+	if err != nil {
+		return err
+	}
+	if have := t.Meta().Records; have < n {
+		return fmt.Errorf("trace: %s records %d instructions, the run reads %d", cfg.TracePath, have, n)
+	}
+	return nil
 }
 
 // Resolve stamps cfg.TraceDigest from the file at cfg.TracePath (a no-op

@@ -196,13 +196,13 @@ func TestSnapshotRestore(t *testing.T) {
 }
 
 // TestRestoreRejectsOutOfRangeRecentPos: a corrupt wrong-path ring position
-// must fail Restore with an error, within the recording and past it, not
+// must fail Restore with an error, inside the recording and at its end, not
 // restore cleanly and panic on the next instruction.
 func TestRestoreRejectsOutOfRangeRecentPos(t *testing.T) {
-	tr := mustOpen(t, record(t, "mcf", 1, 3000, 256))
+	tr := mustOpen(t, record(t, "mcf", 1, 3500, 256))
 	a := mustSource(t, tr)
 	var in isa.Inst
-	for i := 0; i < 3500; i++ { // past the recording: the snapshot carries kernel state
+	for i := 0; i < 3500; i++ {
 		a.Next(&in)
 		if i == 1234 {
 			st := a.Snapshot()
@@ -215,42 +215,7 @@ func TestRestoreRejectsOutOfRangeRecentPos(t *testing.T) {
 	st := a.Snapshot()
 	st.RecentPos = -1
 	if err := mustSource(t, tr).Restore(st); err == nil {
-		t.Error("restore accepted recent_pos -1 past the recording")
-	}
-}
-
-// TestOverflow checks the past-the-recording fallback: the source switches
-// to live generation seamlessly, and snapshots taken past the recording
-// carry full kernel state and restore.
-func TestOverflow(t *testing.T) {
-	const n = 1000
-	data := record(t, "twolf", 2, n, 256)
-	prof, _ := workload.ByName("twolf")
-	live := prof.New(2)
-	src := mustSource(t, mustOpen(t, data))
-
-	var want, got isa.Inst
-	for i := 0; i < n+500; i++ {
-		live.Next(&want)
-		src.Next(&got)
-		if got != want {
-			t.Fatalf("instruction %d diverged (recording ends at %d)", i, n)
-		}
-	}
-	st := src.Snapshot()
-	if st.Consumed != n+500 || st.Kernel == nil {
-		t.Fatalf("overflow snapshot: consumed %d, kernel %v", st.Consumed, st.Kernel != nil)
-	}
-	b := mustSource(t, mustOpen(t, data))
-	if err := b.Restore(st); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		src.Next(&want)
-		b.Next(&got)
-		if got != want {
-			t.Fatalf("restored overflow source diverged at %d", i)
-		}
+		t.Error("restore accepted recent_pos -1 at the end of the recording")
 	}
 }
 
@@ -281,8 +246,8 @@ func TestSourcesIndependent(t *testing.T) {
 }
 
 // TestGeneratorSnapshotRestore: a live generator's snapshot positions a
-// fresh Source, within the recording by seeking and past it through the
-// snapshot's kernel state, and both then continue in lockstep.
+// fresh Source within the recording by seeking, and both then continue in
+// lockstep. A snapshot past the recording is refused.
 func TestGeneratorSnapshotRestore(t *testing.T) {
 	const recorded = 12_000
 	tr := mustOpen(t, record(t, "swim", 5, recorded, 1024))
@@ -297,7 +262,14 @@ func TestGeneratorSnapshotRestore(t *testing.T) {
 			}
 		}
 		src := mustSource(t, tr)
-		if err := src.Restore(g.Snapshot()); err != nil {
+		err := src.Restore(g.Snapshot())
+		if at > recorded {
+			if err == nil {
+				t.Fatalf("restore at %d, past the %d-instruction recording, succeeded", at, recorded)
+			}
+			continue
+		}
+		if err != nil {
 			t.Fatalf("restore at %d: %v", at, err)
 		}
 		for i := 0; i < 4_000; i++ {
@@ -420,8 +392,8 @@ func FuzzTraceOpen(f *testing.F) {
 				t.Fatalf("record %d replayed with sequence number %d", i, in.Seq)
 			}
 		}
-		if src.pos != n || src.over != nil {
-			t.Fatalf("replayed %d records of %d, overflow generator %v", src.pos, n, src.over != nil)
+		if src.pos != n {
+			t.Fatalf("replayed %d records of %d", src.pos, n)
 		}
 	})
 }
