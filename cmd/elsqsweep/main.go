@@ -44,6 +44,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/config"
+	"repro/internal/experiments"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 )
@@ -55,8 +56,9 @@ func main() {
 	suites := flag.String("suites", "", "comma-separated suites to run (int,fp)")
 	benches := flag.String("benches", "", "comma-separated benchmark names (overrides -suites)")
 	seeds := flag.String("seeds", "1", "workload seeds: range lo..hi or comma list")
-	insts := flag.Uint64("insts", 100_000, "measured instructions per benchmark")
-	warmup := flag.Uint64("warmup", 2_500_000, "functional warm-up instructions per benchmark")
+	def := experiments.DefaultOptions()
+	insts := flag.Uint64("insts", def.MaxInsts, "measured instructions per benchmark")
+	warmup := flag.Uint64("warmup", def.WarmupInsts, "functional warm-up instructions per benchmark")
 	workers := flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	outPath := flag.String("out", "", "write the JSON artifact to this file (- for stdout)")
 	csvPath := flag.String("csv", "", "write the CSV artifact to this file (- for stdout)")

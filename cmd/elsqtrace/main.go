@@ -12,12 +12,12 @@
 //	elsqtrace cat -start 100 -limit 20 swim.elt
 //
 // record captures the first n committed-path instructions of a benchmark;
-// the default budget covers the standard smoke evaluation point (warm-up
-// plus measurement). info prints a trace's self-describing header. verify
-// fully decodes the file against its per-block and content digests, and
-// with -live additionally replays it record-for-record against a fresh
-// generator — the mechanical round-trip proof. cat prints decoded records
-// as text.
+// the default budget covers the default runs of elsqsim and elsqsweep
+// (warm-up plus measurement). info prints a trace's self-describing
+// header. verify fully decodes the file against its per-block and content
+// digests, and with -live additionally replays it record-for-record
+// against a fresh generator — the mechanical round-trip proof. cat prints
+// decoded records as text.
 //
 // Recorded traces plug into the rest of the toolchain: elsqsim -trace and
 // elsqsweep -axis trace=... / -tracedir drive simulation from them, with
@@ -31,6 +31,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/config"
+	"repro/internal/experiments"
 	"repro/internal/isa"
 	"repro/internal/sweep"
 	"repro/internal/trace"
@@ -67,9 +68,14 @@ commands:
 	os.Exit(2)
 }
 
-// defaultBudget is the standard recording length: the smoke evaluation
-// point's warm-up plus measurement.
-const defaultBudget = config.SmokeWarmupInsts + config.SmokeMeasureInsts
+// defaultBudget is the default recording length: the longer of elsqsim's
+// default run (config.Default) and elsqsweep's (experiments.DefaultOptions),
+// warm-up plus measurement, so a default recording replays under either
+// command's default budget.
+func defaultBudget() uint64 {
+	c, o := config.Default(), experiments.DefaultOptions()
+	return max(c.WarmupInsts+c.MaxInsts, o.WarmupInsts+o.MaxInsts)
+}
 
 // cmdRecord implements "elsqtrace record".
 func cmdRecord(args []string) {
@@ -78,7 +84,7 @@ func cmdRecord(args []string) {
 	suites := fs.String("suites", "", "comma-separated suites to record (int,fp)")
 	seed := fs.Uint64("seed", 1, "workload seed for -bench")
 	seeds := fs.String("seeds", "1", "workload seeds for -suites: range lo..hi or comma list")
-	n := fs.Uint64("n", defaultBudget, "committed instructions to record per trace")
+	n := fs.Uint64("n", defaultBudget(), "committed instructions to record per trace")
 	out := fs.String("out", "", "output file for -bench (default <outdir>/<bench>-s<seed>.elt)")
 	outDir := fs.String("outdir", ".", "output directory for -suites recordings, and for -bench without -out")
 	fs.Parse(args)

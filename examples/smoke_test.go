@@ -54,6 +54,23 @@ func TestElsqtraceRecordOutdir(t *testing.T) {
 	}
 }
 
+// TestDefaultRecordingReplays: a recording made at elsqtrace's default
+// length replays under the default budgets of elsqsim and elsqsweep, so
+// neither refuses it as shorter than the run. The recording is made in a
+// temporary directory.
+func TestDefaultRecordingReplays(t *testing.T) {
+	rec := buildCmd(t, "elsqtrace")
+	dir := t.TempDir()
+	run := exec.Command(rec, "record", "-bench", "gzip", "-outdir", "d")
+	run.Dir = dir
+	if out, err := run.CombinedOutput(); err != nil {
+		t.Fatalf("elsqtrace record exited with %v\n%s", err, out)
+	}
+	traces := filepath.Join(dir, "d")
+	runCmd(t, buildCmd(t, "elsqsim"), []string{"-trace", filepath.Join(traces, "gzip-s1.elt")}, 0)
+	runCmd(t, buildCmd(t, "elsqsweep"), []string{"-benches", "gzip", "-tracedir", traces, "-q", "-out", os.DevNull}, 0)
+}
+
 // TestElsqsimFlags builds cmd/elsqsim once and checks that its config flags
 // go through the config field registry: README's two command lines and a
 // bare -model ooo run, while a misspelt value exits 2 instead of silently

@@ -77,23 +77,23 @@ func Key(cfg *config.Config, bench string, seed uint64) string {
 // Build runs the functional warm-up for (cfg, prof, seed) and captures the
 // resulting snapshot. It performs exactly the warm-up a fresh cpu.Sim.Run
 // would: the same source — the live generator, or a trace replay when cfg
-// is trace-driven — and the same access sequence. A trace shorter than the
-// warm-up is refused. Trace-built snapshots carry a replay-position source
-// state instead of generator kernel state; cfg.WarmKey() folds the trace
-// identity into the store key, so the two kinds can never be confused.
+// is trace-driven — and the same access sequence. The first build from a
+// trace warms inside the trace's verification pass (trace.WarmSourceFor),
+// so a trace that fails verification anywhere, or is shorter than the
+// warm-up, fails the build. Trace-built snapshots carry a replay-position
+// source state instead of generator kernel state; cfg.WarmKey() folds the
+// trace identity into the store key, so the two kinds can never be
+// confused.
 func Build(cfg *config.Config, prof workload.Profile, seed uint64) (*Snapshot, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := trace.CheckLength(cfg, cfg.WarmupInsts); err != nil {
-		return nil, err
-	}
-	src, err := trace.SourceFor(cfg, prof, seed)
-	if err != nil {
-		return nil, err
-	}
 	h := mem.NewHierarchy(cfg)
-	src.Warmup(cfg.WarmupInsts, func(addr uint64) { h.Access(addr) })
+	src, err := trace.WarmSourceFor(cfg, prof, seed, cfg.WarmupInsts, func(addr uint64) { h.Access(addr) })
+	if err != nil {
+		h.Free()
+		return nil, err
+	}
 	hs := h.State()
 	h.Free() // the image is a copy; the next build reuses the lines
 	return &Snapshot{

@@ -4,16 +4,19 @@
 package ckpt_test
 
 import (
+	"bytes"
 	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/ckpt"
 	"repro/internal/config"
 	"repro/internal/cpu"
 	"repro/internal/simrun"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -241,5 +244,136 @@ func TestResumeRejectsMismatch(t *testing.T) {
 	snap.Source = &src
 	if err := resume(cfg, "gzip"); err == nil {
 		t.Error("resume accepted a source position other than the warm-up budget")
+	}
+}
+
+// traceRecords is the length of the recordings the trace-build tests make:
+// three full blocks and part of a fourth.
+const traceRecords = 3*trace.DefaultBlockRecords + 123
+
+// recordImage records the first traceRecords instructions of bench at
+// seed 1 and returns the file image.
+func recordImage(t *testing.T, bench string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	rec, err := trace.NewRecorder(&buf, mustProfile(t, bench).New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Record(traceRecords); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// freshTrace writes data to a new file, which trace.Cached opens as a trace
+// that nothing has verified yet, and returns its path.
+func freshTrace(t *testing.T, data []byte, bench string) string {
+	t.Helper()
+	path := trace.BenchPath(t.TempDir(), bench, 1)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// traceConfig is testConfig warming n instructions from the trace at path.
+func traceConfig(t *testing.T, path string, n uint64, mut func(*config.Config)) config.Config {
+	t.Helper()
+	cfg := testConfig(mut)
+	cfg.WarmupInsts = n
+	cfg.TracePath = path
+	if err := trace.Resolve(&cfg); err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// halfL1 is a second cache geometry: a checkpoint of its own.
+func halfL1(c *config.Config) { c.L1.SizeBytes /= 2 }
+
+func mustBuild(t *testing.T, cfg *config.Config, bench string) *ckpt.Snapshot {
+	t.Helper()
+	snap, err := ckpt.Build(cfg, mustProfile(t, bench), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// TestTraceBuildOnePass: the first checkpoint built from a trace warms
+// inside the trace's verification pass. For an INT and an FP benchmark at
+// warm-ups of 0, 1, BlockRecords−1, BlockRecords, BlockRecords+1 and the
+// whole recording, that build decodes no block through Trace.Block and
+// equals (snapshot and hierarchy image) a build from the trace once it is
+// verified. A build at a second cache geometry, from the verified trace,
+// decodes ⌈n/BlockRecords⌉ blocks.
+func TestTraceBuildOnePass(t *testing.T) {
+	const b = trace.DefaultBlockRecords
+	for _, bench := range []string{"gcc", "swim"} {
+		data := recordImage(t, bench)
+		for _, n := range []uint64{0, 1, b - 1, b, b + 1, traceRecords} {
+			path := freshTrace(t, data, bench)
+			tr, err := trace.Cached(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := traceConfig(t, path, n, nil)
+			fresh := mustBuild(t, &cfg, bench)
+			if d := tr.Decodes(); d != 0 {
+				t.Errorf("%s n=%d: the first build decoded %d blocks through Trace.Block, want 0", bench, n, d)
+			}
+			other := traceConfig(t, path, n, halfL1)
+			mustBuild(t, &other, bench)
+			if d, want := tr.Decodes(), (n+b-1)/b; d != want {
+				t.Errorf("%s n=%d: a second geometry brought the block decodes to %d, want %d", bench, n, d, want)
+			}
+			if again := mustBuild(t, &cfg, bench); !reflect.DeepEqual(fresh, again) {
+				t.Errorf("%s n=%d: the one-pass build differs from a build from the verified trace", bench, n)
+			}
+		}
+	}
+}
+
+// TestConcurrentBuildsOfFreshTrace: builds of one fresh trace at the same
+// time, at two cache geometries as two sweep jobs would run them, finish
+// and give the snapshots serial builds give. One of them warms inside the
+// verification pass; the others wait for its verdict and then warm
+// through the block cache. Run it with -race -count=10.
+func TestConcurrentBuildsOfFreshTrace(t *testing.T) {
+	const n = 2*trace.DefaultBlockRecords + 7
+	data := recordImage(t, "mcf")
+	geometries := []func(*config.Config){nil, halfL1, nil}
+	refPath := freshTrace(t, data, "mcf")
+	want := make([]*ckpt.Snapshot, len(geometries))
+	for i, g := range geometries {
+		cfg := traceConfig(t, refPath, n, g)
+		want[i] = mustBuild(t, &cfg, "mcf")
+	}
+
+	path := freshTrace(t, data, "mcf")
+	prof := mustProfile(t, "mcf")
+	got := make([]*ckpt.Snapshot, len(geometries))
+	errs := make([]error, len(geometries))
+	var wg sync.WaitGroup
+	for i, g := range geometries {
+		cfg := traceConfig(t, path, n, g)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = ckpt.Build(&cfg, prof, 1)
+		}()
+	}
+	wg.Wait()
+	for i := range geometries {
+		if errs[i] != nil {
+			t.Fatalf("build %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("build %d of the fresh trace differs from its serial build", i)
+		}
 	}
 }

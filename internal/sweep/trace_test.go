@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -155,6 +156,69 @@ func TestTraceJobsShareCheckpoints(t *testing.T) {
 	for i := range jobs {
 		if full[i].Cycles != shared[i].Result.Cycles || full[i].IPC != shared[i].Result.IPC {
 			t.Errorf("job %d: checkpoint-shared trace run diverged from full run", i)
+		}
+	}
+}
+
+// TestCorruptTraceFailsCheckpointBuild: a trace damaged past the warm-up
+// region, or in its trailer's content digest, fails the job's warm-up
+// build even though the warm-up reads only intact blocks, and the
+// checkpoint store stays empty.
+func TestCorruptTraceFailsCheckpointBuild(t *testing.T) {
+	cfg := config.Default().WithBudget(4000, 5000)
+	dir := t.TempDir()
+	data, err := os.ReadFile(recordTrace(t, dir, &cfg, "swim", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := workload.ByName("swim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trailerLen = 32
+	for _, tc := range []struct {
+		name string
+		off  int // byte flipped
+	}{
+		// The 9,000 records fill blocks 0 and 1 and part of block 2; the
+		// byte sits inside block 2's payload, past the 5,000-record warm-up.
+		{"block past the warm-up", len(data) - trailerLen - 1 - 40},
+		{"trailer digest", len(data) - 12},
+	} {
+		flipped := append([]byte(nil), data...)
+		flipped[tc.off] ^= 0x20
+		path := trace.BenchPath(t.TempDir(), "swim", 1)
+		if err := os.WriteFile(path, flipped, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := trace.New(flipped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verdict := tr.Verify()
+		if verdict == nil {
+			t.Fatalf("%s: the flip verified clean", tc.name)
+		}
+		for i := range 2 {
+			if _, err := tr.Block(i); err != nil {
+				t.Fatalf("%s: warm-up block %d: %v", tc.name, i, err)
+			}
+		}
+		job := Job{Config: cfg, Bench: prof, Seed: 1}
+		job.Config.TracePath = path
+		if err := trace.Resolve(&job.Config); err != nil {
+			t.Fatal(err)
+		}
+		ckpts := store.NewMem[ckpt.Snapshot]()
+		r := Runner{Workers: 1, Checkpoints: ckpts}
+		out, _, err := r.Run([]Job{job})
+		if err == nil || out[0].Result != nil {
+			t.Errorf("%s: the job ran", tc.name)
+		} else if !strings.Contains(err.Error(), verdict.Error()) {
+			t.Errorf("%s: the job failed with %q, not Verify's %q", tc.name, err, verdict)
+		}
+		if ckpts.Len() != 0 {
+			t.Errorf("%s: the failed build stored %d checkpoints", tc.name, ckpts.Len())
 		}
 	}
 }

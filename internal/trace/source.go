@@ -33,12 +33,42 @@ type Source struct {
 // Source returns a fresh replay cursor at the start of the trace. The
 // first call fully verifies the trace (block and content digests), so a
 // corrupt file fails here rather than mid-simulation; later calls reuse
-// the cached verdict.
-func (t *Trace) Source() (*Source, error) {
-	if err := t.Verify(); err != nil {
-		return nil, err
+// the kept verdict.
+func (t *Trace) Source() (*Source, error) { return t.WarmSource(0, nil) }
+
+// WarmSource returns a replay cursor past the first n records, with their
+// memory references fed to access and to the wrong-path synthesiser: what
+// Source followed by Warmup(n, access) returns. On a trace not yet
+// verified the warm-up rides on the verification pass, so each block is
+// decoded once, and the verdict is kept as Verify's. Every check still
+// runs: an error anywhere in the trace, past the first n records or in the
+// trailer, fails the call with Verify's error, after access may have seen
+// records, so the caller discards what access built.
+//
+// The pass runs under Verify's once, so a concurrent Verify, Source or
+// WarmSource on t waits for it, and a waiting WarmSource then warms
+// through the shared block cache. access must not call back into t.
+func (t *Trace) WarmSource(n uint64, access func(addr uint64)) (*Source, error) {
+	if n > t.meta.Records {
+		return nil, fmt.Errorf("trace: %s records %d instructions, the warm-up reads %d", t.meta.Bench, t.meta.Records, n)
 	}
-	return &Source{t: t, wp: workload.NewWrongPathSynth(t.meta.WPInit)}, nil
+	s := &Source{t: t, wp: workload.NewWrongPathSynth(t.meta.WPInit)}
+	warmed := false
+	t.verifyOnce.Do(func() {
+		warmed = true
+		// Stands if access panics out of the pass: the trace is not verified.
+		t.verifyErr = fmt.Errorf("trace: %s: verification did not finish", t.meta.Bench)
+		t.verifyErr = t.verify(func(recs []isa.Inst) {
+			s.warm(recs[:min(uint64(len(recs)), n-s.pos)], access)
+		})
+	})
+	if t.verifyErr != nil {
+		return nil, t.verifyErr
+	}
+	if !warmed {
+		s.Warmup(n, access)
+	}
+	return s, nil
 }
 
 // Name implements workload.Source.
@@ -98,21 +128,24 @@ func (s *Source) Warmup(n uint64, access func(addr uint64)) {
 		if !s.inBuf(s.pos) {
 			s.loadBlock(s.pos)
 		}
-		span := s.bufStart + uint64(len(s.buf)) - s.pos
-		if span > n {
-			span = n
-		}
 		base := s.pos - s.bufStart
-		for i := uint64(0); i < span; i++ {
-			in := &s.buf[base+i]
-			if in.IsMem() {
-				s.wp.NoteMem(in.Addr)
-				access(in.Addr)
-			}
-		}
-		s.pos += span
+		span := min(uint64(len(s.buf))-base, n)
+		s.warm(s.buf[base:base+span], access)
 		n -= span
 	}
+}
+
+// warm is the per-record walk of a count-mode warm-up, shared by Warmup
+// and WarmSource's verification pass: each memory reference of recs goes
+// to the wrong-path ring, then to access, and the cursor moves past recs.
+func (s *Source) warm(recs []isa.Inst, access func(addr uint64)) {
+	for i := range recs {
+		if in := &recs[i]; in.IsMem() {
+			s.wp.NoteMem(in.Addr)
+			access(in.Addr)
+		}
+	}
+	s.pos += uint64(len(recs))
 }
 
 // Snapshot implements workload.Snapshottable: the position plus the
@@ -163,11 +196,21 @@ var (
 // config carries one) the same content digest — so a stale or mislabelled
 // file fails loudly instead of silently simulating the wrong workload.
 func SourceFor(cfg *config.Config, prof workload.Profile, seed uint64) (workload.Snapshottable, error) {
+	return WarmSourceFor(cfg, prof, seed, 0, nil)
+}
+
+// WarmSourceFor is SourceFor followed by a count-mode warm-up of the first
+// n instructions, their memory references fed to access. A trace-driven
+// source is built by Trace.WarmSource, so the first warm-up of a trace
+// rides on its verification pass.
+func WarmSourceFor(cfg *config.Config, prof workload.Profile, seed, n uint64, access func(addr uint64)) (workload.Snapshottable, error) {
 	if cfg.TracePath == "" {
 		if cfg.TraceDigest != "" {
 			return nil, fmt.Errorf("trace: config demands trace digest %s but names no trace file", cfg.TraceDigest)
 		}
-		return prof.New(seed), nil
+		g := prof.New(seed)
+		g.Warmup(n, access)
+		return g, nil
 	}
 	t, err := Cached(cfg.TracePath)
 	if err != nil {
@@ -184,7 +227,7 @@ func SourceFor(cfg *config.Config, prof workload.Profile, seed uint64) (workload
 		return nil, fmt.Errorf("trace: %s has content digest %s, config demands %s (file replaced since the config was keyed?)",
 			cfg.TracePath, m.Digest, cfg.TraceDigest)
 	}
-	return t.Source()
+	return t.WarmSource(n, access)
 }
 
 // CheckLength returns an error when cfg is trace-driven and its recording

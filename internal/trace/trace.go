@@ -387,17 +387,20 @@ func (d *blockDecoder) decode(t *Trace, i int, dst []isa.Inst) ([]isa.Inst, erro
 }
 
 // Verify fully decodes the trace and checks every per-block digest plus the
-// trailer's content digest. The result is computed once and cached; Source
-// construction calls it, so a corrupt trace fails before simulation rather
-// than mid-run.
+// trailer's content digest. The verdict is computed once and kept; Source
+// and WarmSource construction reach it, so a corrupt trace fails before
+// simulation rather than mid-run.
 func (t *Trace) Verify() error {
-	t.verifyOnce.Do(func() { t.verifyErr = t.verify() })
+	t.verifyOnce.Do(func() { t.verifyErr = t.verify(nil) })
 	return t.verifyErr
 }
 
 // verify is Verify's uncached body. It folds the content digest a block at
-// a time: each block's canonical forms reach sha256 in one Write.
-func (t *Trace) verify() error {
+// a time: each block's canonical forms reach sha256 in one Write. feed, when
+// non-nil, is handed each block's records in order, after the block has
+// decoded and passed its payload digest; the slice is reused for the next
+// block.
+func (t *Trace) verify(feed func(recs []isa.Inst)) error {
 	h := sha256.New()
 	foldHeader(h, &t.meta)
 	var d blockDecoder
@@ -407,6 +410,9 @@ func (t *Trace) verify() error {
 		var err error
 		if recs, err = d.decode(t, i, recs); err != nil {
 			return err
+		}
+		if feed != nil {
+			feed(recs)
 		}
 		canon = canon[:0]
 		for j := range recs {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -147,6 +149,95 @@ func TestWarmupEquivalence(t *testing.T) {
 		src.WrongPath(&got)
 		if got != want {
 			t.Fatalf("post-warm-up wrong path %d diverged", i)
+		}
+	}
+}
+
+// warmOnePass warms a fresh trace over data through WarmSource and returns
+// the trace, the source and the fed addresses.
+func warmOnePass(t testing.TB, data []byte, n uint64) (*Trace, *Source, []uint64, error) {
+	t.Helper()
+	tr, err := New(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addrs []uint64
+	src, err := tr.WarmSource(n, func(a uint64) { addrs = append(addrs, a) })
+	return tr, src, addrs, err
+}
+
+// warmVerified is the two-pass reference: Verify, then Source and Warmup.
+func warmVerified(t testing.TB, data []byte, n uint64) (*Source, []uint64) {
+	t.Helper()
+	tr, err := New(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	src, err := tr.Source()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addrs []uint64
+	src.Warmup(n, func(a uint64) { addrs = append(addrs, a) })
+	return src, addrs
+}
+
+// TestWarmSourceOnePass: on a trace not yet verified, WarmSource warms
+// inside the verification pass. For an INT and an FP benchmark, with no
+// warm-up, one record, both sides of a block boundary and the whole
+// recording, it feeds the addresses Verify, Source and Warmup feed, leaves
+// the source in the same state (position and wrong-path ring) to continue
+// identically, decodes no block through Block, and keeps the verdict: a
+// later Verify answers from it without decoding, even after the file
+// image is damaged under it. A warm-up past the recording is refused.
+func TestWarmSourceOnePass(t *testing.T) {
+	const blockRecords = 256
+	const n = 3*blockRecords + 17
+	for _, bench := range []string{"gcc", "swim"} {
+		data := record(t, bench, 3, n, blockRecords)
+		for _, budget := range []uint64{0, 1, blockRecords - 1, blockRecords, blockRecords + 1, n} {
+			img := slices.Clone(data)
+			tr, got, gotAddrs, err := warmOnePass(t, img, budget)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", bench, budget, err)
+			}
+			want, wantAddrs := warmVerified(t, data, budget)
+			if !slices.Equal(gotAddrs, wantAddrs) {
+				t.Fatalf("%s n=%d: one pass fed %d addresses, verify-then-warm %d (or a different sequence)",
+					bench, budget, len(gotAddrs), len(wantAddrs))
+			}
+			if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+				t.Fatalf("%s n=%d: snapshot %+v, verify-then-warm %+v", bench, budget, got.Snapshot(), want.Snapshot())
+			}
+			if d := tr.Decodes(); d != 0 {
+				t.Errorf("%s n=%d: the one-pass warm-up decoded %d blocks through Block", bench, budget, d)
+			}
+			var a, b isa.Inst
+			for i := budget; i < min(budget+300, n); i++ {
+				got.Next(&a)
+				want.Next(&b)
+				if a != b {
+					t.Fatalf("%s n=%d: instruction %d after the warm-up diverged", bench, budget, i)
+				}
+				got.WrongPath(&a)
+				want.WrongPath(&b)
+				if a != b {
+					t.Fatalf("%s n=%d: wrong path after instruction %d diverged", bench, budget, i)
+				}
+			}
+			img[tr.blocks[0].off+3] ^= 0x40
+			if mustOpen(t, img).Verify() == nil {
+				t.Fatalf("%s: the damaged image verifies clean", bench)
+			}
+			if err := tr.Verify(); err != nil {
+				t.Fatalf("%s n=%d: Verify after the one-pass warm-up decoded again: %v", bench, budget, err)
+			}
+		}
+		if _, _, _, err := warmOnePass(t, data, n+1); err == nil {
+			t.Errorf("%s: a warm-up past the %d-record recording was accepted", bench, n)
 		}
 	}
 }
@@ -347,13 +438,24 @@ func TestCorruptionDetection(t *testing.T) {
 	}
 }
 
+// fuzzWarmBudget derives a warm-up length within the recording from a
+// fuzz input: its length modulo one more than the record count.
+func fuzzWarmBudget(data []byte, records uint64) uint64 {
+	return uint64(len(data)) % (records + 1)
+}
+
 // FuzzTraceOpen feeds arbitrary file images through the decoder as a
 // simulation would: New, then Verify, then Source, then a replay of every
 // record. Corrupt input must be rejected with an error, never a panic or a
 // hang, and an accepted input must replay exactly the record count its
-// trailer claims, all from the recording. The seeds are a 3,000-record mcf
-// recording and one-byte flips of it in the header, in a block payload and
-// in the trailer's content digest.
+// trailer claims, all from the recording. Each input also drives the
+// one-pass warm-up (WarmSource on a second fresh Trace, over the first
+// fuzzWarmBudget records): it must fail exactly when Verify does, with
+// Verify's error, which that Trace keeps as its verdict, and otherwise
+// feed the addresses and reach the snapshot of Verify, Source and Warmup.
+// The seeds are a 3,000-record mcf recording and one-byte flips of it in
+// the header, in a block payload, in a block past the warm-up and in the
+// trailer's content digest.
 //
 //	go test -fuzz=FuzzTraceOpen ./internal/trace/
 func FuzzTraceOpen(f *testing.F) {
@@ -362,10 +464,15 @@ func FuzzTraceOpen(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	past := tr.blockFor(fuzzWarmBudget(data, tr.Meta().Records)) + 1
+	if past >= len(tr.blocks) {
+		f.Fatalf("the seed's warm-up ends in its last block")
+	}
 	f.Add(data)
 	for _, off := range []int{
 		len(magicHead) + 3,          // header: the benchmark name
 		tr.blocks[1].off + 5,        // a block payload
+		tr.blocks[past].off + 5,     // a block past the warm-up
 		len(data) - trailerLen + 20, // the trailer's content digest
 	} {
 		flipped := append([]byte(nil), data...)
@@ -377,23 +484,42 @@ func FuzzTraceOpen(f *testing.F) {
 		if err != nil {
 			return
 		}
+		n := fuzzWarmBudget(data, tr.Meta().Records)
+		one, warm, warmAddrs, warmErr := warmOnePass(t, data, n)
 		if err := tr.Verify(); err != nil {
+			if warmErr == nil || warmErr.Error() != err.Error() {
+				t.Fatalf("Verify failed with %q, the one-pass warm-up of %d records with %v", err, n, warmErr)
+			}
+			if kept := one.Verify(); kept != warmErr {
+				t.Fatalf("Verify after the failed warm-up returned %v, not the kept %v", kept, warmErr)
+			}
 			return
+		}
+		if warmErr != nil {
+			t.Fatalf("the one-pass warm-up of %d records failed on a trace that verifies: %v", n, warmErr)
+		}
+		ref, refAddrs := warmVerified(t, data, n)
+		if !slices.Equal(warmAddrs, refAddrs) {
+			t.Fatalf("the one-pass warm-up of %d records fed %d addresses, verify-then-warm %d (or a different sequence)",
+				n, len(warmAddrs), len(refAddrs))
+		}
+		if !reflect.DeepEqual(warm.Snapshot(), ref.Snapshot()) {
+			t.Fatalf("the one-pass warm-up of %d records reached %+v, verify-then-warm %+v", n, warm.Snapshot(), ref.Snapshot())
 		}
 		src, err := tr.Source()
 		if err != nil {
 			return
 		}
-		n := tr.Meta().Records
+		records := tr.Meta().Records
 		var in isa.Inst
-		for i := uint64(0); i < n; i++ {
+		for i := uint64(0); i < records; i++ {
 			src.Next(&in)
 			if in.Seq != i {
 				t.Fatalf("record %d replayed with sequence number %d", i, in.Seq)
 			}
 		}
-		if src.pos != n {
-			t.Fatalf("replayed %d records of %d", src.pos, n)
+		if src.pos != records {
+			t.Fatalf("replayed %d records of %d", src.pos, records)
 		}
 	})
 }
