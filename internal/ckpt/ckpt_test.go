@@ -307,10 +307,10 @@ func mustBuild(t *testing.T, cfg *config.Config, bench string) *ckpt.Snapshot {
 // TestTraceBuildOnePass: the first checkpoint built from a trace warms
 // inside the trace's verification pass. For an INT and an FP benchmark at
 // warm-ups of 0, 1, BlockRecords−1, BlockRecords, BlockRecords+1 and the
-// whole recording, that build decodes no block through Trace.Block and
-// equals (snapshot and hierarchy image) a build from the trace once it is
-// verified. A build at a second cache geometry, from the verified trace,
-// decodes ⌈n/BlockRecords⌉ blocks.
+// whole recording, that build counts no decode outside the verification
+// pass (Trace.Decodes) and equals (snapshot and hierarchy image) a build
+// from the trace once it is verified. A build at a second cache geometry,
+// from the verified trace, decodes ⌈n/BlockRecords⌉ blocks.
 func TestTraceBuildOnePass(t *testing.T) {
 	const b = trace.DefaultBlockRecords
 	for _, bench := range []string{"gcc", "swim"} {
@@ -324,7 +324,7 @@ func TestTraceBuildOnePass(t *testing.T) {
 			cfg := traceConfig(t, path, n, nil)
 			fresh := mustBuild(t, &cfg, bench)
 			if d := tr.Decodes(); d != 0 {
-				t.Errorf("%s n=%d: the first build decoded %d blocks through Trace.Block, want 0", bench, n, d)
+				t.Errorf("%s n=%d: the first build decoded %d blocks outside the verification pass, want 0", bench, n, d)
 			}
 			other := traceConfig(t, path, n, halfL1)
 			mustBuild(t, &other, bench)
@@ -342,7 +342,7 @@ func TestTraceBuildOnePass(t *testing.T) {
 // time, at two cache geometries as two sweep jobs would run them, finish
 // and give the snapshots serial builds give. One of them warms inside the
 // verification pass; the others wait for its verdict and then warm
-// through the block cache. Run it with -race -count=10.
+// through their own cursors. Run it with -race -count=10.
 func TestConcurrentBuildsOfFreshTrace(t *testing.T) {
 	const n = 2*trace.DefaultBlockRecords + 7
 	data := recordImage(t, "mcf")

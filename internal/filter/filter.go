@@ -38,9 +38,19 @@ func Indexable(addr uint64, size uint8) bool {
 var Debug = false
 
 // AssertIndexable panics if Debug is set and the access violates the
-// Indexable invariant.
+// Indexable invariant. It inlines to the Debug branch.
 func AssertIndexable(addr uint64, size uint8, site string) {
-	if Debug && !Indexable(addr, size) {
+	if Debug {
+		assertIndexable(addr, size, site)
+	}
+}
+
+// assertIndexable is AssertIndexable's check, out of line: formatting its
+// panic message would keep AssertIndexable from inlining.
+//
+//go:noinline
+func assertIndexable(addr uint64, size uint8, site string) {
+	if !Indexable(addr, size) {
 		panic(fmt.Sprintf("filter: %s: access addr %#x size %d violates the aligned-pow2-<=8B invariant HashIndex soundness relies on", site, addr, size))
 	}
 }

@@ -45,10 +45,8 @@ func TestVerifyAllocs(t *testing.T) {
 	}
 }
 
-// TestBlockMissAllocs: once the trace's decoder exists, a Block miss
-// allocates exactly one object, the record slice it returns and caches.
-// The blocks are visited in a cycle longer than the resident FIFO, so
-// every call misses.
+// TestBlockMissAllocs: once the trace's decoder exists, every Block call
+// decodes, and allocates exactly one object, the record slice it returns.
 func TestBlockMissAllocs(t *testing.T) {
 	tr := mustOpen(t, readPathTrace(t))
 	nblocks := len(tr.blocks)
@@ -61,10 +59,33 @@ func TestBlockMissAllocs(t *testing.T) {
 	})
 	// AllocsPerRun makes one warm-up call beyond its runs.
 	if got, want := tr.Decodes(), uint64(2*nblocks+1); got != want {
-		t.Fatalf("%d Block calls decoded %d blocks; every call should miss", want, got)
+		t.Fatalf("%d Block calls decoded %d blocks; every call should decode", want, got)
 	}
 	if allocs != 1 {
-		t.Errorf("a Block miss allocates %.2f objects, want exactly 1", allocs)
+		t.Errorf("a Block call allocates %.2f objects, want exactly 1", allocs)
+	}
+}
+
+// TestSourceReplayAllocs: a Source decodes each block it enters over the
+// storage of the block before, so once it has loaded its first block,
+// replaying eight more allocates nothing. The trace is swim's: inflating
+// a block whose Huffman codes run past 9 bits makes compress/flate
+// allocate small overflow tables of its own (mcf's blocks do), which
+// would hide the Source's count.
+func TestSourceReplayAllocs(t *testing.T) {
+	tr := mustOpen(t, record(t, "swim", 1, 12_000, 256))
+	src := mustSource(t, tr)
+	var in isa.Inst
+	src.Next(&in)
+	// AllocsPerRun makes one warm-up call beyond its runs: 1 + 5×8 of
+	// the 47 blocks are entered.
+	allocs := testing.AllocsPerRun(4, func() {
+		for range 8 * 256 {
+			src.Next(&in)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("replaying 8 blocks allocates %.2f objects, want 0", allocs)
 	}
 }
 

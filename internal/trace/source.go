@@ -10,10 +10,10 @@ import (
 )
 
 // Source replays a trace as a workload.Source. It decodes one block at a
-// time (the whole trace is never materialised), re-synthesises the
-// wrong-path stream from the header's wrong-path seed, and implements
-// workload.Snapshottable so internal/ckpt checkpoints and resumes
-// trace-driven simulation exactly as it does live generation.
+// time into a buffer it reuses (the whole trace is never materialised),
+// re-synthesises the wrong-path stream from the header's wrong-path seed,
+// and implements workload.Snapshottable so internal/ckpt checkpoints and
+// resumes trace-driven simulation exactly as it does live generation.
 //
 // Replay is bit-identical to the live source the trace was recorded from:
 // the committed path is the recorded stream, and the wrong-path
@@ -26,7 +26,7 @@ type Source struct {
 	wp *workload.WrongPathSynth
 
 	pos      uint64     // next record index (== instructions consumed)
-	buf      []isa.Inst // current block, shared via Trace.Block — never written
+	buf      []isa.Inst // current block, decoded over the previous one's storage
 	bufStart uint64     // record index of buf[0]; len(buf) == 0 means no block loaded
 }
 
@@ -47,7 +47,7 @@ func (t *Trace) Source() (*Source, error) { return t.WarmSource(0, nil) }
 //
 // The pass runs under Verify's once, so a concurrent Verify, Source or
 // WarmSource on t waits for it, and a waiting WarmSource then warms
-// through the shared block cache. access must not call back into t.
+// through its own cursor. access must not call back into t.
 func (t *Trace) WarmSource(n uint64, access func(addr uint64)) (*Source, error) {
 	if n > t.meta.Records {
 		return nil, fmt.Errorf("trace: %s records %d instructions, the warm-up reads %d", t.meta.Bench, t.meta.Records, n)
@@ -77,9 +77,8 @@ func (s *Source) Name() string { return s.t.meta.Bench }
 // Suite implements workload.Source.
 func (s *Source) Suite() workload.Suite { return s.t.meta.Suite }
 
-// loadBlock points the cursor at the block holding record index pos,
-// fetched through the trace's shared decoded-block cache so Sources
-// replaying the same recording close together decode each block once.
+// loadBlock decodes the block holding record index pos into the cursor's
+// buffer, reusing its storage, through the trace's decoder.
 // The trace was fully verified at Source construction and the file image is
 // immutable in memory, so a decode failure here is unreachable short of
 // memory corruption — it panics rather than returning an error the Source
@@ -91,7 +90,7 @@ func (s *Source) loadBlock(pos uint64) {
 			pos, s.t.meta.Records, s.t.meta.Bench))
 	}
 	i := s.t.blockFor(pos)
-	buf, err := s.t.Block(i)
+	buf, err := s.t.decodeBlock(i, s.buf)
 	if err != nil {
 		panic(fmt.Sprintf("trace: %s: verified block %d failed to decode: %v", s.t.meta.Bench, i, err))
 	}

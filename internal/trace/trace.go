@@ -118,9 +118,10 @@ type blockInfo struct {
 	start   uint64 // record index of the block's first record
 }
 
-// Trace is an opened, structurally validated trace. It is immutable apart
-// from internal caches and safe for concurrent use: every mutable cursor
-// lives in a Source.
+// Trace is an opened, structurally validated trace, safe for concurrent
+// use. Its file image and block index never change; its verdict is kept
+// once computed, and its one block decoder is shared under blockMu. Every
+// mutable cursor, with the block it has decoded, lives in a Source.
 type Trace struct {
 	meta   Meta
 	data   []byte
@@ -133,56 +134,35 @@ type Trace struct {
 	verifyOnce sync.Once
 	verifyErr  error
 
-	// Decoded-block cache shared by every Source over this trace: sweep
-	// jobs replaying the same recording on concurrent workers want the same
-	// block at nearby times, so it is decompressed once instead of once per
-	// Source. Records carry absolute sequence numbers (blockInfo.start),
-	// making a decoded block position-independent and therefore shareable;
-	// cached slices are immutable and readers must not modify them. A small
-	// FIFO bounds residency: a handful of resident blocks covers Sources a
-	// few blocks apart, while a full-trace cache would defeat the "never
-	// materialised" promise.
-	blockMu    sync.Mutex
-	blockDec   blockDecoder
-	blockCache map[int][]isa.Inst
-	blockFIFO  [blockCacheCap]int // resident block indices, a ring
-	blockNext  int                // blockFIFO slot of the next insertion
-	decodes    uint64
+	// blockMu guards the decoder that Block and every Source decode through,
+	// and the count of their decodes.
+	blockMu  sync.Mutex
+	blockDec blockDecoder
+	decodes  uint64
 }
 
-// blockCacheCap bounds how many decoded blocks a Trace keeps resident.
-const blockCacheCap = 8
-
-// Block returns the decoded records of block i as a shared immutable slice,
-// decoding (and caching) it on first request. Callers must not modify the
-// returned slice.
+// Block decodes block i into a new slice, which the caller owns.
 func (t *Trace) Block(i int) ([]isa.Inst, error) {
+	return t.decodeBlock(i, make([]isa.Inst, t.blocks[i].count))
+}
+
+// decodeBlock decodes block i through the trace's decoder, over dst's
+// backing array when it has the capacity, and counts the decode.
+func (t *Trace) decodeBlock(i int, dst []isa.Inst) ([]isa.Inst, error) {
 	t.blockMu.Lock()
 	defer t.blockMu.Unlock()
-	if recs, ok := t.blockCache[i]; ok {
-		return recs, nil
-	}
-	recs, err := t.blockDec.decode(t, i, make([]isa.Inst, t.blocks[i].count))
+	recs, err := t.blockDec.decode(t, i, dst)
 	if err != nil {
 		return nil, err
 	}
 	t.decodes++
-	if t.blockCache == nil {
-		t.blockCache = make(map[int][]isa.Inst, blockCacheCap)
-	}
-	if len(t.blockCache) == blockCacheCap {
-		// Full: blockNext holds the oldest resident block.
-		delete(t.blockCache, t.blockFIFO[t.blockNext])
-	}
-	t.blockCache[i] = recs
-	t.blockFIFO[t.blockNext] = i
-	t.blockNext = (t.blockNext + 1) % blockCacheCap
 	return recs, nil
 }
 
-// Decodes reports how many block decodes Block has performed (cache misses;
-// hits served from the resident set do not count). It exists so tests can
-// pin the decode-once-per-group property.
+// Decodes reports how many blocks Block and the trace's Sources have
+// decoded; the verification pass, and a warm-up riding on it, are not
+// counted. Tests and the benchmark read it to pin one decode per block a
+// cursor enters.
 func (t *Trace) Decodes() uint64 {
 	t.blockMu.Lock()
 	defer t.blockMu.Unlock()
@@ -336,7 +316,7 @@ func (t *Trace) blockFor(pos uint64) int {
 // from one block to the next: a reader over the compressed payload, one
 // flate reader reset onto it, a raw buffer sized for the trace's largest
 // block and the one-byte end-of-stream probe. It is not safe for
-// concurrent use: Verify owns one, and Block another under blockMu.
+// concurrent use: Verify owns one, and the Trace another under blockMu.
 type blockDecoder struct {
 	br    bytes.Reader
 	fr    io.ReadCloser // flate reader over br, built on first use

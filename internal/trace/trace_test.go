@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/isa"
@@ -190,7 +191,7 @@ func warmVerified(t testing.TB, data []byte, n uint64) (*Source, []uint64) {
 // warm-up, one record, both sides of a block boundary and the whole
 // recording, it feeds the addresses Verify, Source and Warmup feed, leaves
 // the source in the same state (position and wrong-path ring) to continue
-// identically, decodes no block through Block, and keeps the verdict: a
+// identically, counts no decode outside the pass, and keeps the verdict: a
 // later Verify answers from it without decoding, even after the file
 // image is damaged under it. A warm-up past the recording is refused.
 func TestWarmSourceOnePass(t *testing.T) {
@@ -213,7 +214,7 @@ func TestWarmSourceOnePass(t *testing.T) {
 				t.Fatalf("%s n=%d: snapshot %+v, verify-then-warm %+v", bench, budget, got.Snapshot(), want.Snapshot())
 			}
 			if d := tr.Decodes(); d != 0 {
-				t.Errorf("%s n=%d: the one-pass warm-up decoded %d blocks through Block", bench, budget, d)
+				t.Errorf("%s n=%d: the one-pass warm-up decoded %d blocks outside the verification pass", bench, budget, d)
 			}
 			var a, b isa.Inst
 			for i := budget; i < min(budget+300, n); i++ {
@@ -585,11 +586,11 @@ func TestZigzag(t *testing.T) {
 	}
 }
 
-// TestSharedBlockCache pins the decode-once-per-group property: K sources
-// replaying the same trace in near-lockstep share each decoded block
-// through the trace's cache, so the group performs one decode per block —
-// not one per lane — while every lane still sees the exact live stream.
-func TestSharedBlockCache(t *testing.T) {
+// TestInterleavedSources: six Sources over one Trace, advanced in turn by
+// chunks smaller than a block, each replay the exact live stream. Each
+// decodes every block it enters once, into its own buffer, so the trace
+// counts six decodes per block; its verification pass counts none.
+func TestInterleavedSources(t *testing.T) {
 	const n, blockRecords, lanes = 8_000, 512, 6
 	data := record(t, "mcf", 5, n, blockRecords)
 	tr := mustOpen(t, data)
@@ -597,7 +598,7 @@ func TestSharedBlockCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := tr.Decodes(); got != 0 {
-		t.Fatalf("Verify counted %d decodes; the hook must count only shared-cache misses", got)
+		t.Fatalf("Verify counted %d decodes; only Block and Sources count", got)
 	}
 
 	prof, _ := workload.ByName("mcf")
@@ -607,8 +608,6 @@ func TestSharedBlockCache(t *testing.T) {
 		lives[k] = prof.New(5)
 		srcs[k] = mustSource(t, tr)
 	}
-	// Interleave in chunks smaller than a block so every lane crosses each
-	// block boundary while it is still resident.
 	var want, got isa.Inst
 	for consumed := 0; consumed < n; consumed += 100 {
 		for k := 0; k < lanes; k++ {
@@ -616,44 +615,48 @@ func TestSharedBlockCache(t *testing.T) {
 				lives[k].Next(&want)
 				srcs[k].Next(&got)
 				if got != want {
-					t.Fatalf("lane %d record %d replayed as %+v, live %+v", k, consumed+i, got, want)
+					t.Fatalf("source %d record %d replayed as %+v, live %+v", k, consumed+i, got, want)
 				}
 			}
 		}
 	}
-	wantDecodes := uint64(len(tr.blocks))
-	if got := tr.Decodes(); got != wantDecodes {
-		t.Fatalf("%d lanes performed %d block decodes, want one per block (%d)", lanes, got, wantDecodes)
+	if got, want := tr.Decodes(), uint64(lanes*len(tr.blocks)); got != want {
+		t.Fatalf("%d sources performed %d block decodes, want one each per block (%d)", lanes, got, want)
 	}
 }
 
-// TestBlockCacheBounded: a straggler re-requesting long-evicted blocks
-// re-decodes them (the resident set is a bounded FIFO, not the whole trace)
-// and still reads the right records.
-func TestBlockCacheBounded(t *testing.T) {
-	const n, blockRecords = uint64(8_000), 512
-	data := record(t, "swim", 9, n, blockRecords)
-	tr := mustOpen(t, data)
-	nblocks := len(tr.blocks)
-	if nblocks <= blockCacheCap {
-		t.Fatalf("trace has %d blocks; the test wants more than the %d-block cache", nblocks, blockCacheCap)
+// TestConcurrentSources: Sources over one Trace on separate goroutines,
+// sharing the trace's decoder, each replay the exact live stream, wrong
+// path included. Run it with -race -count=10.
+func TestConcurrentSources(t *testing.T) {
+	const n, blockRecords, k = 8_000, 512, 4
+	tr := mustOpen(t, record(t, "mcf", 5, n, blockRecords))
+	prof, _ := workload.ByName("mcf")
+	var wg sync.WaitGroup
+	for s := range k {
+		src := mustSource(t, tr)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			live := prof.New(5)
+			var want, got isa.Inst
+			for i := range n {
+				live.Next(&want)
+				src.Next(&got)
+				if got != want {
+					t.Errorf("source %d record %d replayed as %+v, live %+v", s, i, got, want)
+					return
+				}
+				if i%13 == 0 {
+					live.WrongPath(&want)
+					src.WrongPath(&got)
+					if got != want {
+						t.Errorf("source %d: wrong path after record %d diverged", s, i)
+						return
+					}
+				}
+			}
+		}()
 	}
-	for i := 0; i < nblocks; i++ {
-		if _, err := tr.Block(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if resident := len(tr.blockCache); resident != blockCacheCap {
-		t.Fatalf("%d blocks resident after a full sweep, want %d", resident, blockCacheCap)
-	}
-	recs, err := tr.Block(0) // long evicted: must decode again, correctly
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Decodes() != uint64(nblocks)+1 {
-		t.Fatalf("decode count %d after re-request, want %d", tr.Decodes(), nblocks+1)
-	}
-	if len(recs) != blockRecords || recs[0].Seq != 0 {
-		t.Fatalf("re-decoded block 0 wrong: %d records, first seq %d", len(recs), recs[0].Seq)
-	}
+	wg.Wait()
 }
