@@ -16,70 +16,83 @@ import (
 // paper-all, a 3.4x margin.
 const DefaultHorizon = 1 << 14
 
-// Calendar reserves up to width events per cycle. Slots are tracked in a
-// ring keyed by cycle; entries are cleared lazily when a new cycle maps
-// onto them, so reservation times may be moderately out of order as long as
-// the spread stays below the horizon.
+// A calendar ring is split into chunks of chunkCycles consecutive cycles:
+// one cache line of booked counts, one byte per cycle, under one tag.
+const (
+	chunkBits   = 6
+	chunkCycles = 1 << chunkBits
+)
+
+// Calendar reserves up to width events per cycle. Booked counts are kept
+// in a ring keyed by cycle, one byte per cycle, in chunks of 64 cycles;
+// each chunk's tag names the chunk of cycles (cycle >> 6) its counts
+// belong to. A chunk whose tag names older cycles is cleared as a whole
+// when a newer cycle maps onto it, so reservation times may be moderately
+// out of order as long as the spread stays below the horizon.
 type Calendar struct {
-	width uint64
-	slots []uint64
-	mask  int64
+	width uint8
+	ring
+	mask int64 // chunks in the ring − 1
 }
 
-// Each ring slot packs the cycle currently mapped onto it (upper 56 bits)
-// and the number of reservations booked there (lower 8 bits) into one
-// word: a Reserve probe reads and writes a single 8-byte location, and the
-// whole ring is half the size of a two-field layout — the probe loop is
-// the hottest line of the simulator and is effectively bound by cache
-// misses on this array.
-const calUsedBits = 8
+// ring is a calendar's storage: per chunk, a tag and a cache line of
+// counts. A DefaultHorizon ring holds 18 KiB (16 KiB of counts, 2 KiB of
+// tags). The probe loop is the hottest line of the simulator, and a
+// simulator books a score of calendars in turn, so the rings' footprint
+// sets its cache misses.
+type ring struct {
+	tags   []int64
+	counts [][chunkCycles]uint8
+}
 
 // NewCalendar returns a calendar admitting width events per cycle with the
-// given horizon (rounded up to a power of two). The horizon must exceed the
-// maximum spread between in-flight reservation times; the pipeline model's
-// spread is bounded by the instruction window lifetime. Width is capped at
-// 255 by the packed slot layout — far above any modelled issue width. The
-// ring is one a freed calendar of the same length returned, cleared, when
-// there is one.
+// given horizon, rounded up to a power of two and to at least one chunk of
+// 64 cycles. The horizon must exceed the maximum spread between in-flight
+// reservation times; the pipeline model's spread is bounded by the
+// instruction window lifetime. Width is capped at 255 by the one-byte
+// count — far above any modelled issue width. The ring is one a freed
+// calendar of the same length returned, cleared, when there is one.
 func NewCalendar(width, horizon int) *Calendar {
-	if width <= 0 || horizon <= 0 || width > 1<<calUsedBits-1 {
+	if width <= 0 || horizon <= 0 || width > 255 {
 		panic("sched: invalid calendar geometry")
 	}
-	n := 1
+	n := chunkCycles
 	for n < horizon {
 		n <<= 1
 	}
-	var slots []uint64
-	if p, ok := ringPool(n).Get().(*[]uint64); ok {
-		slots = *p
-		clear(slots)
+	chunks := n / chunkCycles
+	var r ring
+	if p, ok := ringPool(n).Get().(*ring); ok {
+		r = *p
+		clear(r.tags)
+		clear(r.counts)
 	} else {
-		slots = make([]uint64, n)
+		r = ring{tags: make([]int64, chunks), counts: make([][chunkCycles]uint8, chunks)}
 	}
 	return &Calendar{
-		width: uint64(width),
-		slots: slots,
-		mask:  int64(n - 1),
+		width: uint8(width),
+		ring:  r,
+		mask:  int64(chunks - 1),
 	}
 }
 
 // Free hands the calendar's ring to the next NewCalendar of the same
 // horizon. The calendar keeps no ring, so any Reserve after Free panics
-// instead of booking into another calendar's slots; a second Free does
+// instead of booking into another calendar's counts; a second Free does
 // nothing.
 func (c *Calendar) Free() {
-	if c.slots == nil {
+	if c.tags == nil {
 		return
 	}
-	slots := c.slots
-	c.slots = nil
-	ringPool(len(slots)).Put(&slots)
+	r := c.ring
+	c.ring = ring{}
+	ringPool(len(r.tags) * chunkCycles).Put(&r)
 }
 
-// rings keeps freed calendar rings, a *sync.Pool of *[]uint64 per ring
-// length: a simulator owns a score of 128 KiB rings and a sweep builds one
-// simulator per point, so reuse saves allocating and zeroing megabytes per
-// point.
+// rings keeps freed calendar rings, a *sync.Pool of *ring per ring length
+// in cycles: a simulator owns a score of 18 KiB rings (72 on the contended
+// fabric) and a sweep builds one simulator per point, so reuse saves
+// allocating and zeroing 0.4–1.3 MiB per point.
 var rings sync.Map
 
 // ringPool returns the pool of freed rings of length n.
@@ -94,27 +107,30 @@ func ringPool(n int) *sync.Pool {
 // Reserve books one slot at the earliest cycle >= t and returns it.
 //
 // Horizon contract: the spread between in-flight reservation times must stay
-// below the horizon. A slot whose packed cycle is *older* than t is stale and
-// lazily cleared; one whose cycle is *newer* than t means cycle t aliases a
-// live future reservation — clearing it would silently zero that future
-// cycle's booked count and corrupt resource accounting, so Reserve panics
-// with the geometry instead.
+// below the horizon. A chunk whose tag names cycles *older* than t's is
+// stale and cleared as a whole; one whose tag names *newer* cycles means
+// cycle t aliases a chunk holding live future reservations — clearing it
+// would silently zero those cycles' booked counts and corrupt resource
+// accounting, so Reserve panics with the geometry instead. A chunk's tag
+// only names newer cycles once some cycle at least horizon − 63 cycles
+// after t has been booked.
 func (c *Calendar) Reserve(t int64) int64 {
 	if t < 0 {
 		t = 0
 	}
 	for {
-		s := &c.slots[t&c.mask]
-		if cyc := int64(*s >> calUsedBits); cyc != t {
-			if cyc > t {
+		k := (t >> chunkBits) & c.mask
+		if tag := c.tags[k]; tag != t>>chunkBits {
+			if tag > t>>chunkBits {
 				panic(fmt.Sprintf(
-					"sched: calendar horizon aliasing: reserving cycle %d landed on live slot for future cycle %d (width %d, horizon %d, spread %d); widen the horizon",
-					t, cyc, c.width, len(c.slots), cyc-t))
+					"sched: calendar horizon aliasing: reserving cycle %d landed on a live chunk for future cycles %d-%d (width %d, horizon %d, spread at least %d); widen the horizon",
+					t, tag<<chunkBits, tag<<chunkBits+chunkCycles-1, c.width, len(c.tags)*chunkCycles, tag<<chunkBits-t))
 			}
-			*s = uint64(t) << calUsedBits
+			c.tags[k] = t >> chunkBits
+			c.counts[k] = [chunkCycles]uint8{}
 		}
-		if *s&(1<<calUsedBits-1) < c.width {
-			*s++
+		if n := &c.counts[k][t&(chunkCycles-1)]; *n < c.width {
+			*n++
 			return t
 		}
 		t++

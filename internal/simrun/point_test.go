@@ -9,6 +9,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/simrun"
 	"repro/internal/store"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -63,4 +64,36 @@ func TestShortTraceRefused(t *testing.T) {
 	if _, err := ckpt.Build(&warm, prof, 1); err == nil {
 		t.Error("ckpt.Build warmed past the end of its recording")
 	}
+}
+
+// TestTracePointWithoutStoreDecodesOnce: a trace-driven point with neither
+// Snapshot nor Ckpt (elsqsim -trace, the examples) builds its warm-up
+// checkpoint inside the trace's verification pass, so past that pass it
+// decodes only the blocks it measures: 2 of a 24,000-record swim recording
+// warmed for 20,000 instructions, where a functional warm-up decoded all
+// 6 again. It resumes from that checkpoint and simulates what a
+// store-backed run of the same point does.
+func TestTracePointWithoutStoreDecodesOnce(t *testing.T) {
+	cfg := config.Default().WithBudget(4_000, 20_000)
+	path := recordBudget(t, &cfg, "swim", 1)
+	tr, err := trace.Cached(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := (simrun.Point{Config: cfg, Bench: "swim", Seed: 1, TracePath: path}).Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := tr.Decodes(); d != 2 {
+		t.Errorf("the point decoded %d blocks outside the verification pass, want 2 (the measured blocks)", d)
+	}
+	if !out.Resumed || !out.CkptBuilt {
+		t.Errorf("the point reported Resumed %v and CkptBuilt %v, want both", out.Resumed, out.CkptBuilt)
+	}
+	stored, err := (simrun.Point{Config: cfg, Bench: "swim", Seed: 1, TracePath: path, Ckpt: store.NewMem[ckpt.Snapshot]()}).Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, "store-less trace point", out.Result, stored.Result)
+	t.Logf("%d cycles without a store, %d with one", out.Result.Cycles, stored.Result.Cycles)
 }

@@ -20,10 +20,12 @@ import (
 // point twice and bounds what the second run allocates: its calendars and
 // cache lines must come from the first run's, which hand them on when they
 // finish. Without that reuse a point allocates its 22 calendar rings
-// (2.75 MiB) and its L2 lines afresh: 4.18 MiB at Table 1, 7.18 MiB with an
-// 8 MB L2 and 10.42 MiB on the contended fabric, against about 0.42 MiB
-// with reuse. A repeated warm-up checkpoint build likewise reuses its
-// hierarchy's lines (1.04 MiB without reuse, 0.03 MiB with).
+// (396 KiB) and its L2 lines afresh: 1.82 MiB at Table 1, 4.82 MiB with an
+// 8 MB L2 and 2.68 MiB on the contended fabric, against about 0.42 MiB
+// with reuse. The contended point's 72 rings (1.27 MiB) are the ones whose
+// loss alone breaks the bound. A repeated warm-up checkpoint build
+// likewise reuses its hierarchy's lines (1.04 MiB without reuse, 0.03 MiB
+// with).
 // The collector is off and one P runs everything, so nothing empties the
 // pools between the two runs.
 func TestPointReusesSimulatorStorage(t *testing.T) {

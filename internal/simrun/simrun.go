@@ -54,7 +54,8 @@ type Point struct {
 	// the functional warm-up. It must match the point (ckpt.Snapshot.Check).
 	Snapshot *ckpt.Snapshot
 	// Ckpt, when set, is consulted for a reusable warm-up checkpoint and
-	// receives newly built ones. Ignored when Snapshot is set.
+	// receives newly built ones. Ignored when Snapshot is set. A
+	// trace-driven point without one builds a checkpoint it does not keep.
 	Ckpt store.Store[ckpt.Snapshot]
 	// Oracle attaches a fresh differential checker (oracle.New) to the
 	// committed memory-op stream; the checker is returned in the Outcome.
@@ -75,8 +76,9 @@ type Outcome struct {
 	Energy *energy.Report
 	// Oracle is the attached checker when Point.Oracle was set.
 	Oracle *oracle.Checker
-	// Resumed reports that the run started from a checkpoint (explicit or
-	// from the store) rather than a functional warm-up.
+	// Resumed reports that the run started from a checkpoint (explicit,
+	// from the store, or built for a trace-driven point without one)
+	// rather than a functional warm-up.
 	Resumed bool
 	// CkptBuilt reports that this point's run called ckpt.Build. Points
 	// served by the store or by a concurrent build of the same key do not
@@ -176,14 +178,17 @@ func (p *Point) attach(sim *cpu.Sim, out *Outcome) {
 // resolveSnapshot picks the warm-start image for a run: the explicit
 // Snapshot if set, otherwise the store's snapshot (built on a miss, or
 // when the store holds nothing but bad, a snapshot it served that did not
-// resume), otherwise nothing (the run warms functionally — a run only
-// builds a checkpoint when a store is there to keep it).
+// resume). A trace-driven run with no store builds a snapshot it keeps
+// for itself, and reports Resumed and CkptBuilt: ckpt.Build warms inside
+// the trace's verification pass, so past that pass the run decodes only
+// the blocks it measures. Any other run without a store warms
+// functionally.
 func (p *Point) resolveSnapshot(cfg *config.Config, prof workload.Profile, out *Outcome, bad *ckpt.Snapshot) (*ckpt.Snapshot, error) {
 	if p.Snapshot != nil {
 		out.Resumed = true
 		return p.Snapshot, nil
 	}
-	if p.Ckpt == nil || cfg.WarmupInsts == 0 {
+	if (p.Ckpt == nil && cfg.TracePath == "") || cfg.WarmupInsts == 0 {
 		return nil, nil
 	}
 	snap, built, err := warmSnapshot(p.Ckpt, cfg, prof, p.Seed, bad)
