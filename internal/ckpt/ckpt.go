@@ -44,7 +44,7 @@ import (
 // FormatVersion is bumped whenever the snapshot schema or any state layout
 // it embeds changes incompatibly; it is part of every store key, so stale
 // on-disk checkpoints miss instead of resuming from misread state.
-const FormatVersion = 2
+const FormatVersion = 3
 
 // Snapshot is one checkpoint: the complete warm-up-dependent state of a
 // (benchmark, seed) pair under a warm-up-relevant configuration slice.

@@ -188,8 +188,9 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotImageIsValidLinesOnly pins the image format on a Table 1
-// snapshot: the L2 image is one validity bit per line slot plus 12 bytes
-// (tag word and LRU tick) per valid line.
+// snapshot: the L2 image is one validity bit per line slot plus, per valid
+// line, its tag and LRU tick in TagBytes + UseBytes bytes, the fewest
+// whole bytes that hold the largest tag and the use clock.
 func TestSnapshotImageIsValidLinesOnly(t *testing.T) {
 	cfg := testConfig(nil)
 	snap, err := ckpt.Build(&cfg, mustProfile(t, "gcc"), 1)
@@ -208,11 +209,23 @@ func TestSnapshotImageIsValidLinesOnly(t *testing.T) {
 	if valid == 0 || valid == slots {
 		t.Fatalf("fixture: %d of %d L2 slots valid; want a partly filled L2", valid, slots)
 	}
-	if len(l2.Lines) != 12*valid {
-		t.Errorf("L2 line section is %d bytes, want 12 x %d valid lines", len(l2.Lines), valid)
+	rec := l2.TagBytes + l2.UseBytes
+	if len(l2.Lines) != rec*valid {
+		t.Fatalf("L2 line section is %d bytes, want %d x %d valid lines", len(l2.Lines), rec, valid)
 	}
-	t.Logf("L2 image: %d valid of %d slots, %d bytes (a dense 16-byte array would be %d)",
-		valid, slots, len(l2.Valid)+len(l2.Lines), 16*slots)
+	var tags uint64
+	for k := 0; k < valid; k++ {
+		for b, x := range l2.Lines[k*rec : k*rec+l2.TagBytes] {
+			tags |= uint64(x) << (8 * b)
+		}
+	}
+	width := func(v uint64) int { return max(1, (bits.Len64(v)+7)/8) }
+	if l2.TagBytes != width(tags) || l2.UseBytes != width(uint64(l2.UseClock)) {
+		t.Errorf("L2 records take %d tag and %d use bytes, want %d and %d: the tags OR to %#x, the use clock is %d",
+			l2.TagBytes, l2.UseBytes, width(tags), width(uint64(l2.UseClock)), tags, l2.UseClock)
+	}
+	t.Logf("L2 image: %d valid of %d slots at %d+%d bytes, %d bytes (12 bytes a line would be %d)",
+		valid, slots, l2.TagBytes, l2.UseBytes, len(l2.Valid)+len(l2.Lines), len(l2.Valid)+12*valid)
 }
 
 func TestResumeRejectsMismatch(t *testing.T) {

@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"math/bits"
 	"reflect"
@@ -89,75 +88,250 @@ func TestCacheStateRejectsGeometryMismatch(t *testing.T) {
 	}
 }
 
+// oddGeom has three ways over four sets, so its two-byte validity map ends
+// in four padding bits. The malformed-image cases and FuzzCacheState run
+// on it.
+func oddGeom() config.CacheConfig {
+	return config.CacheConfig{SizeBytes: 4 * 3 * 32, Ways: 3, LineBytes: 32, LatencyCycles: 1}
+}
+
+// getLE and putLE read and write a little-endian value in len(b) bytes,
+// one byte at a time, apart from the decoder under test; putLE writes
+// zeros past the value's eighth byte.
+func getLE(b []byte) uint64 {
+	var v uint64
+	for k := len(b) - 1; k >= 0; k-- {
+		v = v<<8 | uint64(b[k])
+	}
+	return v
+}
+
+func putLE(b []byte, v uint64) {
+	for k := range b {
+		b[k] = byte(v)
+		v >>= 8
+	}
+}
+
+// record decodes the k-th listed line of st at st's widths.
+func record(st *CacheState, k int) (tag uint64, use uint32) {
+	r := st.Lines[k*(st.TagBytes+st.UseBytes):]
+	return getLE(r[:st.TagBytes]), uint32(getLE(r[st.TagBytes : st.TagBytes+st.UseBytes]))
+}
+
+// setRecord overwrites the k-th listed line of st at st's widths.
+func setRecord(st *CacheState, k int, tag uint64, use uint32) {
+	r := st.Lines[k*(st.TagBytes+st.UseBytes):]
+	putLE(r[:st.TagBytes], tag)
+	putLE(r[st.TagBytes:st.TagBytes+st.UseBytes], uint64(use))
+}
+
+// reencode rewrites every listed line of st at tag width tb and use width
+// ub, and sets st's widths to them.
+func reencode(st *CacheState, tb, ub int) {
+	n := len(st.Lines) / (st.TagBytes + st.UseBytes)
+	out := &CacheState{TagBytes: tb, UseBytes: ub, Lines: make([]byte, n*(tb+ub))}
+	for k := 0; k < n; k++ {
+		tag, use := record(st, k)
+		setRecord(out, k, tag, use)
+	}
+	st.TagBytes, st.UseBytes, st.Lines = tb, ub, out.Lines
+}
+
+// malformations corrupt an image of oddGeom once per SetState rule. The
+// map corruptions keep the line section consistent with the bits they
+// leave set, and the width corruptions re-encode the lines at the widths
+// they set, so only the rule named can catch them.
+var malformations = []struct {
+	name string
+	bad  func(st *CacheState)
+}{
+	{"validity map too short", func(st *CacheState) {
+		last := bits.OnesCount8(st.Valid[len(st.Valid)-1])
+		st.Valid = st.Valid[:len(st.Valid)-1]
+		st.Lines = st.Lines[:len(st.Lines)-last*(st.TagBytes+st.UseBytes)]
+	}},
+	{"validity map too long", func(st *CacheState) { st.Valid = append(st.Valid, 0) }},
+	{"padding bit set", func(st *CacheState) {
+		st.Valid[len(st.Valid)-1] |= 1 << 7
+		st.Lines = append(st.Lines, st.Lines[:st.TagBytes+st.UseBytes]...)
+	}},
+	{"line section short of the valid bits", func(st *CacheState) {
+		st.Lines = st.Lines[:len(st.Lines)-st.TagBytes-st.UseBytes]
+	}},
+	{"line section not whole records", func(st *CacheState) { st.Lines = append(st.Lines, 0) }},
+	{"line section at other widths", func(st *CacheState) {
+		tb := st.TagBytes
+		reencode(st, tb+1, st.UseBytes)
+		st.TagBytes = tb
+	}},
+	{"extra valid bit", func(st *CacheState) {
+		for i := 0; ; i++ {
+			if st.Valid[i/8]&(1<<(i%8)) == 0 {
+				st.Valid[i/8] |= 1 << (i % 8)
+				return
+			}
+		}
+	}},
+	{"zero tag width", func(st *CacheState) { reencode(st, 0, st.UseBytes) }},
+	{"zero use width", func(st *CacheState) { reencode(st, st.TagBytes, 0) }},
+	{"tag width 9", func(st *CacheState) { reencode(st, 9, st.UseBytes) }},
+	{"use width 5", func(st *CacheState) { reencode(st, st.TagBytes, 5) }},
+	{"tag past the geometry's range", func(st *CacheState) {
+		// 32-byte lines over four sets leave 57 tag bits.
+		reencode(st, 8, st.UseBytes)
+		_, use := record(st, 2)
+		setRecord(st, 2, 1<<57, use)
+	}},
+	{"use tick above the clock", func(st *CacheState) {
+		reencode(st, st.TagBytes, 4)
+		tag, _ := record(st, 5)
+		setRecord(st, 5, tag, st.UseClock+1)
+	}},
+	{"use clock at its wrap point", func(st *CacheState) { st.UseClock = ^uint32(0) }},
+	{"duplicate tag in one set", func(st *CacheState) {
+		// Copy a valid line's tag onto the next valid way of its set; k
+		// counts listed records ahead of slot i.
+		valid := func(i int) bool { return st.Valid[i/8]&(1<<(i%8)) != 0 }
+		for i, k := 0, 0; ; i++ {
+			if valid(i) {
+				if i%st.Ways > 0 && valid(i-1) {
+					tag, _ := record(st, k-1)
+					_, use := record(st, k)
+					setRecord(st, k, tag, use)
+					return
+				}
+				k++
+			}
+		}
+	}},
+}
+
+// malformedBase is the image the malformations corrupt: 10 of oddGeom's
+// 12 slots valid.
+func malformedBase() *CacheState { return warmCache(oddGeom(), 10).State() }
+
 // TestCacheStateRejectsMalformedImages corrupts a real image once per
 // SetState rule; each corruption must fail with an error, never restore.
 func TestCacheStateRejectsMalformedImages(t *testing.T) {
-	// Three ways over two sets leave two padding bits in the one-byte map.
-	odd := config.CacheConfig{SizeBytes: 2 * 3 * 32, Ways: 3, LineBytes: 32, LatencyCycles: 1}
-	rec := func(st *CacheState, k int) []byte { return st.Lines[k*lineStateBytes:] }
-	valid := func(st *CacheState, i int) bool { return st.Valid[i/8]&(1<<(i%8)) != 0 }
-	cases := []struct {
-		name string
-		geom config.CacheConfig
-		bad  func(st *CacheState)
-	}{
-		// The map corruptions keep the line section consistent with the
-		// bits they leave set, so only the map rule can catch them.
-		{"validity map too short", testGeom(), func(st *CacheState) {
-			last := bits.OnesCount8(st.Valid[len(st.Valid)-1])
-			st.Valid = st.Valid[:len(st.Valid)-1]
-			st.Lines = st.Lines[:len(st.Lines)-last*lineStateBytes]
-		}},
-		{"validity map too long", testGeom(), func(st *CacheState) { st.Valid = append(st.Valid, 0) }},
-		{"padding bit set", odd, func(st *CacheState) {
-			st.Valid[0] |= 1 << 7
-			st.Lines = append(st.Lines, rec(st, 0)[:lineStateBytes]...)
-		}},
-		{"line section short of the valid bits", testGeom(), func(st *CacheState) {
-			st.Lines = st.Lines[:len(st.Lines)-lineStateBytes]
-		}},
-		{"line section not whole records", testGeom(), func(st *CacheState) { st.Lines = append(st.Lines, 0) }},
-		{"extra valid bit", testGeom(), func(st *CacheState) {
-			for i := 0; ; i++ {
-				if !valid(st, i) {
-					st.Valid[i/8] |= 1 << (i % 8)
-					return
-				}
-			}
-		}},
-		{"listed line without valid bit", testGeom(), func(st *CacheState) { rec(st, 3)[0] &^= 1 }},
-		{"use tick above the clock", testGeom(), func(st *CacheState) {
-			binary.LittleEndian.PutUint32(rec(st, 5)[8:], st.UseClock+1)
-		}},
-		{"use clock at its wrap point", testGeom(), func(st *CacheState) { st.UseClock = ^uint32(0) }},
-		{"duplicate tag in one set", testGeom(), func(st *CacheState) {
-			// Copy the first valid line's tag onto the next valid way of
-			// its set; k counts listed records ahead of slot i.
-			ways := testGeom().Ways
-			for i, k := 0, 0; ; i++ {
-				if valid(st, i) {
-					if i%ways > 0 && valid(st, i-1) {
-						copy(rec(st, k)[:8], rec(st, k-1)[:8])
-						return
-					}
-					k++
-				}
-			}
-		}},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformations {
 		t.Run(tc.name, func(t *testing.T) {
-			// 100 misses fill 100 of testGeom's 128 slots.
-			st := warmCache(tc.geom, 100).State()
-			if err := NewCache(tc.geom).SetState(st); err != nil {
+			st := malformedBase()
+			if err := NewCache(oddGeom()).SetState(st); err != nil {
 				t.Fatalf("uncorrupted image rejected: %v", err)
 			}
 			tc.bad(st)
-			if err := NewCache(tc.geom).SetState(st); err == nil {
+			if err := NewCache(oddGeom()).SetState(st); err == nil {
 				t.Error("SetState accepted the corrupted image")
 			}
 		})
 	}
+}
+
+// TestCacheStateRoundTripAtEveryWidth images a one-set, 16-way cache of
+// 32-byte lines, whose tags reach 2^59, at every tag width from 1 to 8
+// bytes and every use-clock width from 1 to 4, each with the smallest and
+// the largest tag and clock of its width. State must pick exactly those
+// widths, and the restored cache must equal the imaged one line for line
+// and image to the same bytes.
+func TestCacheStateRoundTripAtEveryWidth(t *testing.T) {
+	g := config.CacheConfig{SizeBytes: 16 * 32, Ways: 16, LineBytes: 32, LatencyCycles: 1}
+	for tb := 1; tb <= 8; tb++ {
+		tags := []uint64{1 << (8 * (tb - 1)), 1<<(8*tb) - 1}
+		if tb == 8 {
+			tags[1] = 1<<59 - 1
+		}
+		for ub := 1; ub <= 4; ub++ {
+			clocks := []uint32{1 << (8 * (ub - 1)), uint32(1<<(8*ub) - 1)}
+			if ub == 4 {
+				clocks[1]-- // the wrap point is no clock
+			}
+			for _, top := range tags {
+				for _, clock := range clocks {
+					c := NewCache(g)
+					c.useClock = clock
+					valid := 0
+					for w := range c.lines {
+						if w%5 == 3 {
+							continue // leave a few ways invalid
+						}
+						// top^w keeps top's width and, with w < 16, stays
+						// below 2^59; w = 0 holds top and the clock.
+						c.lines[w] = line{tagv: mkTagv(top ^ uint64(w)), use: clock >> w}
+						valid++
+					}
+					st := c.State()
+					if st.TagBytes != tb || st.UseBytes != ub || len(st.Lines) != valid*(tb+ub) {
+						t.Fatalf("tag %#x, clock %#x: imaged %d lines as %d bytes at widths %d+%d, want %d bytes at %d+%d",
+							top, clock, valid, len(st.Lines), st.TagBytes, st.UseBytes, valid*(tb+ub), tb, ub)
+					}
+					r := NewCache(g)
+					if err := r.SetState(st); err != nil {
+						t.Fatalf("tag %#x, clock %#x: %v", top, clock, err)
+					}
+					if r.useClock != c.useClock || !reflect.DeepEqual(r.lines, c.lines) {
+						t.Fatalf("tag %#x, clock %#x: the restored cache differs from the imaged one", top, clock)
+					}
+					if again := r.State(); !reflect.DeepEqual(again, st) {
+						t.Fatalf("tag %#x, clock %#x: the restored cache images to other bytes", top, clock)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzCacheState restores arbitrary images of oddGeom: arbitrary widths,
+// use clock, validity map and line bytes. SetState must refuse the image
+// with an error or restore exactly the records it lists, read here byte
+// by byte, into a cache whose own image restores to the same lines.
+// Nothing may panic.
+//
+// Seeds: images after 0, 4, 12 and 1,000 accesses, and malformedBase under
+// each of the malformations.
+func FuzzCacheState(f *testing.F) {
+	add := func(st *CacheState) { f.Add(st.TagBytes, st.UseBytes, st.UseClock, st.Valid, st.Lines) }
+	for _, n := range []uint64{0, 4, 12, 1_000} {
+		add(warmCache(oddGeom(), n).State())
+	}
+	for _, tc := range malformations {
+		st := malformedBase()
+		tc.bad(st)
+		add(st)
+	}
+	f.Fuzz(func(t *testing.T, tagBytes, useBytes int, clock uint32, valid, lines []byte) {
+		g := oddGeom()
+		st := &CacheState{Sets: g.Sets(), Ways: g.Ways, LineBytes: g.LineBytes, UseClock: clock,
+			TagBytes: tagBytes, UseBytes: useBytes, Valid: valid, Lines: lines}
+		c := NewCache(g)
+		if c.SetState(st) != nil {
+			return
+		}
+		if c.useClock != clock {
+			t.Fatalf("restored use clock %d, image has %d", c.useClock, clock)
+		}
+		k := 0
+		for i, l := range c.lines {
+			if valid[i/8]&(1<<(i%8)) == 0 {
+				if l != (line{}) {
+					t.Fatalf("slot %d is not listed but restored as %+v", i, l)
+				}
+				continue
+			}
+			tag, use := record(st, k)
+			if l != (line{tagv: mkTagv(tag), use: use}) {
+				t.Fatalf("slot %d restored as %+v, its record lists tag %#x, use %d", i, l, tag, use)
+			}
+			k++
+		}
+		again := NewCache(g)
+		if err := again.SetState(c.State()); err != nil {
+			t.Fatalf("the restored cache's own image is refused: %v", err)
+		}
+		if again.useClock != c.useClock || !reflect.DeepEqual(again.lines, c.lines) {
+			t.Fatal("the restored cache's own image restores other lines")
+		}
+	})
 }
 
 // TestCacheStateRefusesLockedLine: images carry no lock counts, so State

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/config"
+	"repro/internal/mem"
 	"repro/internal/simrun"
 	"repro/internal/workload"
 )
@@ -27,8 +28,8 @@ func fuzzConfig() config.Config {
 // must run its measured budget to the end. Nothing may panic.
 //
 // Seeds: real warm-ups of mcf and swim, then one corruption each of the
-// L2 validity map, an L2 line record, a kernel word and a queued
-// instruction's register.
+// L2 validity map, the L2 use-tick width, an L2 tag, a kernel word and a
+// queued instruction's register.
 func FuzzSnapshotResume(f *testing.F) {
 	cfg := fuzzConfig()
 	build := func(bench string) *ckpt.Snapshot {
@@ -65,8 +66,9 @@ func FuzzSnapshotResume(f *testing.F) {
 	f.Add(encode(mcf))
 	f.Add(encode(swim))
 	f.Add(corrupt(mcf, func(s *ckpt.Snapshot) { s.Hier.L2.Valid[0] ^= 1 }))
-	f.Add(corrupt(mcf, func(s *ckpt.Snapshot) { s.Hier.L2.Lines[0] &^= 1 }))      // first line's valid bit
-	f.Add(corrupt(swim, func(s *ckpt.Snapshot) { s.Source.Kernel[4] = 1 << 62 })) // the cold stream's burst
+	f.Add(corrupt(mcf, func(s *ckpt.Snapshot) { s.Hier.L2.UseBytes = 5 }))
+	f.Add(corrupt(mcf, func(s *ckpt.Snapshot) { widenTags(s.Hier.L2); s.Hier.L2.Lines[7] = 0x80 })) // first tag out of range
+	f.Add(corrupt(swim, func(s *ckpt.Snapshot) { s.Source.Kernel[4] = 1 << 62 }))                   // the cold stream's burst
 	f.Add(corrupt(swim, func(s *ckpt.Snapshot) { s.Source.Queue[0].Dst = 999 }))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -82,4 +84,17 @@ func FuzzSnapshotResume(f *testing.F) {
 			t.Fatalf("resumed run committed %d instructions, want %d", out.Result.Committed, cfg.MaxInsts)
 		}
 	})
+}
+
+// widenTags re-encodes an image's line records with 8-byte tags, whose top
+// bytes a real tag leaves zero.
+func widenTags(cs *mem.CacheState) {
+	rec := cs.TagBytes + cs.UseBytes
+	var lines []byte
+	for r := cs.Lines; len(r) > 0; r = r[rec:] {
+		var tag [8]byte
+		copy(tag[:], r[:cs.TagBytes])
+		lines = append(append(lines, tag[:]...), r[cs.TagBytes:rec]...)
+	}
+	cs.TagBytes, cs.Lines = 8, lines
 }
