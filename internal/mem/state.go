@@ -19,11 +19,8 @@ package mem
 //
 // Each listed line is its tag, then its use tick, little-endian in the
 // fewest whole bytes the image needs: the width of its largest tag and the
-// width of its use clock, which no tick exceeds. Over the 286 snapshots of
-// a paper-all pass (1M-instruction warm-ups at 11 cache geometries) tags
-// take 1–4 bytes and ticks 1–3, so a line takes 2–7 bytes instead of a
-// 12-byte tag word and tick, and the images 42.6 MB instead of 83.4 MB.
-// SetState reads each record with one 8-byte load masked to its widths.
+// width of its use clock, which no tick exceeds. SetState reads each field
+// with one 8-byte load masked to its width.
 
 import (
 	"encoding/binary"
@@ -91,12 +88,10 @@ func (c *Cache) State() *CacheState {
 			continue
 		}
 		st.Valid[i/8] |= 1 << (i % 8)
-		// A record of up to 8 bytes is one word; a longer one writes its
-		// tick over the zero bytes above the tag.
-		putWord(r, l.tagv>>1|uint64(l.use)<<(8*uint(tb)))
-		if rec > 8 {
-			putWord(r[tb:], uint64(l.use))
-		}
+		// putWord writes a whole word, zero past the value's width: the
+		// tick overwrites the tag's zeros, the next record the tick's.
+		putWord(r, l.tagv>>1)
+		putWord(r[tb:], uint64(l.use))
 		r = r[rec:]
 	}
 	return st
@@ -176,25 +171,12 @@ func (c *Cache) SetState(st *CacheState) error {
 	maxTag := ^uint64(0) >> c.tagShift // the tag of the highest address
 	clear(c.lines)
 	r := st.Lines
-	// Real geometries have a power of two ways, whose sets start without
-	// a division.
-	pow2 := c.ways&(c.ways-1) == 0
 	for by, b := range st.Valid {
 		for ; b != 0; b &= b - 1 {
 			i := by*8 + bits.TrailingZeros8(b)
-			set := i &^ (c.ways - 1) // slot i's set starts at slot set
-			if !pow2 {
-				set = i - i%c.ways
-			}
-			// A record of up to 8 bytes holds its tick above its tag; a
-			// longer one is read again where the tick starts.
-			w := word(r)
-			hi := w >> (8 * tb & 63) // 8-byte tags shift by 0 and reread
-			if rec > 8 {
-				hi = word(r[tb:])
-			}
+			set := i - i%c.ways // slot i's set starts at slot set
+			tag, use := word(r)&tagMask, uint32(word(r[tb:])&useMask)
 			r = r[rec:]
-			tag, use := w&tagMask, uint32(hi&useMask)
 			if tag > maxTag {
 				return fmt.Errorf("mem: line %d tag %#x is above the geometry's largest, %#x", i, tag, maxTag)
 			}

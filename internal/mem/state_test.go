@@ -89,8 +89,8 @@ func TestCacheStateRejectsGeometryMismatch(t *testing.T) {
 }
 
 // oddGeom has three ways over four sets, so its two-byte validity map ends
-// in four padding bits. The malformed-image cases and FuzzCacheState run
-// on it.
+// in four padding bits. The malformed-image cases run on it and on
+// testGeom, FuzzCacheState on it alone.
 func oddGeom() config.CacheConfig {
 	return config.CacheConfig{SizeBytes: 4 * 3 * 32, Ways: 3, LineBytes: 32, LatencyCycles: 1}
 }
@@ -138,34 +138,36 @@ func reencode(st *CacheState, tb, ub int) {
 	st.TagBytes, st.UseBytes, st.Lines = tb, ub, out.Lines
 }
 
-// malformations corrupt an image of oddGeom once per SetState rule. The
-// map corruptions keep the line section consistent with the bits they
-// leave set, and the width corruptions re-encode the lines at the widths
-// they set, so only the rule named can catch them.
+// malformations corrupt an image once per SetState rule. The map
+// corruptions keep the line section consistent with the bits they leave
+// set, and the width corruptions re-encode the lines at the widths they
+// set, so only the rule named can catch them. A padded case needs a
+// validity map that ends in padding bits.
 var malformations = []struct {
-	name string
-	bad  func(st *CacheState)
+	name   string
+	padded bool
+	bad    func(st *CacheState)
 }{
-	{"validity map too short", func(st *CacheState) {
+	{"validity map too short", false, func(st *CacheState) {
 		last := bits.OnesCount8(st.Valid[len(st.Valid)-1])
 		st.Valid = st.Valid[:len(st.Valid)-1]
 		st.Lines = st.Lines[:len(st.Lines)-last*(st.TagBytes+st.UseBytes)]
 	}},
-	{"validity map too long", func(st *CacheState) { st.Valid = append(st.Valid, 0) }},
-	{"padding bit set", func(st *CacheState) {
+	{"validity map too long", false, func(st *CacheState) { st.Valid = append(st.Valid, 0) }},
+	{"padding bit set", true, func(st *CacheState) {
 		st.Valid[len(st.Valid)-1] |= 1 << 7
 		st.Lines = append(st.Lines, st.Lines[:st.TagBytes+st.UseBytes]...)
 	}},
-	{"line section short of the valid bits", func(st *CacheState) {
+	{"line section short of the valid bits", false, func(st *CacheState) {
 		st.Lines = st.Lines[:len(st.Lines)-st.TagBytes-st.UseBytes]
 	}},
-	{"line section not whole records", func(st *CacheState) { st.Lines = append(st.Lines, 0) }},
-	{"line section at other widths", func(st *CacheState) {
+	{"line section not whole records", false, func(st *CacheState) { st.Lines = append(st.Lines, 0) }},
+	{"line section at other widths", false, func(st *CacheState) {
 		tb := st.TagBytes
 		reencode(st, tb+1, st.UseBytes)
 		st.TagBytes = tb
 	}},
-	{"extra valid bit", func(st *CacheState) {
+	{"extra valid bit", false, func(st *CacheState) {
 		for i := 0; ; i++ {
 			if st.Valid[i/8]&(1<<(i%8)) == 0 {
 				st.Valid[i/8] |= 1 << (i % 8)
@@ -173,23 +175,24 @@ var malformations = []struct {
 			}
 		}
 	}},
-	{"zero tag width", func(st *CacheState) { reencode(st, 0, st.UseBytes) }},
-	{"zero use width", func(st *CacheState) { reencode(st, st.TagBytes, 0) }},
-	{"tag width 9", func(st *CacheState) { reencode(st, 9, st.UseBytes) }},
-	{"use width 5", func(st *CacheState) { reencode(st, st.TagBytes, 5) }},
-	{"tag past the geometry's range", func(st *CacheState) {
-		// 32-byte lines over four sets leave 57 tag bits.
+	{"zero tag width", false, func(st *CacheState) { reencode(st, 0, st.UseBytes) }},
+	{"zero use width", false, func(st *CacheState) { reencode(st, st.TagBytes, 0) }},
+	{"tag width 9", false, func(st *CacheState) { reencode(st, 9, st.UseBytes) }},
+	{"use width 5", false, func(st *CacheState) { reencode(st, st.TagBytes, 5) }},
+	{"tag past the geometry's range", false, func(st *CacheState) {
+		// No address maps to a tag of 2^(64 − log2(sets × line bytes)).
+		shift := bits.TrailingZeros(uint(st.Sets * st.LineBytes))
 		reencode(st, 8, st.UseBytes)
 		_, use := record(st, 2)
-		setRecord(st, 2, 1<<57, use)
+		setRecord(st, 2, 1<<(64-shift), use)
 	}},
-	{"use tick above the clock", func(st *CacheState) {
+	{"use tick above the clock", false, func(st *CacheState) {
 		reencode(st, st.TagBytes, 4)
 		tag, _ := record(st, 5)
 		setRecord(st, 5, tag, st.UseClock+1)
 	}},
-	{"use clock at its wrap point", func(st *CacheState) { st.UseClock = ^uint32(0) }},
-	{"duplicate tag in one set", func(st *CacheState) {
+	{"use clock at its wrap point", false, func(st *CacheState) { st.UseClock = ^uint32(0) }},
+	{"duplicate tag in one set", false, func(st *CacheState) {
 		// Copy a valid line's tag onto the next valid way of its set; k
 		// counts listed records ahead of slot i.
 		valid := func(i int) bool { return st.Valid[i/8]&(1<<(i%8)) != 0 }
@@ -207,22 +210,37 @@ var malformations = []struct {
 	}},
 }
 
-// malformedBase is the image the malformations corrupt: 10 of oddGeom's
-// 12 slots valid.
+// malformedBase is oddGeom's image for the malformations: 10 of its 12
+// slots valid.
 func malformedBase() *CacheState { return warmCache(oddGeom(), 10).State() }
 
 // TestCacheStateRejectsMalformedImages corrupts a real image once per
 // SetState rule; each corruption must fail with an error, never restore.
+// Every case runs on testGeom, four ways as real geometries have, and on
+// oddGeom, whose map has padding bits.
 func TestCacheStateRejectsMalformedImages(t *testing.T) {
+	bases := []struct {
+		geom config.CacheConfig
+		img  func() *CacheState
+	}{
+		// 100 misses fill 100 of testGeom's 128 slots.
+		{testGeom(), func() *CacheState { return warmCache(testGeom(), 100).State() }},
+		{oddGeom(), malformedBase},
+	}
 	for _, tc := range malformations {
 		t.Run(tc.name, func(t *testing.T) {
-			st := malformedBase()
-			if err := NewCache(oddGeom()).SetState(st); err != nil {
-				t.Fatalf("uncorrupted image rejected: %v", err)
-			}
-			tc.bad(st)
-			if err := NewCache(oddGeom()).SetState(st); err == nil {
-				t.Error("SetState accepted the corrupted image")
+			for _, b := range bases {
+				if tc.padded && b.geom.Sets()*b.geom.Ways%8 == 0 {
+					continue // its map has no padding bits
+				}
+				st := b.img()
+				if err := NewCache(b.geom).SetState(st); err != nil {
+					t.Fatalf("%d-way: uncorrupted image rejected: %v", b.geom.Ways, err)
+				}
+				tc.bad(st)
+				if err := NewCache(b.geom).SetState(st); err == nil {
+					t.Errorf("%d-way: SetState accepted the corrupted image", b.geom.Ways)
+				}
 			}
 		})
 	}
