@@ -58,12 +58,31 @@ type job struct {
 // different Options never alias.
 var resultCache = store.NewMem[cpu.Result]()
 
-// ckptStore shares warm-up checkpoints the same way: every experiment
-// sweeps timing-only axes over the Table 1 cache geometry, so each
-// (benchmark, seed) pays its functional warm-up once per process instead of
-// once per configuration. Results are bit-identical either way (the ckpt
-// package's determinism contract).
+// ckptStore shares warm-up checkpoints the same way, but only those of the
+// Table 1 cache geometry: every experiment sweeps timing-only axes over it,
+// so each (benchmark, seed) pays that warm-up once per process instead of
+// once per configuration. The other geometries (fig8bc's L1 shapes,
+// fig11's L2 sizes) are each read by one experiment, and their snapshots
+// live only as long as the sweep that builds them. Results are
+// bit-identical either way (the ckpt package's determinism contract).
 var ckptStore = store.NewMem[ckpt.Snapshot]()
+
+// table1Ckpts is ckptStore as the runs of one Options see it: lookups reach
+// the whole store, and only snapshots of the Table 1 geometry at the
+// Options' warm-up budget are kept.
+type table1Ckpts struct {
+	cfg config.Config // config.Default() under the Options
+}
+
+// Get implements store.Store.
+func (t table1Ckpts) Get(key string) (*ckpt.Snapshot, bool) { return ckptStore.Get(key) }
+
+// Put implements store.Store.
+func (t table1Ckpts) Put(key string, snap *ckpt.Snapshot) {
+	if key == ckpt.Key(&t.cfg, snap.Bench, snap.Seed) {
+		ckptStore.Put(key, snap)
+	}
+}
 
 // runAll executes the jobs on the sweep engine's bounded worker pool.
 // Results are written to each job's out slot, so callers keep a
@@ -73,7 +92,8 @@ func runAll(jobs []job, opt Options) error {
 	for i, j := range jobs {
 		sjobs[i] = sweep.Job{Config: j.cfg, Bench: j.prof, Seed: opt.Seed}
 	}
-	runner := sweep.Runner{Workers: opt.Workers, Cache: resultCache, Checkpoints: ckptStore}
+	ckpts := table1Ckpts{cfg: opt.apply(config.Default())}
+	runner := sweep.Runner{Workers: opt.Workers, Cache: resultCache, Checkpoints: ckpts}
 	outcomes, _, err := runner.Run(sjobs)
 	if err != nil {
 		return err

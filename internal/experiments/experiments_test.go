@@ -114,3 +114,26 @@ func TestExperimentsShareResultCache(t *testing.T) {
 		t.Fatalf("identical re-run grew the cache: %d -> %d", after, resultCache.Len())
 	}
 }
+
+// Only Table 1's warm-up snapshots outlive the sweep that builds them:
+// fig8bc's seven other L1 shapes and fig11's three other L2 sizes are each
+// read by one experiment, so the pair leaves ckptStore one snapshot per
+// benchmark larger, after each experiment.
+func TestCkptStoreKeepsTable1Only(t *testing.T) {
+	opt := tinyOpts()
+	opt.MaxInsts = 2_000
+	opt.WarmupInsts = 43_210 // budget no other test uses, so the keys are fresh
+	want := len(workload.SuiteOf(workload.SuiteInt)) + len(workload.SuiteOf(workload.SuiteFP))
+	before := ckptStore.Len()
+	for _, e := range []struct {
+		id  string
+		run func(Options) (string, error)
+	}{{"fig8bc", Fig8bc}, {"fig11", Fig11}} {
+		if _, err := e.run(opt); err != nil {
+			t.Fatal(err)
+		}
+		if got := ckptStore.Len() - before; got != want {
+			t.Errorf("after %s ckptStore grew by %d snapshots, want %d (Table 1's, one per benchmark)", e.id, got, want)
+		}
+	}
+}

@@ -51,19 +51,30 @@ func detGrid(t *testing.T, benches string, seeds, insts, warmup uint64, axes ...
 	return g
 }
 
+// geometryGrid sweeps a timing axis outside a cache-geometry axis over two
+// benchmarks, so submission order visits every geometry once per ERT kind
+// (3 warm-ups per benchmark, each read by jobs far apart in the grid).
+func geometryGrid(t *testing.T) Grid {
+	t.Helper()
+	return detGrid(t, "mcf,swim", 1, 5_000, 20_000, "ert=line,hash", "l2.size=1M,2M,4M")
+}
+
 // TestDeterminismAcrossWorkerCounts pins the sweep contract behind the
 // result cache and the matrix fixture: the same grid must produce identical
 // keys, results and results digest no matter how the work is scheduled, and
 // it must build exactly one warm-up checkpoint per (benchmark, seed). Each
-// grid runs as elsqsweep runs it by default — with a fresh in-memory
-// checkpoint store — at Workers=1 (serial) and Workers=8 (jobs of one
-// warm-up racing to build it). The scaling grid pins the
+// grid runs as elsqsweep runs it by default — with no checkpoint store, so
+// a snapshot the Run dropped before its last job would be built again — at
+// Workers=1 (serial) and Workers=8 (jobs of one warm-up racing to build
+// it). The scaling grid pins the
 // contended fabric's calendar booking and every placement policy; the
 // classifier grid pins the table-based prediction policies. Both sweep
 // timing-only axes, so all their points share one warm-up per benchmark.
 // The storage grid varies both cache geometries (4 warm-ups per benchmark)
 // and, through 32 engines, the calendar horizon, so freed calendar rings
-// and line arrays of several lengths pass between workers.
+// and line arrays of several lengths pass between workers. The geometry
+// grid varies the L2 size inside a timing axis, so the Run reorders its
+// jobs by geometry.
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -79,6 +90,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 			"class.policy=reactive,cachelevel,delaytrack", "class.bits=8,10"), 1},
 		{"storage", detGrid(t, "mcf,swim", 1, 5_000, 20_000,
 			"l1.ways=1,4", "l2.size=1M,8M", "epochs=16,32", "noc.model=analytic,contended"), 4},
+		{"geometry", geometryGrid(t), 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			jobs, err := tc.grid.Expand()
@@ -87,7 +99,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 			}
 			wantBuilt := len(tc.grid.Benches) * len(tc.grid.Seeds) * tc.warmKeys
 			run := func(workers int) []Outcome {
-				r := &Runner{Workers: workers, Checkpoints: store.NewMem[ckpt.Snapshot]()}
+				r := &Runner{Workers: workers}
 				out, stats, err := r.Run(jobs)
 				if err != nil {
 					t.Fatal(err)
@@ -209,9 +221,9 @@ func TestCheckpointedRunMatchesFull(t *testing.T) {
 		want[i] = out.Result
 	}
 
-	// A store-less runner still shares warm-ups in-run, through a fresh
-	// memory store of its own: one build per (benchmark, seed), every job
-	// resumed, results bit-identical to the full-warm-up runs.
+	// A store-less runner still shares warm-ups in-run, through the Run's
+	// own store: one build per (benchmark, seed), every job resumed,
+	// results bit-identical to the full-warm-up runs.
 	storeless := &Runner{Workers: 4}
 	slOut, slStats, err := storeless.Run(jobs)
 	if err != nil {

@@ -140,13 +140,15 @@ type Runner struct {
 	Workers int
 	// Cache, if non-nil, is consulted before simulating and updated after.
 	Cache store.Store[cpu.Result]
-	// Checkpoints shares warm-ups: jobs whose warm-up-relevant identity
-	// matches (ckpt.Key — same cache geometry, warm-up budget, benchmark
-	// and seed; almost every paper sweep) resume from one warm-state
-	// snapshot in the store. A persistent store carries the snapshots
-	// across runs and processes; nil means a fresh in-memory store for
-	// each Run. Results are bit-identical to full warm-up runs; only
-	// wall-clock changes.
+	// Checkpoints, if non-nil, keeps warm-up checkpoints beyond a Run: the
+	// Run reads a snapshot from it before building one and passes it every
+	// snapshot it builds, so a persistent store carries them across runs
+	// and processes. With or without it, a Run shares warm-ups among its
+	// own jobs: jobs whose warm-up-relevant identity matches (ckpt.Key —
+	// same cache geometry, warm-up budget, benchmark and seed; almost every
+	// paper sweep) resume from one snapshot, which the Run holds until the
+	// last of them has finished. Results are bit-identical to full warm-up
+	// runs; only wall-clock and memory change.
 	Checkpoints store.Store[ckpt.Snapshot]
 	// OnProgress, if non-nil, is called after each unique job resolves.
 	// Calls are serialised; the callback must not call back into the
@@ -165,6 +167,7 @@ func (r *Runner) workers() int {
 type slot struct {
 	job     Job
 	key     string
+	ckptKey string // ckpt.Key of the job's warm-up
 	res     *cpu.Result
 	hit     bool
 	err     error
@@ -173,9 +176,12 @@ type slot struct {
 
 // Run executes the jobs and returns one outcome per job, in submission
 // order regardless of completion order. Duplicate jobs (same Key) are
-// simulated once and fanned out. On failure the first error is returned;
-// unaffected jobs still complete, and the failed jobs' outcomes carry a nil
-// Result.
+// simulated once and fanned out. Jobs that are not cache hits run grouped
+// by warm-up geometry (cache geometry and warm-up budget), groups in order
+// of first appearance and jobs within a group in submission order, so
+// OnProgress sees them in that order. On failure the first error is
+// returned; unaffected jobs still complete, and the failed jobs' outcomes
+// carry a nil Result.
 func (r *Runner) Run(jobs []Job) ([]Outcome, Stats, error) {
 	stats := Stats{Total: len(jobs)}
 	byKey := make(map[string]*slot, len(jobs))
@@ -223,14 +229,12 @@ func (r *Runner) Run(jobs []Job) ([]Outcome, Stats, error) {
 				continue
 			}
 		}
+		s.ckptKey = ckpt.Key(&s.job.Config, s.job.Bench.Name, s.job.Seed)
 		pending = append(pending, s)
 	}
 	stats.Ran = len(pending)
-
-	ckpts := r.Checkpoints
-	if ckpts == nil {
-		ckpts = store.NewMem[ckpt.Snapshot]()
-	}
+	pending = groupByGeometry(pending)
+	warm := newWarmups(r.Checkpoints, pending)
 	var built, resumed atomic.Int64
 
 	// Bounded pool: workers pull the next pending job from a shared
@@ -247,8 +251,10 @@ func (r *Runner) Run(jobs []Job) ([]Outcome, Stats, error) {
 					return
 				}
 				s := pending[n]
-				p := simrun.Point{Config: s.job.Config, Bench: s.job.Bench.Name, Seed: s.job.Seed, Ckpt: ckpts}
-				if out, err := p.Run(nil); err != nil {
+				p := simrun.Point{Config: s.job.Config, Bench: s.job.Bench.Name, Seed: s.job.Seed, Ckpt: warm}
+				out, err := p.Run(nil)
+				warm.release(s.ckptKey)
+				if err != nil {
 					s.err = fmt.Errorf("%s/%s: %w", s.job.Config.Name(), s.job.Bench.Name, err)
 				} else {
 					s.res = out.Result
